@@ -111,8 +111,8 @@ def cls_weighting(tokens, norm_gain=None, norm_bias=None,
     dim = x.shape[1]
     gain = np.ones(dim) if norm_gain is None else np.asarray(norm_gain, dtype=np.float64)
     bias = np.zeros(dim) if norm_bias is None else np.asarray(norm_bias, dtype=np.float64)
-    cls_n = layer_norm(x[0], gain, bias)
-    patch_n = layer_norm(x[1:], gain, bias)
+    cls_n, _, _ = layer_norm(x[0], gain, bias)
+    patch_n, _, _ = layer_norm(x[1:], gain, bias)
     sims = patch_n @ cls_n
     sims = sims - sims.max()
     weights = np.exp(sims)

@@ -54,6 +54,11 @@ class LabelEmbeddingTable:
         if entries:
             for label, emb in entries.items():
                 self._insert(int(label), emb)
+        # The table never changes after construction, so the float64 matrix
+        # that every scorer indexes is built once.
+        self._rows = {label: i for i, label in enumerate(self._entries)}
+        self._matrix = (np.stack(list(self._entries.values())).astype(np.float64)
+                        if self._entries else np.zeros((0, 0)))
 
     def _insert(self, label: int, emb) -> None:
         if label in self._entries:
@@ -99,7 +104,10 @@ class LabelEmbeddingTable:
         labels = list(candidates)
         if not labels:
             raise ValueError("empty candidate set")
-        return np.stack([self.embedding(c).astype(np.float64) for c in labels])
+        try:
+            return self._matrix[[self._rows[c] for c in labels]]
+        except KeyError as exc:
+            raise KeyError(f"unknown label id {exc.args[0]}") from None
 
 
 def cosine_similarity(a, b) -> float:
@@ -116,33 +124,34 @@ def cosine_similarity(a, b) -> float:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over a 1-D logit array, in float64."""
+    """Numerically stable softmax over the last axis, in float64."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def cosine_logits(e_x, table: LabelEmbeddingTable, candidates) -> np.ndarray:
-    """Temperature-scaled cosine logits of ``e_x`` against candidate labels."""
-    labels = sorted(candidates)
-    if not labels:
-        raise ValueError("empty candidate set")
-    v = as_embedding(e_x).astype(np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("zero-norm input embedding")
-    mat = table.matrix(labels)
-    if mat.shape[1] != v.size:
-        raise ValueError(f"dimension mismatch: {v.size} vs table {mat.shape[1]}")
-    cos = np.clip(mat @ (v / norm), -1.0, 1.0)
-    return TEMPERATURE * cos
+def label_cosines(embeddings, label_matrix: np.ndarray):
+    """Cosines of a D vector or B x D matrix against C x D unit label rows, in [-1, 1].
+
+    The one kernel behind the frozen scorer, the tuned scorer and the loss.
+    Returns the (C,) or (B, C) cosines, the unit embeddings and their norms.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    if e.shape[-1] != label_matrix.shape[1]:
+        raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
+    # A per-row dot product, so a single vector's norm equals np.linalg.norm's.
+    norms = np.sqrt(e[..., None, :] @ e[..., :, None])[..., 0]
+    if np.any(norms == 0.0):
+        raise ValueError("zero-norm embedding")
+    unit = e / norms
+    return np.clip(unit @ label_matrix.T, -1.0, 1.0), unit, norms
 
 
 def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict[int, float]:
     """Softmax over temperature-scaled cosine similarities for each candidate."""
     labels = sorted(candidates)
-    probs = softmax(cosine_logits(e_x, table, labels))
+    cos, _, _ = label_cosines(as_embedding(e_x), table.matrix(labels))
+    probs = softmax(TEMPERATURE * cos)
     return {label: float(p) for label, p in zip(labels, probs)}
 
 

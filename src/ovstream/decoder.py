@@ -5,8 +5,17 @@ Two variants map a token matrix to an output embedding:
 * ``linear`` -- ``weight @ cls + bias`` on the CLS row only (also covers
   dimension-matching between encoder and label-embedding spaces).
 * ``block`` -- a pre-norm single-head transformer block (self-attention plus
-  a 2-layer GELU MLP, both with residuals) over all tokens; the post-block
-  CLS row is the output.
+  a 2-layer GELU MLP, both with residuals); the post-block CLS row is the
+  output. Layer norm and the MLP act row by row, so that row depends only
+  on the CLS query and on the keys and values of all tokens: the block
+  normalizes every token but computes the query, attention, output
+  projection, LN2 and MLP for the CLS row alone. This is exact, since no
+  other row reaches the output. Keys and values are linear in the
+  normalized tokens, so they enter through the CLS row's scores and
+  attention-weighted sum without being formed.
+
+The loss runs one forward and one backward pass over the stacked B x T x D
+batch (one per token length when lengths differ).
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score appended to the candidate set
@@ -15,13 +24,14 @@ by the loss. Parameters live in float64; checkpoints store float32.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
-from .core import FormatError, LabelEmbeddingTable, TEMPERATURE
+from .core import TEMPERATURE, FormatError, LabelEmbeddingTable, label_cosines, softmax
 
 # Sentinel label id for the learned none-of-the-above option.
 OTHER_LABEL = -1
@@ -55,7 +65,7 @@ class DecoderParams:
     def other_logit(self) -> float:
         return float(self.tensors["other_logit"])
 
-    def names(self) -> list[int]:
+    def names(self) -> list[str]:
         return sorted(self.tensors)
 
     def validate(self) -> None:
@@ -118,31 +128,20 @@ def zeros_like_params(params: DecoderParams) -> DecoderParams:
 # Primitive layers
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Row-wise layer normalization (works on 1-D or 2-D inputs)."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LN_EPS)
-    return gain * xhat + bias
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer normalization over the last axis.
 
-
-def _layer_norm_fwd(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return gain * xhat + bias, (xhat, inv, gain)
-
-
-def _layer_norm_bwd(dout, cache):
-    xhat, inv, gain = cache
-    dxhat = dout * gain
-    dgain = (dout * xhat).sum(axis=0)
-    dbias = dout.sum(axis=0)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dgain, dbias
+    Returns the output plus the normalized input and the inverse standard
+    deviation, which the decoder's backward pass needs.
+    """
+    n = x.shape[-1]
+    # The same arithmetic as x.mean() and x.var(), without their call overhead.
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    std = np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + LN_EPS)
+    xhat /= std
+    y = gain * xhat
+    y += bias
+    return y, xhat, 1.0 / std
 
 
 def _gelu(z):
@@ -154,110 +153,100 @@ def _gelu_grad(z):
     return 0.5 * (1.0 + erf(z / np.sqrt(2.0))) + z * phi
 
 
-def _softmax_rows(z):
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 # ---------------------------------------------------------------------------
-# Forward / backward
+# Forward / backward over a batch of equal-length token matrices
 
 
-def _forward(tokens: np.ndarray, params: DecoderParams):
-    """Decoder forward in float64; returns (output embedding, cache)."""
-    x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"token matrix must be 2-D, got shape {x.shape}")
-    if x.shape[1] != params.d_in:
-        raise ValueError(f"token dimension {x.shape[1]} != decoder d_in {params.d_in}")
+def _stack(token_matrices, d_in: int) -> np.ndarray:
+    """Stack token matrices of one shape as a B x T x D float64 array."""
+    x = np.array(token_matrices, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ValueError(f"token matrix must be 2-D, got shape {x.shape[1:]}")
+    if x.shape[2] != d_in:
+        raise ValueError(f"token dimension {x.shape[2]} != decoder d_in {d_in}")
+    return x
+
+
+def _forward(x: np.ndarray, params: DecoderParams):
+    """Output embeddings (B x D_out) of a B x T x D batch, plus the backward cache.
+
+    The block attends with the CLS query only (exact; see the module docstring).
+    """
     t = params.tensors
-
     if params.variant == "linear":
-        cls = x[0]
-        e = t["weight"] @ cls + t["bias"]
-        return e, ("linear", cls)
-
+        cls = x[:, 0]
+        return cls @ t["weight"].T + t["bias"], (cls,)
     if params.variant != "block":
         raise ValueError(f"unknown decoder variant {params.variant!r}")
 
-    y1, ln1 = _layer_norm_fwd(x, t["ln1_gain"], t["ln1_bias"])
-    q = y1 @ t["wq"] + t["bq"]
-    k = y1 @ t["wk"] + t["bk"]
-    v = y1 @ t["wv"] + t["bv"]
-    scale = 1.0 / np.sqrt(params.d_in)
-    scores = (q @ k.T) * scale
-    attn_w = _softmax_rows(scores)
-    attn = attn_w @ v
-    o = attn @ t["wo"] + t["bo"]
-    h = x + o
-
-    y2, ln2 = _layer_norm_fwd(h, t["ln2_gain"], t["ln2_bias"])
+    y1, xhat1, inv1 = layer_norm(x, t["ln1_gain"], t["ln1_bias"])
+    q = y1[:, 0] @ t["wq"] + t["bq"]
+    qk = q @ t["wk"].T  # score_t = y1_t . (wk q) + q . bk
+    scale = 1.0 / np.sqrt(x.shape[2])
+    attn_w = softmax(((y1 @ qk[:, :, None])[:, :, 0] + (q @ t["bk"])[:, None]) * scale)
+    pooled = (attn_w[:, None, :] @ y1)[:, 0]  # sum_t w_t y1_t
+    attn = pooled @ t["wv"] + attn_w.sum(axis=1, keepdims=True) * t["bv"]
+    h = x[:, 0] + attn @ t["wo"] + t["bo"]
+    y2, xhat2, inv2 = layer_norm(h, t["ln2_gain"], t["ln2_bias"])
     z = y2 @ t["w1"] + t["b1"]
     a = _gelu(z)
-    m2 = a @ t["w2"] + t["b2"]
-    out = h + m2
-    cache = ("block", x, y1, ln1, q, k, v, scale, attn_w, attn, y2, ln2, z, a)
-    return out[0], cache
+    out = h + a @ t["w2"] + t["b2"]
+    return out, (y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a)
 
 
-def _backward(d_e: np.ndarray, params: DecoderParams, cache,
-              grads: DecoderParams) -> None:
-    """Accumulate parameter gradients for dL/d(output embedding) = d_e."""
+def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderParams) -> None:
+    """Accumulate parameter gradients for dL/d(output embeddings) = d_out (B x D_out)."""
     t = params.tensors
     g = grads.tensors
-
-    if cache[0] == "linear":
-        _, cls = cache
-        g["weight"] += np.outer(d_e, cls)
-        g["bias"] += d_e
+    if params.variant == "linear":
+        (cls,) = cache
+        g["weight"] += d_out.T @ cls
+        g["bias"] += d_out.sum(axis=0)
         return
 
-    _, x, y1, ln1, q, k, v, scale, attn_w, attn, y2, ln2, z, a = cache
-    T = x.shape[0]
-    dout = np.zeros_like(x)
-    dout[0] = d_e
+    y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a = cache
 
     # MLP branch
-    dm2 = dout
-    g["w2"] += a.T @ dm2
-    g["b2"] += dm2.sum(axis=0)
-    da = dm2 @ t["w2"].T
-    dz = da * _gelu_grad(z)
+    g["w2"] += a.T @ d_out
+    g["b2"] += d_out.sum(axis=0)
+    dz = (d_out @ t["w2"].T) * _gelu_grad(z)
     g["w1"] += y2.T @ dz
     g["b1"] += dz.sum(axis=0)
     dy2 = dz @ t["w1"].T
-    dh_ln, dg2, db2 = _layer_norm_bwd(dy2, ln2)
-    g["ln2_gain"] += dg2
-    g["ln2_bias"] += db2
-    dh = dout + dh_ln
+    g["ln2_gain"] += (dy2 * xhat2).sum(axis=0)
+    g["ln2_bias"] += dy2.sum(axis=0)
+    dxhat = dy2 * t["ln2_gain"]
+    dh = d_out + inv2 * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat2 * (dxhat * xhat2).mean(axis=-1, keepdims=True))
 
-    # Attention branch
-    do = dh
-    g["wo"] += attn.T @ do
-    g["bo"] += do.sum(axis=0)
-    dattn = do @ t["wo"].T
-    dw = dattn @ v.T
-    dv = attn_w.T @ dattn
-    dscores = attn_w * (dw - (dw * attn_w).sum(axis=-1, keepdims=True))
-    dq = (dscores @ k) * scale
-    dk = (dscores.T @ q) * scale
-    g["wq"] += y1.T @ dq
+    # Attention branch. Per sample, dL/dk_t = ds_t q and dL/dv_t = w_t dattn
+    # are rank one, so every sum over tokens is a weighted sum of LN1 rows.
+    g["wo"] += attn.T @ dh
+    g["bo"] += dh.sum(axis=0)
+    dattn = dh @ t["wo"].T
+    dw = (y1 @ (dattn @ t["wv"].T)[:, :, None])[:, :, 0] + (dattn @ t["bv"])[:, None]  # v_t . dattn
+    ds = attn_w * (dw - (dw * attn_w).sum(axis=-1, keepdims=True)) * scale
+    ds_y1 = (ds[:, None, :] @ y1)[:, 0]  # sum_t ds_t y1_t
+    dq = ds_y1 @ t["wk"] + ds.sum(axis=1, keepdims=True) * t["bk"]
+    g["wq"] += y1[:, 0].T @ dq
     g["bq"] += dq.sum(axis=0)
-    g["wk"] += y1.T @ dk
-    g["bk"] += dk.sum(axis=0)
-    g["wv"] += y1.T @ dv
-    g["bv"] += dv.sum(axis=0)
-    dy1 = dq @ t["wq"].T + dk @ t["wk"].T + dv @ t["wv"].T
-    _, dg1, db1 = _layer_norm_bwd(dy1, ln1)
-    g["ln1_gain"] += dg1
-    g["ln1_bias"] += db1
+    g["wk"] += ds_y1.T @ q
+    g["bk"] += ds.sum(axis=1) @ q
+    g["wv"] += pooled.T @ dattn
+    g["bv"] += attn_w.sum(axis=1) @ dattn
+    # dL/dy1_t = ds_t (wk q) + w_t (wv dattn), plus wq dq on the CLS row.
+    dv_y = dattn @ t["wv"].T
+    dq_y = dq @ t["wq"].T
+    g["ln1_gain"] += (((ds[:, None, :] @ xhat1)[:, 0] * qk).sum(axis=0)
+                      + ((attn_w[:, None, :] @ xhat1)[:, 0] * dv_y).sum(axis=0)
+                      + (xhat1[:, 0] * dq_y).sum(axis=0))
+    g["ln1_bias"] += ds.sum(axis=1) @ qk + attn_w.sum(axis=1) @ dv_y + dq_y.sum(axis=0)
 
 
 def decode(tokens, params: DecoderParams) -> np.ndarray:
     """Map a token matrix to its output embedding (float32)."""
-    e, _ = _forward(tokens, params)
-    return e.astype(np.float32)
+    e, _ = _forward(_stack([tokens], params.d_in), params)
+    return e[0].astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -283,61 +272,10 @@ def augmented_logits(e, table: LabelEmbeddingTable, candidates,
                      other_logit: float) -> dict[int, float]:
     """Cosine logits over the candidates plus the input-independent OTHER logit."""
     labels = sorted(candidates)
-    if not labels:
-        raise ValueError("empty candidate set")
-    v = np.asarray(e, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("zero-norm embedding")
-    mat = table.matrix(labels)
-    cos = np.clip(mat @ (v / norm), -1.0, 1.0)
+    cos, _, _ = label_cosines(e, table.matrix(labels))
     logits = {label: float(TEMPERATURE * c) for label, c in zip(labels, cos)}
     logits[OTHER_LABEL] = float(other_logit)
     return logits
-
-
-def _ce_terms(e: np.ndarray, label: int, candidates: list[int],
-              table: LabelEmbeddingTable, other_logit: float, beta: float):
-    """Per-sample loss terms and the gradient wrt (candidate logits, other logit).
-
-    Term 1: cross-entropy with the true label over candidates + OTHER.
-    Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
-    degenerate when the true label is the only candidate (singleton softmax).
-    """
-    n = len(candidates)
-    norm = np.linalg.norm(e)
-    if norm == 0.0:
-        raise ValueError("zero-norm decoded embedding")
-    mat = table.matrix(candidates)
-    cos = np.clip(mat @ (e / norm), -1.0, 1.0)
-    logits = np.append(TEMPERATURE * cos, other_logit)  # index n = OTHER
-
-    idx = candidates.index(label)
-    z1 = logits - logits.max()
-    p1 = np.exp(z1) / np.exp(z1).sum()
-    loss1 = -np.log(max(p1[idx], 1e-300))
-    dlogits = p1.copy()
-    dlogits[idx] -= 1.0
-
-    if n > 1:
-        keep = [i for i in range(n + 1) if i != idx]
-        sub = logits[keep]
-        z2 = sub - sub.max()
-        p2 = np.exp(z2) / np.exp(z2).sum()
-        loss2 = -np.log(max(p2[-1], 1e-300))  # OTHER is last in `keep`
-        d2 = p2.copy()
-        d2[-1] -= 1.0
-        for j, i in enumerate(keep):
-            dlogits[i] += beta * d2[j]
-    else:
-        loss2 = 0.0
-
-    # Back through logits -> embedding: d(100*cos_k)/de
-    e_hat = e / norm
-    d_e = np.zeros_like(e)
-    for k in range(n):
-        d_e += dlogits[k] * TEMPERATURE * (mat[k] - cos[k] * e_hat) / norm
-    return loss1 + beta * loss2, d_e, dlogits[n]
 
 
 def combined_loss(batch: TrainingBatch, params: DecoderParams,
@@ -355,21 +293,61 @@ def loss_gradients(batch: TrainingBatch, params: DecoderParams,
 
 
 def _loss_and_grads(batch, params, table, beta, want_grads):
+    """Loss, and optionally gradients, from one forward and backward per token length.
+
+    Term 1: cross-entropy with the true label over candidates + OTHER.
+    Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
+    it vanishes when the true label is the only candidate (singleton softmax).
+    Samples are grouped by shape because padding would change the attention.
+    """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     batch.validate()
     candidates = sorted(batch.candidates)
-    grads = zeros_like_params(params) if want_grads else None
-    total = 0.0
-    inv_n = 1.0 / len(batch.samples)
-    for tokens, label in batch.samples:
-        e, cache = _forward(tokens, params)
-        loss, d_e, d_other = _ce_terms(e, label, candidates, table,
-                                       params.other_logit, beta)
-        total += loss * inv_n
-        if want_grads:
-            grads.tensors["other_logit"] += inv_n * d_other
-            _backward(inv_n * d_e, params, cache, grads)
+    by_shape: dict[tuple, list[int]] = {}
+    for i, (tokens, _) in enumerate(batch.samples):
+        by_shape.setdefault(np.shape(tokens), []).append(i)
+    groups = []
+    for ids in by_shape.values():
+        x = _stack([batch.samples[i][0] for i in ids], params.d_in)
+        groups.append((ids, *_forward(x, params)))
+    e = np.concatenate([out for _, out, _ in groups])
+    order = [i for ids, _, _ in groups for i in ids]
+    rows = np.arange(len(order))
+    col = {label: j for j, label in enumerate(candidates)}
+    idx = np.array([col[batch.samples[i][1]] for i in order])
+
+    mat = table.matrix(candidates)
+    n = len(candidates)
+    cos, e_hat, norms = label_cosines(e, mat)
+    logits = np.empty((len(order), n + 1))  # column n = OTHER
+    logits[:, :n] = TEMPERATURE * cos
+    logits[:, n] = params.other_logit
+    p1 = softmax(logits)
+    loss = -np.log(np.maximum(p1[rows, idx], 1e-300))
+    dlogits = p1
+    dlogits[rows, idx] -= 1.0
+    if n > 1:
+        reduced = logits.copy()
+        reduced[rows, idx] = -np.inf
+        p2 = softmax(reduced)
+        loss += beta * -np.log(np.maximum(p2[:, n], 1e-300))
+        p2[:, n] -= 1.0
+        dlogits += beta * p2
+    inv_n = 1.0 / len(order)
+    total = float(loss.sum() * inv_n)
+    if not want_grads:
+        return total, None
+
+    grads = zeros_like_params(params)
+    grads.tensors["other_logit"] += inv_n * dlogits[:, n].sum()
+    # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
+    dl = dlogits[:, :n]
+    d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
+    start = 0
+    for ids, _, cache in groups:
+        _backward(d_e[start:start + len(ids)], params, cache, grads)
+        start += len(ids)
     return total, grads
 
 
@@ -470,22 +448,30 @@ def load_checkpoint(path) -> DecoderParams:
         version, variant_code, d_in, d_out = struct.unpack_from("<IBII", data, 4)
         if version != _VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
+        if variant_code not in _VARIANT_NAMES:
+            raise FormatError(f"unknown decoder variant code {variant_code} at offset 8")
         (count,) = struct.unpack_from("<I", data, 17)
         off = 21
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", data, off)
             off += 2
-            name = data[off:off + nlen].decode("utf-8")
+            try:
+                name = data[off:off + nlen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"tensor name is not utf-8 at offset {off}") from exc
             off += nlen
             (ndim,) = struct.unpack_from("<B", data, off)
             off += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, off) if ndim else ()
+            shape = struct.unpack_from(f"<{ndim}I", data, off)
             off += 4 * ndim
-            size = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=off)
+            size = math.prod(shape)
+            try:
+                arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape)
+            except (ValueError, OverflowError) as exc:  # truncated, or a shape numpy cannot hold
+                raise FormatError(f"bad tensor {name!r} payload at offset {off}") from exc
             off += 4 * size
-            tensors[name] = arr.reshape(shape).astype(np.float64)
+            tensors[name] = arr.astype(np.float64)
     except struct.error as exc:
         raise FormatError(f"truncated checkpoint near offset {len(data)}") from exc
     return DecoderParams(_VARIANT_NAMES[variant_code], d_in, d_out, tensors)

@@ -31,6 +31,7 @@ from .weighting import (
     ClassAccuracyTracker,
     aim_alpha,
     combined_prediction,
+    mix_predictions,
     nn_loo_confidence,
     p_other,
 )
@@ -259,20 +260,18 @@ class Engine:
             return p_t if all_seen else p_o
         if strategy == "aim":
             a = aim_alpha(p_o, seen)
-            return {y: a * p_t[y] + (1 - a) * p_o[y] for y in p_o}
+            return mix_predictions(p_t, p_o, dict.fromkeys(p_o, a))
         if strategy == "nn-loo":
             conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
-            mixed = {}
-            for y in sorted(candidates):
+            alphas = {}
+            for y in candidates:
                 if all_seen:
-                    a = 1.0
+                    alphas[y] = 1.0
                 elif y not in conf_t or y not in conf_o:
-                    a = 0.0
+                    alphas[y] = 0.0
                 else:
-                    a = conf_t[y] / (conf_t[y] + conf_o[y] + self.tracker.eps)
-                mixed[y] = a * p_t[y] + (1 - a) * p_o[y]
-            total = sum(mixed.values())
-            return {y: v / total for y, v in mixed.items()}
+                    alphas[y] = conf_t[y] / (conf_t[y] + conf_o[y] + self.tracker.eps)
+            return mix_predictions(p_t, p_o, alphas)
 
         pov = None
         if self.config.p_other_weighting:

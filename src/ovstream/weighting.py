@@ -14,9 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import cosine_similarity
+from .core import cosine_similarity, softmax
 from .decoder import OTHER_LABEL
 
 
@@ -110,25 +108,31 @@ def combined_prediction(p_tuned: dict[int, float], p_frozen: dict[int, float],
                         tracker: ClassAccuracyTracker, candidates,
                         all_candidates_seen: bool = False,
                         p_other_value: float | None = None) -> dict[int, float]:
-    """Per-label mix of the two distributions, renormalized over the candidates.
-
-    The all-frozen and all-tuned corner cases return the corresponding
-    input unchanged so the untouched model's output is preserved bit for bit.
-    """
-    labels = sorted(candidates)
-    if sorted(p_tuned) != labels or sorted(p_frozen) != labels:
-        raise ValueError("distributions must cover exactly the candidate set")
+    """Per-label OCW mix of the two distributions, renormalized over the candidates."""
     seen = tracker.seen_labels()
     alphas = {
-        label: alpha(tracker, label, seen, all_candidates_seen, p_other_value)
-        for label in labels
+        label: alpha(tracker, label, seen, all_candidates_seen, p_other_value)[0]
+        for label in sorted(candidates)
     }
-    if all(a[0] == 0.0 for a in alphas.values()):
+    return mix_predictions(p_tuned, p_frozen, alphas)
+
+
+def mix_predictions(p_tuned: dict[int, float], p_frozen: dict[int, float],
+                    alphas: dict[int, float]) -> dict[int, float]:
+    """``a * p_tuned + (1 - a) * p_frozen`` per label (``alphas[label] = a``), renormalized.
+
+    When every ``a`` is 0 (or every one is 1) the frozen (tuned) input is
+    returned unchanged, so the untouched model's output is kept bit for bit.
+    """
+    labels = sorted(alphas)
+    if sorted(p_tuned) != labels or sorted(p_frozen) != labels:
+        raise ValueError("distributions must cover exactly the candidate set")
+    if all(a == 0.0 for a in alphas.values()):
         return dict(p_frozen)
-    if all(a[0] == 1.0 for a in alphas.values()):
+    if all(a == 1.0 for a in alphas.values()):
         return dict(p_tuned)
     mixed = {
-        label: alphas[label][0] * p_tuned[label] + alphas[label][1] * p_frozen[label]
+        label: alphas[label] * p_tuned[label] + (1.0 - alphas[label]) * p_frozen[label]
         for label in labels
     }
     total = sum(mixed.values())
@@ -181,7 +185,5 @@ def p_other(logits: dict[int, float]) -> float:
     """Softmax mass of the none-of-the-above option in an augmented logit map."""
     if OTHER_LABEL not in logits:
         raise ValueError("logit map has no OTHER entry")
-    values = np.array(list(logits.values()), dtype=np.float64)
-    z = values - values.max()
-    e = np.exp(z)
-    return float(e[list(logits).index(OTHER_LABEL)] / e.sum())
+    probs = softmax(list(logits.values()))
+    return float(probs[list(logits).index(OTHER_LABEL)])

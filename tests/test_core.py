@@ -47,6 +47,19 @@ class TestLabelTable:
     def test_unknown_label(self, small_table):
         with pytest.raises(KeyError):
             small_table.embedding(42)
+        with pytest.raises(KeyError):
+            small_table.matrix([0, 42])
+
+    def test_matrix_equals_stacked_embeddings(self, small_table):
+        for candidates in ([3, 0, 2], [1], range(4)):
+            want = np.stack([small_table.embedding(c).astype(np.float64)
+                             for c in candidates])
+            got = small_table.matrix(candidates)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        # Callers get a fresh array; the cached matrix cannot be changed through it.
+        small_table.matrix([0])[0, 0] = 99.0
+        assert small_table.matrix([0])[0, 0] != 99.0
 
 
 class TestZeroShotProbabilities:

@@ -1,12 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from ovstream.core import LabelEmbeddingTable
+from ovstream.core import FormatError, LabelEmbeddingTable
 from ovstream.decoder import (
     OTHER_LABEL,
     DecoderParams,
     OptimizerState,
     TrainingBatch,
+    _forward,
     augmented_logits,
     block_params,
     combined_loss,
@@ -288,16 +292,254 @@ class TestCheckpoint:
                 loaded.tensors[name], t.astype(np.float32).astype(np.float64))
 
     def test_bad_magic(self, tmp_path):
-        from ovstream.core import FormatError
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_truncated(self, tmp_path):
-        from ovstream.core import FormatError
         path = tmp_path / "ck.bin"
         save_checkpoint(linear_params(4), path)
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    def test_unknown_variant_code(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(linear_params(4), path)
+        data = bytearray(path.read_bytes())
+        data[8] = 7  # the variant byte follows the magic and the u32 version
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="offset 8"):
+            load_checkpoint(path)
+
+    def test_truncated_tensor_payload(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(linear_params(4), path)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError, match="offset"):
+            load_checkpoint(path)
+
+    def test_undecodable_tensor_name(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(linear_params(4), path)
+        data = bytearray(path.read_bytes())
+        (nlen,) = struct.unpack_from("<H", data, 21)
+        assert nlen > 0
+        data[23] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="offset 23"):
+            load_checkpoint(path)
+
+    def test_shape_numpy_cannot_hold(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        name = b"bias"
+        path.write_bytes(b"OVCK" + struct.pack("<IBIII", 1, 0, 1, 1, 1)
+                         + struct.pack("<H", len(name)) + name
+                         + struct.pack("<B", 100) + struct.pack("<100I", *[1] * 100)
+                         + b"\x00" * 4)
+        with pytest.raises(FormatError, match="offset"):
+            load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-sample loss and gradients the batched pass replaced.
+# The block runs over all T rows here, so it also checks that computing the
+# CLS query alone is exact.
+
+
+def _ref_layer_norm(x, gain, bias):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - mu) * inv
+    return gain * xhat + bias, (xhat, inv, gain)
+
+
+def _ref_layer_norm_bwd(dout, cache):
+    xhat, inv, gain = cache
+    dxhat = dout * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dout * xhat).sum(axis=0), dout.sum(axis=0)
+
+
+def _ref_gelu(z):
+    return 0.5 * z * (1.0 + erf(z / np.sqrt(2.0)))
+
+
+def _ref_gelu_grad(z):
+    return (0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+            + z * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi))
+
+
+def _ref_softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_forward(tokens, params):
+    x = np.asarray(tokens, dtype=np.float64)
+    t = params.tensors
+    if params.variant == "linear":
+        return t["weight"] @ x[0] + t["bias"], ("linear", x[0])
+    y1, ln1 = _ref_layer_norm(x, t["ln1_gain"], t["ln1_bias"])
+    q = y1 @ t["wq"] + t["bq"]
+    k = y1 @ t["wk"] + t["bk"]
+    v = y1 @ t["wv"] + t["bv"]
+    scale = 1.0 / np.sqrt(params.d_in)
+    attn_w = _ref_softmax((q @ k.T) * scale)
+    attn = attn_w @ v
+    h = x + attn @ t["wo"] + t["bo"]
+    y2, ln2 = _ref_layer_norm(h, t["ln2_gain"], t["ln2_bias"])
+    z = y2 @ t["w1"] + t["b1"]
+    a = _ref_gelu(z)
+    out = h + a @ t["w2"] + t["b2"]
+    return out[0], ("block", x, y1, ln1, q, k, v, scale, attn_w, attn, y2, ln2, z, a)
+
+
+def _ref_backward(d_e, params, cache, g):
+    t = params.tensors
+    if cache[0] == "linear":
+        g["weight"] += np.outer(d_e, cache[1])
+        g["bias"] += d_e
+        return
+    _, x, y1, ln1, q, k, v, scale, attn_w, attn, y2, ln2, z, a = cache
+    dout = np.zeros_like(x)
+    dout[0] = d_e
+    g["w2"] += a.T @ dout
+    g["b2"] += dout.sum(axis=0)
+    dz = (dout @ t["w2"].T) * _ref_gelu_grad(z)
+    g["w1"] += y2.T @ dz
+    g["b1"] += dz.sum(axis=0)
+    dh_ln, dg2, db2 = _ref_layer_norm_bwd(dz @ t["w1"].T, ln2)
+    g["ln2_gain"] += dg2
+    g["ln2_bias"] += db2
+    dh = dout + dh_ln
+    g["wo"] += attn.T @ dh
+    g["bo"] += dh.sum(axis=0)
+    dattn = dh @ t["wo"].T
+    dw = dattn @ v.T
+    dv = attn_w.T @ dattn
+    dscores = attn_w * (dw - (dw * attn_w).sum(axis=-1, keepdims=True))
+    dq = (dscores @ k) * scale
+    dk = (dscores.T @ q) * scale
+    for name, d in (("q", dq), ("k", dk), ("v", dv)):
+        g["w" + name] += y1.T @ d
+        g["b" + name] += d.sum(axis=0)
+    dy1 = dq @ t["wq"].T + dk @ t["wk"].T + dv @ t["wv"].T
+    _, dg1, db1 = _ref_layer_norm_bwd(dy1, ln1)
+    g["ln1_gain"] += dg1
+    g["ln1_bias"] += db1
+
+
+def _ref_ce_terms(e, label, candidates, table, other_logit, beta):
+    n = len(candidates)
+    norm = np.linalg.norm(e)
+    mat = np.stack([np.asarray(table.embedding(c), dtype=np.float64) for c in candidates])
+    cos = np.clip(mat @ (e / norm), -1.0, 1.0)
+    logits = np.append(100.0 * cos, other_logit)
+    idx = candidates.index(label)
+    p1 = _ref_softmax(logits)
+    loss = -np.log(p1[idx])
+    dlogits = p1.copy()
+    dlogits[idx] -= 1.0
+    if n > 1:
+        keep = [i for i in range(n + 1) if i != idx]
+        p2 = _ref_softmax(logits[keep])
+        loss += beta * -np.log(p2[-1])
+        p2[-1] -= 1.0
+        for j, i in enumerate(keep):
+            dlogits[i] += beta * p2[j]
+    e_hat = e / norm
+    d_e = sum(dlogits[k] * 100.0 * (mat[k] - cos[k] * e_hat) / norm for k in range(n))
+    return loss, d_e, dlogits[n]
+
+
+def _ref_loss_and_grads(batch, params, table, beta):
+    candidates = sorted(batch.candidates)
+    g = zeros_like_params(params).tensors
+    total = 0.0
+    inv_n = 1.0 / len(batch.samples)
+    for tokens, label in batch.samples:
+        e, cache = _ref_forward(tokens, params)
+        loss, d_e, d_other = _ref_ce_terms(e, label, candidates, table,
+                                           params.other_logit, beta)
+        total += loss * inv_n
+        g["other_logit"] += inv_n * d_other
+        _ref_backward(inv_n * d_e, params, cache, g)
+    return total, g
+
+
+def _assert_rel_close(got, want, rtol=1e-12, scale=0.0):
+    """Largest error within ``rtol`` of the largest reference entry (or ``scale``)."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    scale = max(np.max(np.abs(want)), scale, 1e-300)
+    assert np.max(np.abs(got - want)) <= rtol * scale
+
+
+def _instance(variant, seed, dim=8, n_classes=5):
+    rng = np.random.default_rng(seed)
+    table = LabelEmbeddingTable({i: rng.standard_normal(dim) for i in range(n_classes)})
+    if variant == "linear":
+        params = linear_params(dim, identity=False, rng=rng, scale=0.3)
+    else:
+        params = block_params(dim, rng=rng, scale=0.2)
+    params.tensors["other_logit"] = np.array(0.7)
+    return table, params, rng
+
+
+class TestBatchedMatchesPerSampleReference:
+    CASES = {"mixed_labels": 0, "singleton": 1, "beta_zero": 2, "ragged_t": 3}
+
+    @pytest.mark.parametrize("variant", ["linear", "block"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_loss_and_every_gradient(self, variant, case):
+        table, params, rng = _instance(variant, seed=self.CASES[case])
+        beta = 0.0 if case == "beta_zero" else 0.3
+        candidates = {2} if case == "singleton" else set(range(5))
+        samples = []
+        for i in range(9):
+            t = 3 + i % 3 if case == "ragged_t" else 6
+            label = 2 if case == "singleton" else int(rng.integers(0, 5))
+            samples.append((rng.standard_normal((t, 8)).astype(np.float32), label))
+        if case == "mixed_labels":
+            assert len({label for _, label in samples}) > 2
+        batch = TrainingBatch(samples, candidates)
+        want_loss, want_grads = _ref_loss_and_grads(batch, params, table, beta)
+        _assert_rel_close(combined_loss(batch, params, table, beta), want_loss)
+        grads = loss_gradients(batch, params, table, beta)
+        assert sorted(grads.tensors) == sorted(want_grads)
+        # The key bias gradient is zero in exact arithmetic (the attention
+        # softmax ignores a shift shared by all scores), so both sides hold
+        # rounding noise; it is measured against the largest gradient entry.
+        overall = max(np.max(np.abs(w)) for w in want_grads.values())
+        for name, want in want_grads.items():
+            _assert_rel_close(grads.tensors[name], want,
+                              scale=overall if name == "bk" else 0.0)
+
+    def test_block_decode_is_the_full_block_cls_row(self):
+        _, params, rng = _instance("block", seed=4)
+        for t in (1, 2, 7):
+            tokens = rng.standard_normal((t, 8)).astype(np.float32)
+            want, _ = _ref_forward(tokens, params)
+            _assert_rel_close(decode(tokens, params), want.astype(np.float32), rtol=1e-6)
+            got, _ = _forward(tokens.astype(np.float64)[None], params)
+            _assert_rel_close(got[0], want)
+
+    def test_bad_token_matrices_rejected(self, rng):
+        table, params, _ = _instance("block", seed=5)
+        for bad in (rng.standard_normal(8), rng.standard_normal((3, 7))):
+            with pytest.raises(ValueError):
+                loss_gradients(TrainingBatch([(bad, 0)], {0}), params, table, 0.1)
+        with pytest.raises(ValueError):
+            loss_gradients(TrainingBatch([(rng.standard_normal((3, 8)), 0)], {0}),
+                           params, table, -0.1)
+
+    def test_zero_norm_decoded_embedding_rejected(self):
+        table = LabelEmbeddingTable({0: [1.0, 0.0]})
+        params = linear_params(2)
+        tokens = np.zeros((2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="zero-norm"):
+            loss_gradients(TrainingBatch([(tokens, 0)], {0}), params, table, 0.1)

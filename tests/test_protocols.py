@@ -155,6 +155,28 @@ class TestEngineRun:
         tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
         assert got == tuned
 
+    @pytest.mark.parametrize("weighting", ["nn-loo", "aim"])
+    def test_never_trained_candidates_give_frozen_bit_exact(self, weighting):
+        ds = _dataset(num_classes=6, samples_per_class=4, seed=10)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=10))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3:
+                engine.process(idx)
+        unseen = {3, 4, 5}
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            assert engine.predict(tokens, unseen) == engine.frozen_probabilities(tokens, unseen)
+
+    def test_nn_loo_all_seen_candidates_use_tuned_bit_exact(self):
+        ds = _dataset(num_classes=3, samples_per_class=4, seed=12)
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=12))
+        for idx in range(len(ds.samples)):
+            engine.process(idx)
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            assert (engine.predict(tokens, {0, 1, 2})
+                    == engine.tuned_probabilities(tokens, {0, 1, 2}))
+
     def test_compression_modes_run(self):
         ds = _dataset(num_classes=3, samples_per_class=3, dim=12, tokens=5,
                       seed=14)
