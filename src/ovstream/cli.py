@@ -54,31 +54,31 @@ def _spec_from_dict(raw: dict) -> data.SyntheticSpec:
 
 
 def _sampler_from_dict(raw: dict) -> SamplerConfig:
+    d = SamplerConfig()
     cfg = SamplerConfig(
-        strategy=raw.get("strategy", "class_balanced"),
-        batch_size=int(raw.get("batch_size", 32)),
-        decay=float(raw.get("decay", 0.99)),
-        weight_floor=float(raw.get("weight_floor", 0.01)),
+        strategy=raw.get("strategy", d.strategy),
+        batch_size=int(raw.get("batch_size", d.batch_size)),
+        decay=float(raw.get("decay", d.decay)),
+        weight_floor=float(raw.get("weight_floor", d.weight_floor)),
     )
     cfg.validate()
     return cfg
 
 
 def _engine_config_from_dict(raw: dict) -> protocols.EngineConfig:
+    d = protocols.EngineConfig()
     cfg = protocols.EngineConfig(
-        decoder_variant=raw.get("decoder", "linear"),
-        weighting=raw.get("weighting", "ocw"),
+        decoder_variant=raw.get("decoder", d.decoder_variant),
+        weighting=raw.get("weighting", d.weighting),
         sampler=_sampler_from_dict(raw.get("sampler", {})),
-        beta=float(raw.get("beta", 0.1)),
-        ema_decay=float(raw.get("ema_decay", 0.99)),
-        lr=float(raw.get("lr", 9.375e-6)),
-        weight_decay=float(raw.get("weight_decay", 0.05)),
-        compression=raw.get("compression", "none"),
-        pca_components=int(raw.get("pca_components", 5)),
-        dataset_pca_components=int(raw.get("dataset_pca_components", 200)),
-        chunk_size=int(raw.get("chunk_size", 5000)),
-        p_other_weighting=bool(raw.get("p_other_weighting", False)),
-        seed=int(raw.get("seed", 0)),
+        beta=float(raw.get("beta", d.beta)),
+        ema_decay=float(raw.get("ema_decay", d.ema_decay)),
+        lr=float(raw.get("lr", d.lr)),
+        weight_decay=float(raw.get("weight_decay", d.weight_decay)),
+        compression=raw.get("compression", d.compression),
+        pca_components=int(raw.get("pca_components", d.pca_components)),
+        p_other_weighting=bool(raw.get("p_other_weighting", d.p_other_weighting)),
+        seed=int(raw.get("seed", d.seed)),
     )
     cfg.validate()
     return cfg
@@ -173,35 +173,24 @@ def _write_metrics_csv(record, path, chash, seed) -> None:
 
 def cmd_compress(args) -> int:
     dataset = data.load(args.dataset)
-    if args.mode not in protocols.COMPRESSION_MODES:
-        raise ValueError(f"unknown compression mode {args.mode!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = args.components
     tokens = [dataset.tokens(i) for i in range(len(dataset.samples))]
 
-    codec = None
-    payloads = []
-    errors = []
-    for i, tm in enumerate(tokens):
-        if args.mode == "none":
-            payloads.append(tm)
-            errors.append(0.0)
-            continue
-        if args.mode == "dataset-pca":
-            if codec is None:
-                codec = compression.DatasetPcaCodec.fit(
-                    tokens, chunk_size=args.chunk_size, n_components=n)
-            recon = codec.decode(i, codec.encode(i, tm))
-            # Storage for this mode is the coefficient matrix per sample.
-            payloads.append(codec.encode(i, tm))
-            errors.append(_rel_err(tm, recon))
-            continue
-        cf = compression.compress(
-            tm, n, quantized=(args.mode == "pca-cls-quant"),
-            cls_weight=(args.mode in ("pca-cls", "pca-cls-quant")))
-        payloads.append(cf)
-        errors.append(_rel_err(tm, compression.reconstruct(cf)))
+    if args.mode == "dataset-pca":
+        codec = compression.DatasetPcaCodec.fit(
+            tokens, chunk_size=args.chunk_size, n_components=n)
+        # Storage for this mode is the coefficient matrix per sample.
+        payloads = [codec.encode(i, tm) for i, tm in enumerate(tokens)]
+        decode = codec.decode
+    else:
+        payloads = [compression.encode(tm, args.mode, n) for tm in tokens]
+
+        def decode(_, payload):
+            return compression.to_tokens(payload)
+    errors = [_rel_err(tm, decode(i, p))
+              for i, (tm, p) in enumerate(zip(tokens, payloads))]
 
     sizes = [compression.storage_bytes(p) for p in payloads]
     kb = float(np.mean(sizes)) / 1024.0
@@ -217,7 +206,7 @@ def cmd_compress(args) -> int:
         "mode,kb_per_sample,bytes_per_sample,reconstruction_rel_error\n"
         f"{args.mode},{kb!r},{float(np.mean(sizes))!r},{err!r}\n")
 
-    ms = _time_batch(dataset, payloads, args.mode, repetitions=args.repetitions)
+    ms = _time_batch(dataset, payloads, decode, repetitions=args.repetitions)
     (out / "timing.json").write_text(canonical_json(
         {"mode": args.mode, "ms_per_batch": ms, "repetitions": args.repetitions}) + "\n")
     print(f"{args.mode}: {kb:.2f} KB/sample, recon rel err {err:.5f}, "
@@ -232,27 +221,24 @@ def _rel_err(original, recon) -> float:
     return float(np.linalg.norm(o - r) / denom) if denom else 0.0
 
 
-def _time_batch(dataset, payloads, mode, repetitions=100, batch_size=32) -> float:
-    """Mean ms to load, reconstruct, and run one decoder train step on a batch."""
+def _time_batch(dataset, payloads, decode, repetitions=100, batch_size=32) -> float:
+    """Mean ms to load, decode, and run one decoder train step on a batch.
+
+    ``decode(sample_index, payload)`` turns a stored payload back into its
+    token matrix.
+    """
     from .decoder import linear_params
 
     table = dataset.label_table
     params = linear_params(table.dim)
     ids = list(range(min(batch_size, len(payloads))))
-    blobs = None
-    if mode != "dataset-pca":
-        blobs = [compression.payload_to_bytes(payloads[i]) for i in ids]
+    blobs = [compression.payload_to_bytes(payloads[i]) for i in ids]
     start = time.perf_counter()
     for _ in range(repetitions):
         samples = []
         for i in ids:
-            if blobs is not None:
-                payload, _ = compression.payload_from_bytes(blobs[i])
-                tm = (compression.reconstruct(payload)
-                      if isinstance(payload, compression.CompressedFeature) else payload)
-            else:
-                tm = dataset.tokens(i)
-            samples.append((tm, dataset.samples[i][1]))
+            payload, _ = compression.payload_from_bytes(blobs[i])
+            samples.append((decode(i, payload), dataset.samples[i][1]))
         batch = TrainingBatch(samples, set(dataset.labels()))
         loss_gradients(batch, params, table, beta=0.1)
     return (time.perf_counter() - start) / repetitions * 1000.0
@@ -375,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compression benchmark over a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", required=True,
-                   choices=protocols.COMPRESSION_MODES)
+                   choices=(*compression.MODES, "dataset-pca"))
     p.add_argument("--components", type=int, default=5)
     p.add_argument("--chunk-size", type=int, default=5000)
     p.add_argument("--repetitions", type=int, default=100)

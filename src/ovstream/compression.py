@@ -1,4 +1,6 @@
-"""Per-instance weighted PCA compression of token matrices.
+"""Per-instance weighted PCA compression of token matrices, and the storage
+modes that decide how a stream stores each sample (``encode``) and reads it
+back (``to_tokens``).
 
 A stored record keeps three blocks: token mean, PCA coefficients, and PCA
 components. Each block is independently raw float32 or integer-quantized
@@ -155,28 +157,26 @@ def per_instance_pca(tokens, n: int) -> CompressedFeature:
     )
 
 
-def quantize_feature(cf: CompressedFeature, rounding: str = "nearest") -> CompressedFeature:
+def quantize_feature(cf: CompressedFeature) -> CompressedFeature:
     """Quantize the blocks: components and mean to 8 bits, coefficients to 16."""
     return CompressedFeature(
         shape=cf.shape,
         n=cf.n,
-        mean=quantize(_block_array(cf.mean), 8, per_row=True, rounding=rounding),
-        coefficients=quantize(_block_array(cf.coefficients), 16, per_row=False,
-                              rounding=rounding),
-        components=quantize(_block_array(cf.components), 8, per_row=True,
-                            rounding=rounding),
+        mean=quantize(_block_array(cf.mean), 8, per_row=True),
+        coefficients=quantize(_block_array(cf.coefficients), 16, per_row=False),
+        components=quantize(_block_array(cf.components), 8, per_row=True),
     )
 
 
 def compress(tokens, n: int, quantized: bool = False, cls_weight: bool = False,
-             norm_gain=None, norm_bias=None, rounding: str = "nearest") -> CompressedFeature:
+             norm_gain=None, norm_bias=None) -> CompressedFeature:
     """Full compression pipeline: optional CLS weighting, PCA, optional quantization."""
     x = as_token_matrix(tokens)
     if cls_weight:
         x = cls_weighting(x, norm_gain, norm_bias)
     cf = per_instance_pca(x, n)
     if quantized:
-        cf = quantize_feature(cf, rounding=rounding)
+        cf = quantize_feature(cf)
     return cf
 
 
@@ -192,6 +192,46 @@ def reconstruct(cf: CompressedFeature) -> np.ndarray:
     if out.shape != cf.shape:
         raise FormatError(f"reconstructed shape {out.shape} != recorded {cf.shape}")
     return out.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# Storage modes: how a sample is stored when it arrives and read back when
+# it is replayed
+
+MODES = ("none", "pca", "pca-cls", "pca-cls-quant")
+
+
+def encode(tokens, mode: str, n: int, norm_gain=None, norm_bias=None):
+    """Payload that stores one token matrix under a storage mode from ``MODES``.
+
+    ``"none"`` keeps the validated token matrix; the PCA modes compress it to
+    ``n`` components, with CLS weighting for ``"pca-cls"`` and
+    ``"pca-cls-quant"`` (normalized by ``norm_gain``/``norm_bias``) and
+    quantization for ``"pca-cls-quant"``.
+    """
+    if mode == "none":
+        return as_token_matrix(tokens)
+    if mode not in MODES:
+        raise ValueError(f"unknown compression mode {mode!r}")
+    return compress(tokens, n, quantized=(mode == "pca-cls-quant"),
+                    cls_weight=(mode in ("pca-cls", "pca-cls-quant")),
+                    norm_gain=norm_gain, norm_bias=norm_bias)
+
+
+def to_tokens(payload) -> np.ndarray:
+    """Token matrix of a payload: a raw matrix as it is (no copy), a compressed
+    record reconstructed."""
+    if isinstance(payload, CompressedFeature):
+        return reconstruct(payload)
+    return payload
+
+
+def checked_payload(payload):
+    """A payload fit to store: a compressed record as it is, anything else
+    validated as a token matrix."""
+    if isinstance(payload, CompressedFeature):
+        return payload
+    return as_token_matrix(payload)
 
 
 # ---------------------------------------------------------------------------

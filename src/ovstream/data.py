@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FormatError, LabelEmbeddingTable, as_token_matrix
+from .core import FormatError, LabelEmbeddingTable
 from . import compression
 
 
@@ -58,10 +58,7 @@ class Dataset:
         return self.label_table.labels()
 
     def tokens(self, index: int) -> np.ndarray:
-        payload, _ = self.samples[index]
-        if isinstance(payload, compression.CompressedFeature):
-            return compression.reconstruct(payload)
-        return payload
+        return compression.to_tokens(self.samples[index][0])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -149,10 +146,7 @@ def save(dataset: Dataset, path) -> None:
 def _dataset_tokens(dataset: Dataset) -> int:
     if not dataset.samples:
         return 0
-    payload, _ = dataset.samples[0]
-    if isinstance(payload, compression.CompressedFeature):
-        return payload.shape[0]
-    return as_token_matrix(payload).shape[0]
+    return compression.to_tokens(dataset.samples[0][0]).shape[0]
 
 
 def load(path) -> Dataset:

@@ -12,7 +12,9 @@ Two variants map a token matrix to an output embedding:
   projection, LN2 and MLP for the CLS row alone. This is exact, since no
   other row reaches the output. Keys and values are linear in the
   normalized tokens, so they enter through the CLS row's scores and
-  attention-weighted sum without being formed.
+  attention-weighted sum without being formed. Keys carry no bias: it would
+  shift every score of a row by the same amount, which the softmax ignores
+  (a ``bk`` tensor in an older checkpoint still loads and is unused).
 
 The loss runs one forward and one backward pass over the stacked B x T x D
 batch (one per token length when lengths differ).
@@ -106,7 +108,7 @@ def block_params(dim: int, rng: np.random.Generator | None = None,
     tensors = {
         "ln1_gain": np.ones(dim), "ln1_bias": np.zeros(dim),
         "wq": w((dim, dim)), "bq": np.zeros(dim),
-        "wk": w((dim, dim)), "bk": np.zeros(dim),
+        "wk": w((dim, dim)),
         "wv": w((dim, dim)), "bv": np.zeros(dim),
         "wo": w((dim, dim)), "bo": np.zeros(dim),
         "ln2_gain": np.ones(dim), "ln2_bias": np.zeros(dim),
@@ -181,9 +183,9 @@ def _forward(x: np.ndarray, params: DecoderParams):
 
     y1, xhat1, inv1 = layer_norm(x, t["ln1_gain"], t["ln1_bias"])
     q = y1[:, 0] @ t["wq"] + t["bq"]
-    qk = q @ t["wk"].T  # score_t = y1_t . (wk q) + q . bk
+    qk = q @ t["wk"].T  # score_t = y1_t . (wk q)
     scale = 1.0 / np.sqrt(x.shape[2])
-    attn_w = softmax(((y1 @ qk[:, :, None])[:, :, 0] + (q @ t["bk"])[:, None]) * scale)
+    attn_w = softmax((y1 @ qk[:, :, None])[:, :, 0] * scale)
     pooled = (attn_w[:, None, :] @ y1)[:, 0]  # sum_t w_t y1_t
     attn = pooled @ t["wv"] + attn_w.sum(axis=1, keepdims=True) * t["bv"]
     h = x[:, 0] + attn @ t["wo"] + t["bo"]
@@ -227,11 +229,10 @@ def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderPar
     dw = (y1 @ (dattn @ t["wv"].T)[:, :, None])[:, :, 0] + (dattn @ t["bv"])[:, None]  # v_t . dattn
     ds = attn_w * (dw - (dw * attn_w).sum(axis=-1, keepdims=True)) * scale
     ds_y1 = (ds[:, None, :] @ y1)[:, 0]  # sum_t ds_t y1_t
-    dq = ds_y1 @ t["wk"] + ds.sum(axis=1, keepdims=True) * t["bk"]
+    dq = ds_y1 @ t["wk"]
     g["wq"] += y1[:, 0].T @ dq
     g["bq"] += dq.sum(axis=0)
     g["wk"] += ds_y1.T @ q
-    g["bk"] += ds.sum(axis=1) @ q
     g["wv"] += pooled.T @ dattn
     g["bv"] += attn_w.sum(axis=1) @ dattn
     # dL/dy1_t = ds_t (wk q) + w_t (wv dattn), plus wq dq on the CLS row.

@@ -10,7 +10,6 @@ Avg averages per-task column means.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ from .weighting import (
 DEFAULT_FRACTIONS = (2, 4, 8, 16, 32, 64, 100)
 
 WEIGHTINGS = ("ocw", "ocw-binary", "aim", "nn-loo", "frozen-only", "tuned-only")
-COMPRESSION_MODES = ("none", "pca", "pca-cls", "pca-cls-quant", "dataset-pca")
 
 
 @dataclass
@@ -71,13 +69,6 @@ class MetricsRecord:
 
     def suite_trajectory(self, suite: str) -> list[tuple[int, float]]:
         return [(s, acc) for s, name, acc in self.rows if name == suite]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stage", "suite", "accuracy"])
-            for stage, suite, acc in self.rows:
-                writer.writerow([stage, suite, repr(acc)])
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +140,20 @@ class EngineConfig:
     ema_decay: float = 0.99
     lr: float = 9.375e-6
     weight_decay: float = 0.05
-    compression: str = "none"
+    compression: str = "none"          # a storage mode from compression.MODES
     pca_components: int = 5
-    dataset_pca_components: int = 200
-    chunk_size: int = 5000
     p_other_weighting: bool = False
     seed: int = 0
 
     def validate(self) -> None:
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting strategy {self.weighting!r}")
-        if self.compression not in COMPRESSION_MODES:
+        if self.compression == "dataset-pca":
+            raise ValueError("compression 'dataset-pca' fits its codec on the whole "
+                             "dataset before the stream starts, so it is no stream "
+                             "storage mode; run it offline with "
+                             "`ovstream compress --mode dataset-pca`")
+        if self.compression not in compression.MODES:
             raise ValueError(f"unknown compression mode {self.compression!r}")
         if self.decoder_variant not in ("linear", "block"):
             raise ValueError(f"unknown decoder variant {self.decoder_variant!r}")
@@ -186,31 +180,16 @@ class Engine:
         self.opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
         self.tracker = ClassAccuracyTracker(decay=config.ema_decay)
         self.store = ReplayStore()
-        self._codec = None
-        if config.compression == "dataset-pca":
-            self._codec = compression.DatasetPcaCodec.fit(
-                [dataset.tokens(i) for i in range(len(dataset.samples))],
-                chunk_size=config.chunk_size,
-                n_components=config.dataset_pca_components)
 
     # -- training -----------------------------------------------------------
 
-    def _payload(self, sample_index: int, tokens: np.ndarray):
-        mode = self.config.compression
-        if mode == "none":
-            return tokens
-        if mode == "dataset-pca":
-            coeff = self._codec.encode(sample_index, tokens)
-            return self._codec.decode(sample_index, coeff)
+    def _payload(self, tokens: np.ndarray):
         gain = bias = None
         if self.params.variant == "block":
             gain = self.params.tensors["ln1_gain"]
             bias = self.params.tensors["ln1_bias"]
-        return compression.compress(
-            tokens, self.config.pca_components,
-            quantized=(mode == "pca-cls-quant"),
-            cls_weight=(mode in ("pca-cls", "pca-cls-quant")),
-            norm_gain=gain, norm_bias=bias)
+        return compression.encode(tokens, self.config.compression,
+                                  self.config.pca_components, gain, bias)
 
     def tuned_probabilities(self, tokens, candidates) -> dict[int, float]:
         return zero_shot_probabilities(decode(tokens, self.params), self.table, candidates)
@@ -222,7 +201,7 @@ class Engine:
         """Store one incoming sample, update accuracy estimates, train one step."""
         tokens = self.dataset.tokens(sample_index)
         label = self.dataset.samples[sample_index][1]
-        sid = self.store.insert(label, self._payload(sample_index, tokens))
+        sid = self.store.insert(label, self._payload(tokens))
         candidates = self.store.seen_labels()
         p_t = self.tuned_probabilities(tokens, candidates)
         p_o = self.frozen_probabilities(tokens, candidates)

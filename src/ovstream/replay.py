@@ -1,7 +1,8 @@
 """Replay store: holds training samples and composes batches for online updates.
 
-Payloads are either raw token matrices or compressed records from
-:mod:`ovstream.compression`; ``tokens()`` transparently reconstructs.
+Payloads are whatever :func:`ovstream.compression.encode` stored: raw token
+matrices or compressed records; ``tokens()`` reads them back through
+:func:`ovstream.compression.to_tokens`.
 Four sampling strategies are supported: FIFO, Uniform, ClassBalanced, and
 frequency-weighted sampling (FWS) whose per-sample weight decays by a
 multiplier each time the sample lands in a batch.
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compression
-from .core import as_token_matrix
 
 STRATEGIES = ("fifo", "uniform", "class_balanced", "fws")
 
@@ -58,8 +58,7 @@ class ReplayStore:
         return len(self._samples)
 
     def insert(self, label: int, payload) -> int:
-        if not isinstance(payload, compression.CompressedFeature):
-            payload = as_token_matrix(payload)
+        payload = compression.checked_payload(payload)
         sid = len(self._samples)
         self._samples.append(StoredSample(sid, int(label), payload))
         self._by_class.setdefault(int(label), []).append(sid)
@@ -78,10 +77,7 @@ class ReplayStore:
 
     def tokens(self, sid: int) -> np.ndarray:
         """Sample payload as a token matrix, reconstructing compressed records."""
-        payload = self._get(sid).payload
-        if isinstance(payload, compression.CompressedFeature):
-            return compression.reconstruct(payload)
-        return payload
+        return compression.to_tokens(self._get(sid).payload)
 
     def seen_labels(self) -> list[int]:
         return sorted(self._by_class)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ovstream.cli import canonical_json, config_hash, main
+from ovstream.cli import _engine_config_from_dict, canonical_json, config_hash, main
+from ovstream.protocols import EngineConfig
 
 
 SPEC = {"num_classes": 3, "samples_per_class": 4, "dim": 12, "tokens": 4,
@@ -136,6 +137,17 @@ class TestRun:
         assert "psychic" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_dataset_pca_is_not_a_run_mode(self, tmp_path, capsys):
+        config = _write_json(tmp_path / "run.json",
+                             {**RUN_CONFIG, "compression": "dataset-pca"})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "ovstream compress" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    def test_config_defaults_are_the_dataclass_defaults(self):
+        assert _engine_config_from_dict({}) == EngineConfig()
+
     def test_missing_dataset_section_exits_2(self, tmp_path):
         config = _write_json(tmp_path / "run.json", {"protocol": "data_incremental"})
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
@@ -156,6 +168,15 @@ class TestCompress:
         assert cells[0] == mode
         timing = json.loads((out / "timing.json").read_text())
         assert timing["mode"] == mode and timing["ms_per_batch"] > 0
+
+    def test_dataset_pca_stores_coefficients(self, tmp_path, dataset_path):
+        out = tmp_path / "c"
+        assert main(["compress", "--dataset", str(dataset_path), "--mode", "dataset-pca",
+                     "--components", "3", "--repetitions", "1", "--out", str(out)]) == 0
+        row = (out / "compression.csv").read_text().splitlines()[2]
+        # 4 tokens x 3 coefficients x 4 bytes
+        assert float(row.split(",")[2]) == 48.0
+        assert json.loads((out / "timing.json").read_text())["ms_per_batch"] > 0
 
     def test_none_mode_is_lossless(self, tmp_path, dataset_path):
         out = tmp_path / "c"

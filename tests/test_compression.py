@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ovstream.compression import (
+    MODES,
     CompressedFeature,
     DatasetPcaCodec,
     cls_weighting,
     compress,
     dequantize,
+    encode,
     payload_from_bytes,
     payload_to_bytes,
     per_instance_pca,
@@ -16,6 +18,7 @@ from ovstream.compression import (
     quantize_feature,
     reconstruct,
     storage_bytes,
+    to_tokens,
 )
 from ovstream.core import FormatError
 
@@ -236,6 +239,26 @@ class TestDatasetPcaCodec:
             DatasetPcaCodec(chunk_size=3, n_components=5)
         with pytest.raises(ValueError):
             DatasetPcaCodec.fit([], chunk_size=4, n_components=2)
+
+
+class TestStorageModes:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_encode_then_to_tokens(self, rng, mode):
+        x = _tokens(rng, t=8, d=12, rank=3)
+        gain = 1.0 + 0.1 * rng.standard_normal(12)
+        bias = 0.1 * rng.standard_normal(12)
+        payload = encode(x, mode, 3, gain, bias)
+        if mode == "none":
+            assert payload is x and to_tokens(payload) is x
+            return
+        want = compress(x, 3, quantized=(mode == "pca-cls-quant"),
+                        cls_weight=(mode != "pca"), norm_gain=gain, norm_bias=bias)
+        np.testing.assert_array_equal(to_tokens(payload), reconstruct(want))
+
+    def test_unknown_mode_rejected(self, rng):
+        for mode in ("dataset-pca", "zip"):
+            with pytest.raises(ValueError, match="mode"):
+                encode(_tokens(rng), mode, 3)
 
 
 class TestPayloadSerialization:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ovstream import compression
 from ovstream.data import SyntheticSpec, generate
 from ovstream.protocols import (
     Engine,
@@ -182,10 +183,8 @@ class TestEngineRun:
                       seed=14)
         stream = build_stream(ds, "data_incremental", seed=14,
                               fractions=(50, 100))
-        for mode in ("none", "pca", "pca-cls", "pca-cls-quant", "dataset-pca"):
-            config = _fast_config(compression=mode, pca_components=3,
-                                  dataset_pca_components=6, chunk_size=9,
-                                  seed=14)
+        for mode in compression.MODES:
+            config = _fast_config(compression=mode, pca_components=3, seed=14)
             record = run_stream(ds, stream, config)
             assert record.accuracy(2, "all") >= 0.0
 
@@ -195,6 +194,10 @@ class TestEngineRun:
                    dict(ema_decay=0.0), dict(beta=-1.0)):
             with pytest.raises(ValueError):
                 EngineConfig(**kw).validate()
+
+    def test_dataset_pca_rejected_as_stream_mode(self):
+        with pytest.raises(ValueError, match="ovstream compress"):
+            EngineConfig(compression="dataset-pca").validate()
 
 
 class TestMetricsRecord:
@@ -207,16 +210,6 @@ class TestMetricsRecord:
         assert record.suite_trajectory("all") == [(0, 0.5), (1, 0.7)]
         with pytest.raises(KeyError):
             record.accuracy(9, "all")
-
-    def test_csv_round_trip_values(self, tmp_path):
-        import csv
-        record = MetricsRecord()
-        record.add(0, "all", 1 / 3)
-        path = tmp_path / "metrics.csv"
-        record.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert float(rows[0]["accuracy"]) == 1 / 3
 
 
 class TestMtilMetrics:
