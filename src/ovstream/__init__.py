@@ -10,7 +10,6 @@ from .core import (
     FormatError,
     LabelEmbeddingTable,
     argmax_label,
-    cosine_similarity,
     zero_shot_probabilities,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "FormatError",
     "LabelEmbeddingTable",
     "argmax_label",
-    "cosine_similarity",
     "zero_shot_probabilities",
     "__version__",
 ]

@@ -43,17 +43,28 @@ def _load_json(path):
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _spec_from_dict(raw: dict) -> data.SyntheticSpec:
-    known = {f for f in data.SyntheticSpec.__dataclass_fields__}
-    unknown = set(raw) - known
+def _reject_unknown(raw: dict, known, what: str) -> None:
+    unknown = set(raw) - set(known)
     if unknown:
-        raise ValueError(f"unknown synthetic spec field(s): {sorted(unknown)}")
+        raise ValueError(f"unknown {what} field(s): {sorted(unknown)}")
+
+
+def _spec_from_dict(raw: dict) -> data.SyntheticSpec:
+    _reject_unknown(raw, data.SyntheticSpec.__dataclass_fields__, "synthetic spec")
     spec = data.SyntheticSpec(**raw)
     spec.validate()
     return spec
 
 
+# Every key a run config may hold (the README lists the same keys): the
+# engine's, then where the data comes from and how the stream is cut.
+RUN_KEYS = ("decoder", "weighting", "sampler", "beta", "ema_decay", "lr", "weight_decay",
+            "compression", "pca_components", "p_other_weighting", "seed",
+            "dataset", "synthetic", "protocol", "fractions", "class_groups", "suites")
+
+
 def _sampler_from_dict(raw: dict) -> SamplerConfig:
+    _reject_unknown(raw, SamplerConfig.__dataclass_fields__, "sampler")
     d = SamplerConfig()
     cfg = SamplerConfig(
         strategy=raw.get("strategy", d.strategy),
@@ -66,7 +77,11 @@ def _sampler_from_dict(raw: dict) -> SamplerConfig:
 
 
 def _engine_config_from_dict(raw: dict) -> protocols.EngineConfig:
+    _reject_unknown(raw, RUN_KEYS, "run config")
     d = protocols.EngineConfig()
+    p_other_weighting = raw.get("p_other_weighting", d.p_other_weighting)
+    if not isinstance(p_other_weighting, bool):
+        raise ValueError(f"p_other_weighting must be true or false, got {p_other_weighting!r}")
     cfg = protocols.EngineConfig(
         decoder_variant=raw.get("decoder", d.decoder_variant),
         weighting=raw.get("weighting", d.weighting),
@@ -77,7 +92,7 @@ def _engine_config_from_dict(raw: dict) -> protocols.EngineConfig:
         weight_decay=float(raw.get("weight_decay", d.weight_decay)),
         compression=raw.get("compression", d.compression),
         pca_components=int(raw.get("pca_components", d.pca_components)),
-        p_other_weighting=bool(raw.get("p_other_weighting", d.p_other_weighting)),
+        p_other_weighting=p_other_weighting,
         seed=int(raw.get("seed", d.seed)),
     )
     cfg.validate()
@@ -127,8 +142,8 @@ def cmd_run(args) -> int:
     raw = _load_json(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
-    dataset = _dataset_from_config(raw)
     config = _engine_config_from_dict(raw)
+    dataset = _dataset_from_config(raw)
     suites = _suites_from_config(raw, dataset)
     stream = protocols.build_stream(
         dataset, raw.get("protocol", "data_incremental"), seed=config.seed,

@@ -185,9 +185,9 @@ def reconstruct(cf: CompressedFeature) -> np.ndarray:
     mean = _block_array(cf.mean).astype(np.float64)
     coeff = _block_array(cf.coefficients).astype(np.float64)
     comp = _block_array(cf.components).astype(np.float64)
-    if coeff.shape[1] != comp.shape[0] or mean.shape[1] != comp.shape[1]:
-        raise FormatError(
-            f"inconsistent block shapes {coeff.shape} / {comp.shape} / {mean.shape}")
+    if not coeff.shape[1] == comp.shape[0] == cf.n or mean.shape[1] != comp.shape[1]:
+        raise FormatError(f"inconsistent block shapes {coeff.shape} / {comp.shape} / "
+                          f"{mean.shape} for {cf.n} components")
     out = coeff @ comp + mean
     if out.shape != cf.shape:
         raise FormatError(f"reconstructed shape {out.shape} != recorded {cf.shape}")
@@ -355,6 +355,7 @@ def _block_to_bytes(block) -> bytes:
 
 
 def _block_from_bytes(data: bytes, off: int):
+    start = off
     try:
         encoding, rows, cols = struct.unpack_from("<BII", data, off)
         off += 9
@@ -362,7 +363,7 @@ def _block_from_bytes(data: bytes, off: int):
             arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off)
             return arr.reshape(rows, cols).copy(), off + 4 * rows * cols
         if encoding not in (1, 2):
-            raise FormatError(f"unknown block encoding {encoding} at offset {off - 9}")
+            raise FormatError(f"unknown block encoding {encoding} at offset {start}")
         per_row, n_env = struct.unpack_from("<BI", data, off)
         off += 5
         envelopes = np.frombuffer(data, dtype="<f4", count=2 * n_env, offset=off)
@@ -379,8 +380,9 @@ def _block_from_bytes(data: bytes, off: int):
             per_row=bool(per_row),
         )
         return block, off
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"truncated payload record near offset {off}") from exc
+    except (struct.error, ValueError, OverflowError) as exc:
+        # OverflowError: rows * cols too large for numpy to count
+        raise FormatError(f"bad payload block at offset {start}: {exc}") from exc
 
 
 def payload_to_bytes(payload) -> bytes:
@@ -395,16 +397,19 @@ def payload_to_bytes(payload) -> bytes:
 
 
 def payload_from_bytes(data: bytes, off: int = 0):
-    """Decode one payload record; returns (payload, next offset)."""
+    """Decode one payload record; returns (payload, next offset).
+
+    Raises only ``FormatError``: a record is returned only once its token
+    matrix has been read back and validated.
+    """
+    start = off
     try:
         (kind,) = struct.unpack_from("<B", data, off)
         if kind == _KIND_RAW:
             t, d = struct.unpack_from("<II", data, off + 1)
             off += 9
             arr = np.frombuffer(data, dtype="<f4", count=t * d, offset=off)
-            if arr.size != t * d:
-                raise FormatError(f"truncated token payload at offset {off}")
-            return arr.reshape(t, d).copy(), off + 4 * t * d
+            return as_token_matrix(arr.reshape(t, d).copy()), off + 4 * t * d
         if kind != _KIND_COMPRESSED:
             raise FormatError(f"unknown payload kind {kind} at offset {off}")
         t, d, n = struct.unpack_from("<III", data, off + 1)
@@ -412,6 +417,8 @@ def payload_from_bytes(data: bytes, off: int = 0):
         mean, off = _block_from_bytes(data, off)
         coeff, off = _block_from_bytes(data, off)
         comp, off = _block_from_bytes(data, off)
-        return CompressedFeature((t, d), n, mean, coeff, comp), off
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"truncated payload record near offset {off}") from exc
+        cf = CompressedFeature((t, d), n, mean, coeff, comp)
+        as_token_matrix(reconstruct(cf))
+        return cf, off
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad payload record at offset {start}: {exc}") from exc

@@ -6,6 +6,10 @@ token in row 0 and patch tokens below it. Probability distributions are
 plain ``{label_id: prob}`` dicts.
 
 Inputs are stored as float32; all scoring arithmetic runs in float64.
+Every cosine in the package comes from one kernel, ``label_cosines``:
+embeddings scaled to unit rows by ``unit_rows`` against unit label rows.
+The scorers and the loss use it with the label table, and
+``weighting.nn_loo_confidence`` with the unit exemplars themselves.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ class LabelEmbeddingTable:
     def _insert(self, label: int, emb) -> None:
         if label in self._entries:
             raise ValueError(f"duplicate label id {label}")
-        v = as_embedding(emb).astype(np.float64)
+        try:
+            v = as_embedding(emb).astype(np.float64)
+        except ValueError as exc:
+            raise ValueError(f"label {label}: {exc}") from None
         norm = np.linalg.norm(v)
         if norm == 0.0:
             raise ValueError(f"label {label}: zero-norm embedding")
@@ -110,19 +117,6 @@ class LabelEmbeddingTable:
             raise KeyError(f"unknown label id {exc.args[0]}") from None
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    va = as_embedding(a).astype(np.float64)
-    vb = as_embedding(b).astype(np.float64)
-    if va.size != vb.size:
-        raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis, in float64."""
     z = np.asarray(logits, dtype=np.float64)
@@ -130,20 +124,29 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def label_cosines(embeddings, label_matrix: np.ndarray):
-    """Cosines of a D vector or B x D matrix against C x D unit label rows, in [-1, 1].
+def unit_rows(embeddings):
+    """A D vector or B x D matrix scaled to unit rows, in float64, plus the norms.
 
-    The one kernel behind the frozen scorer, the tuned scorer and the loss.
+    Norms are per-row dot products, so a single vector's norm equals
+    np.linalg.norm's. Raises ``ValueError`` on a zero-norm row.
+    """
+    e = np.asarray(embeddings, dtype=np.float64)
+    norms = np.sqrt(e[..., None, :] @ e[..., :, None])[..., 0]
+    if np.any(norms == 0.0):
+        raise ValueError("zero-norm embedding")
+    return e / norms, norms
+
+
+def label_cosines(embeddings, label_matrix: np.ndarray):
+    """Cosines of a D vector or B x D matrix against C x D unit rows, in [-1, 1].
+
+    The one cosine kernel: frozen and tuned scorers, loss, nn-loo confidence.
     Returns the (C,) or (B, C) cosines, the unit embeddings and their norms.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.shape[-1] != label_matrix.shape[1]:
         raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
-    # A per-row dot product, so a single vector's norm equals np.linalg.norm's.
-    norms = np.sqrt(e[..., None, :] @ e[..., :, None])[..., 0]
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm embedding")
-    unit = e / norms
+    unit, norms = unit_rows(e)
     return np.clip(unit @ label_matrix.T, -1.0, 1.0), unit, norms
 
 

@@ -154,6 +154,7 @@ def load(path) -> Dataset:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise FormatError("bad dataset magic at offset 0")
+    off = 4
     try:
         version, dim, _tokens, n_labels, n_samples, n_tasks = struct.unpack_from(
             "<IIIIII", data, 4)
@@ -163,6 +164,8 @@ def load(path) -> Dataset:
         entries = {}
         for _ in range(n_labels):
             (label,) = struct.unpack_from("<I", data, off)
+            if label in entries:
+                raise FormatError(f"duplicate label id {label} at offset {off}")
             off += 4
             emb = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
             off += 4 * dim
@@ -180,6 +183,7 @@ def load(path) -> Dataset:
             off += 4
             payload, off = compression.payload_from_bytes(data, off)
             samples.append((payload, label))
+        table = LabelEmbeddingTable(entries)
     except (struct.error, ValueError) as exc:
-        raise FormatError(f"truncated dataset file near offset {len(data)}") from exc
-    return Dataset(LabelEmbeddingTable(entries), samples, task_map)
+        raise FormatError(f"bad dataset file at offset {off}: {exc}") from exc
+    return Dataset(table, samples, task_map)

@@ -20,8 +20,10 @@ The loss runs one forward and one backward pass over the stacked B x T x D
 batch (one per token length when lengths differ).
 
 Both carry one extra learnable scalar, the "other" logit: an
-input-independent none-of-the-above score appended to the candidate set
-by the loss. Parameters live in float64; checkpoints store float32.
+input-independent none-of-the-above score. ``augmented_logits`` appends it
+after the candidates' cosine logits, for the loss and for the "other"
+probability of ``weighting.p_other``. Parameters live in float64;
+checkpoints store float32.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ import numpy as np
 from scipy.special import erf
 
 from .core import TEMPERATURE, FormatError, LabelEmbeddingTable, label_cosines, softmax
-
-# Sentinel label id for the learned none-of-the-above option.
-OTHER_LABEL = -1
 
 LN_EPS = 1e-5
 
@@ -66,9 +65,6 @@ class DecoderParams:
     @property
     def other_logit(self) -> float:
         return float(self.tensors["other_logit"])
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
 
     def validate(self) -> None:
         for name, t in self.tensors.items():
@@ -269,13 +265,13 @@ class TrainingBatch:
                 raise ValueError(f"true label {label} missing from candidate set")
 
 
-def augmented_logits(e, table: LabelEmbeddingTable, candidates,
-                     other_logit: float) -> dict[int, float]:
-    """Cosine logits over the candidates plus the input-independent OTHER logit."""
-    labels = sorted(candidates)
-    cos, _, _ = label_cosines(e, table.matrix(labels))
-    logits = {label: float(TEMPERATURE * c) for label, c in zip(labels, cos)}
-    logits[OTHER_LABEL] = float(other_logit)
+def augmented_logits(cos, other_logit: float) -> np.ndarray:
+    """(..., C+1) logits from (..., C) candidate cosines in sorted-candidate order:
+    ``TEMPERATURE * cos``, then the input-independent OTHER logit in the last column."""
+    cos = np.asarray(cos, dtype=np.float64)
+    logits = np.empty(cos.shape[:-1] + (cos.shape[-1] + 1,))
+    logits[..., :-1] = TEMPERATURE * cos
+    logits[..., -1] = other_logit
     return logits
 
 
@@ -321,9 +317,7 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
     mat = table.matrix(candidates)
     n = len(candidates)
     cos, e_hat, norms = label_cosines(e, mat)
-    logits = np.empty((len(order), n + 1))  # column n = OTHER
-    logits[:, :n] = TEMPERATURE * cos
-    logits[:, n] = params.other_logit
+    logits = augmented_logits(cos, params.other_logit)  # column n = OTHER
     p1 = softmax(logits)
     loss = -np.log(np.maximum(p1[rows, idx], 1e-300))
     dlogits = p1

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compression
-from .core import argmax_label, zero_shot_probabilities
+from .core import argmax_label, label_cosines, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
@@ -66,9 +66,6 @@ class MetricsRecord:
             if s == stage and name == suite:
                 return acc
         raise KeyError(f"no accuracy recorded for stage {stage} suite {suite!r}")
-
-    def suite_trajectory(self, suite: str) -> list[tuple[int, float]]:
-        return [(s, acc) for s, name, acc in self.rows if name == suite]
 
 
 # ---------------------------------------------------------------------------
@@ -224,41 +221,36 @@ class Engine:
         return nn_loo_confidence(exemplars_t), nn_loo_confidence(exemplars_o)
 
     def predict(self, tokens, candidates, nn_maps=None) -> dict[int, float]:
-        """Combined candidate distribution for one sample under the configured weighting."""
+        """Combined candidate distribution for one sample under the configured weighting;
+        a mixing weighting picks the confidence pairs ``combined_prediction`` mixes by."""
         strategy = self.config.weighting
         p_o = self.frozen_probabilities(tokens, candidates)
         if strategy == "frozen-only":
             return p_o
-        p_t = self.tuned_probabilities(tokens, candidates)
+        e_t = decode(tokens, self.params)
+        p_t = zero_shot_probabilities(e_t, self.table, candidates)
         if strategy == "tuned-only":
             return p_t
         seen = self.tracker.seen_labels()
-        all_seen = set(candidates) <= seen and bool(candidates)
-
-        if strategy == "ocw-binary":
-            return p_t if all_seen else p_o
         if strategy == "aim":
             a = aim_alpha(p_o, seen)
             return mix_predictions(p_t, p_o, dict.fromkeys(p_o, a))
-        if strategy == "nn-loo":
-            conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
-            alphas = {}
-            for y in candidates:
-                if all_seen:
-                    alphas[y] = 1.0
-                elif y not in conf_t or y not in conf_o:
-                    alphas[y] = 0.0
-                else:
-                    alphas[y] = conf_t[y] / (conf_t[y] + conf_o[y] + self.tracker.eps)
-            return mix_predictions(p_t, p_o, alphas)
 
         pov = None
-        if self.config.p_other_weighting:
-            logits = augmented_logits(decode(tokens, self.params), self.table,
-                                      candidates, self.params.other_logit)
-            pov = p_other(logits)
-        return combined_prediction(p_t, p_o, self.tracker, candidates,
-                                   all_candidates_seen=all_seen, p_other_value=pov)
+        if strategy == "ocw":
+            confidence = {y: self.tracker.accuracies(y) for y in seen}
+            if self.config.p_other_weighting:
+                cos, _, _ = label_cosines(e_t, self.table.matrix(sorted(candidates)))
+                pov = p_other(augmented_logits(cos, self.params.other_logit))
+        elif strategy == "nn-loo":
+            conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
+            confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
+        else:  # ocw-binary: the tuned model once every candidate is trained
+            confidence = {}
+        all_seen = bool(candidates) and set(candidates) <= seen
+        return combined_prediction(p_t, p_o, confidence, candidates,
+                                   all_candidates_seen=all_seen, eps=self.tracker.eps,
+                                   p_other_value=pov)
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, dict[int, dict]]:
         nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None

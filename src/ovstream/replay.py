@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compression
+from .core import FormatError
 
 STRATEGIES = ("fifo", "uniform", "class_balanced", "fws")
 
@@ -81,9 +82,6 @@ class ReplayStore:
 
     def seen_labels(self) -> list[int]:
         return sorted(self._by_class)
-
-    def class_ids(self, label: int) -> list[int]:
-        return list(self._by_class.get(label, []))
 
     # -- batching -----------------------------------------------------------
 
@@ -155,8 +153,6 @@ class ReplayStore:
 
     @classmethod
     def load(cls, payload_path, metadata_path) -> "ReplayStore":
-        from .core import FormatError
-
         store = cls()
         with open(payload_path, "rb") as fh:
             data = fh.read()
@@ -168,13 +164,16 @@ class ReplayStore:
         for _ in range(count):
             payload, off = compression.payload_from_bytes(data, off)
             payloads.append(payload)
-        with open(metadata_path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        if len(rows) != count:
-            raise FormatError("metadata row count does not match payload count")
-        for row, payload in zip(rows, payloads):
-            sid = store.insert(int(row["label"]), payload)
-            s = store._samples[sid]
-            s.batch_count = int(row["batch_count"])
-            s.fws_weight = float(row["fws_weight"])
+        try:
+            with open(metadata_path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            if len(rows) != count:
+                raise FormatError("metadata row count does not match payload count")
+            for row, payload in zip(rows, payloads):
+                sid = store.insert(int(row["label"]), payload)
+                s = store._samples[sid]
+                s.batch_count = int(row["batch_count"])
+                s.fws_weight = float(row["fws_weight"])
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise FormatError(f"bad metadata row {len(store)}: {exc}") from exc
         return store

@@ -1,21 +1,24 @@
 """Per-class accuracy tracking and model-vote weighting.
 
-The tracker keeps exponential-moving-average accuracy estimates for the
-tuned and frozen model per label, updated once per training sample before
-the parameter update. The per-label alpha mixes the two models' candidate
-distributions; three alternate weightings (zero-shot seen-mass, leave-one-out
-nearest-neighbor confidence, and "other"-probability modulation) are kept
-for ablations.
+The two models' candidate distributions are mixed per label by one rule,
+``alpha = c_t / (c_t + c_o + eps)`` (:func:`alpha`). Weightings differ only
+in the source of the ``(c_t, c_o)`` pairs: the tracker's EMA accuracies
+(OCW, updated once per training sample before the parameter update),
+leave-one-out nearest-neighbour accuracy (:func:`nn_loo_confidence`), or
+none (binary). :func:`p_other` optionally discounts ``c_t``; the zero-shot
+seen-mass baseline (:func:`aim_alpha`) is one global alpha.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import cosine_similarity, softmax
-from .decoder import OTHER_LABEL
+import numpy as np
+
+from .core import as_embedding, label_cosines, softmax, unit_rows
 
 
 @dataclass
@@ -35,9 +38,6 @@ class ClassAccuracyTracker:
 
     def _cold_start_steps(self) -> int:
         return int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
-
-    def seen(self, label: int) -> bool:
-        return label in self.stats and self.stats[label].n_seen > 0
 
     def seen_labels(self) -> set[int]:
         return {label for label, s in self.stats.items() if s.n_seen > 0}
@@ -83,37 +83,29 @@ class ClassAccuracyTracker:
         return tracker
 
 
-def alpha(tracker: ClassAccuracyTracker, label: int, seen_set,
-          all_candidates_seen: bool = False,
-          p_other_value: float | None = None) -> tuple[float, float]:
-    """Weight pair (alpha_t, alpha_o) for one label; the two always sum to 1.
-
-    Unseen labels fall back entirely to the frozen model; when every
-    candidate is a training label, the tuned model takes over entirely.
-    ``p_other_value`` optionally discounts the tuned accuracy by the
-    estimated out-of-domain probability.
-    """
-    if label not in seen_set or not tracker.seen(label):
-        return 0.0, 1.0
+def alpha(confidence: dict[int, tuple[float, float]], label: int,
+          all_candidates_seen: bool = False, eps: float = 1e-8,
+          p_other_value: float | None = None) -> float:
+    """Tuned-model weight of one label: 1 when every candidate has been trained,
+    0 without a ``(c_t, c_o)`` pair in ``confidence``, else ``c_t / (c_t + c_o + eps)``
+    with ``c_t`` first discounted by ``p_other_value`` when given."""
     if all_candidates_seen:
-        return 1.0, 0.0
-    c_t, c_o = tracker.accuracies(label)
+        return 1.0
+    if label not in confidence:
+        return 0.0
+    c_t, c_o = confidence[label]
     if p_other_value is not None:
         c_t = (1.0 - p_other_value) * c_t
-    a_t = c_t / (c_t + c_o + tracker.eps)
-    return a_t, 1.0 - a_t
+    return c_t / (c_t + c_o + eps)
 
 
 def combined_prediction(p_tuned: dict[int, float], p_frozen: dict[int, float],
-                        tracker: ClassAccuracyTracker, candidates,
-                        all_candidates_seen: bool = False,
+                        confidence: dict[int, tuple[float, float]], candidates,
+                        all_candidates_seen: bool = False, eps: float = 1e-8,
                         p_other_value: float | None = None) -> dict[int, float]:
-    """Per-label OCW mix of the two distributions, renormalized over the candidates."""
-    seen = tracker.seen_labels()
-    alphas = {
-        label: alpha(tracker, label, seen, all_candidates_seen, p_other_value)[0]
-        for label in sorted(candidates)
-    }
+    """Per-label mix of the two distributions by :func:`alpha`, renormalized over the candidates."""
+    alphas = {label: alpha(confidence, label, all_candidates_seen, eps, p_other_value)
+              for label in sorted(candidates)}
     return mix_predictions(p_tuned, p_frozen, alphas)
 
 
@@ -151,39 +143,28 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
 
     ``exemplars`` is a list of (embedding, label). For each class with at
     least two exemplars: the fraction of its exemplars whose cosine-nearest
-    other exemplar (searched over the whole set) carries the same label.
-    Classes with fewer than two exemplars are omitted.
+    other exemplar (searched over the whole set; the first one on ties)
+    carries the same label. Classes with fewer than two exemplars are omitted.
     """
     items = list(exemplars)
-    if len(items) < 2:
+    labels = [label for _, label in items]
+    counts = Counter(labels)
+    queries = [i for i, label in enumerate(labels) if counts[label] >= 2]
+    if not queries:
         return {}
-    counts: dict[int, int] = {}
-    hits: dict[int, int] = {}
-    for label in (label for _, label in items):
-        counts[label] = counts.get(label, 0) + 1
-    for i, (emb_i, label_i) in enumerate(items):
-        if counts[label_i] < 2:
-            continue
-        best_j = -1
-        best_cos = -2.0
-        for j, (emb_j, _) in enumerate(items):
-            if j == i:
-                continue
-            c = cosine_similarity(emb_i, emb_j)
-            if c > best_cos:
-                best_cos = c
-                best_j = j
-        if items[best_j][1] == label_i:
-            hits[label_i] = hits.get(label_i, 0) + 1
-    return {
-        label: hits.get(label, 0) / counts[label]
-        for label in sorted(counts) if counts[label] >= 2
-    }
+    embs = np.stack([as_embedding(e) for e, _ in items])
+    sims, _, _ = label_cosines(embs[queries], unit_rows(embs)[0])
+    sims[np.arange(len(queries)), queries] = -np.inf
+    hits = Counter(labels[i] for i, j in zip(queries, sims.argmax(axis=1))
+                   if labels[j] == labels[i])
+    return {label: hits[label] / counts[label]
+            for label in sorted(counts) if counts[label] >= 2}
 
 
-def p_other(logits: dict[int, float]) -> float:
-    """Softmax mass of the none-of-the-above option in an augmented logit map."""
-    if OTHER_LABEL not in logits:
-        raise ValueError("logit map has no OTHER entry")
-    probs = softmax(list(logits.values()))
-    return float(probs[list(logits).index(OTHER_LABEL)])
+def p_other(logits) -> float:
+    """Softmax mass of the none-of-the-above option: the last entry of a
+    1-D augmented logit vector (``decoder.augmented_logits``)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1 or logits.size < 2:
+        raise ValueError(f"expected candidate logits plus OTHER, got shape {logits.shape}")
+    return float(softmax(logits)[-1])

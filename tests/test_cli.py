@@ -1,10 +1,11 @@
 """End-to-end command-line tests driven through ``cli.main``."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from ovstream.cli import _engine_config_from_dict, canonical_json, config_hash, main
+from ovstream.cli import RUN_KEYS, _engine_config_from_dict, canonical_json, config_hash, main
 from ovstream.protocols import EngineConfig
 
 
@@ -151,6 +152,31 @@ class TestRun:
     def test_missing_dataset_section_exits_2(self, tmp_path):
         config = _write_json(tmp_path / "run.json", {"protocol": "data_incremental"})
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"compresion": "pca-cls-quant"}, "compresion"),
+        ({"dataset_pca_components": 4}, "dataset_pca_components"),
+        ({"sampler": {"batch_size": 4, "stratgy": "fws"}}, "stratgy"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, extra, key):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_p_other_weighting_must_be_boolean(self, tmp_path, capsys, value):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "p_other_weighting": value})
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "p_other_weighting" in capsys.readouterr().err
+
+    def test_readme_lists_every_run_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Run a stream experiment"):
+                         readme.index("### Compression benchmark")]
+        for key in RUN_KEYS:
+            assert f"`{key}`" in section, key
 
 
 class TestCompress:

@@ -5,34 +5,51 @@ from hypothesis import given, strategies as st
 from ovstream.core import (
     LabelEmbeddingTable,
     argmax_label,
-    cosine_similarity,
+    label_cosines,
+    unit_rows,
     zero_shot_probabilities,
 )
 
 
+def _cosine(a, b) -> float:
+    """Cosine of two vectors through the one kernel: ``b`` as a one-row label matrix."""
+    unit_b, _ = unit_rows(np.asarray(b, dtype=np.float64)[None, :])
+    cos, _, _ = label_cosines(a, unit_b)
+    return float(cos[0])
+
+
 class TestCosineSimilarity:
     def test_identical_vectors(self):
-        assert cosine_similarity([1, 0, 0], [1, 0, 0]) == 1.0
+        assert _cosine([1, 0, 0], [1, 0, 0]) == 1.0
 
     def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
+        assert _cosine([1, 0], [0, 1]) == 0.0
 
     def test_hand_computed(self):
         # (1,1).(1,0) / (sqrt(2)*1)
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(0.70710678, abs=1e-6)
+        assert _cosine([1, 1], [1, 0]) == pytest.approx(0.70710678, abs=1e-6)
 
     def test_symmetric(self, rng):
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
-        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a))
+        assert _cosine(a, b) == pytest.approx(_cosine(b, a))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cosine_similarity([1, 0], [1, 0, 0])
+            _cosine([1, 0], [1, 0, 0])
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0, 0], [1, 0])
+        with pytest.raises(ValueError, match="zero-norm embedding"):
+            _cosine([0, 0], [1, 0])
+        with pytest.raises(ValueError, match="zero-norm embedding"):
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_unit_rows_norm_is_numpy_norm(self, rng):
+        # The frozen scorer's outputs stay bit-identical to np.linalg.norm's.
+        for row in rng.standard_normal((20, 7)):
+            unit, norm = unit_rows(row)
+            assert norm[0] == np.linalg.norm(row)
+            np.testing.assert_array_equal(unit, row / np.linalg.norm(row))
 
 
 class TestLabelTable:

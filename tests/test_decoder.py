@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from ovstream.core import FormatError, LabelEmbeddingTable
+from ovstream.core import TEMPERATURE, FormatError, LabelEmbeddingTable, label_cosines
 from ovstream.decoder import (
-    OTHER_LABEL,
     DecoderParams,
     OptimizerState,
     TrainingBatch,
@@ -54,15 +53,16 @@ class TestDecode:
 class TestAugmentedLogits:
     def test_orthogonal_all_zero(self):
         table = LabelEmbeddingTable({0: [1, 0, 0], 1: [0, 1, 0]})
-        logits = augmented_logits([0, 0, 1.0], table, [0, 1], other_logit=0.0)
-        assert logits == {0: 0.0, 1: 0.0, OTHER_LABEL: 0.0}
+        cos, _, _ = label_cosines([0, 0, 1.0], table.matrix([0, 1]))
+        logits = augmented_logits(cos, other_logit=0.0)
+        np.testing.assert_array_equal(logits, [0.0, 0.0, 0.0])
 
     def test_large_other_logit_dominates(self):
         table = LabelEmbeddingTable({0: [1, 0], 1: [0, 1]})
-        logits = augmented_logits([-1.0, -1.0], table, [0, 1], other_logit=50.0)
-        vals = np.array(list(logits.values()))
-        exps = np.exp(vals - vals.max())
-        p_other = exps[list(logits).index(OTHER_LABEL)] / exps.sum()
+        cos, _, _ = label_cosines([-1.0, -1.0], table.matrix([0, 1]))
+        logits = augmented_logits(cos, other_logit=50.0)
+        exps = np.exp(logits - logits.max())
+        p_other = exps[-1] / exps.sum()
         assert p_other > 1 - 1e-12
 
     def test_hand_set_cosines(self):
@@ -70,12 +70,22 @@ class TestAugmentedLogits:
         # softmax of (50, -50, 0).
         s = np.sqrt(0.75)
         table = LabelEmbeddingTable({0: [0.5, s], 1: [-0.5, s]})
-        logits = augmented_logits([1.0, 0.0], table, [0, 1], other_logit=0.0)
+        cos, _, _ = label_cosines([1.0, 0.0], table.matrix([0, 1]))
+        logits = augmented_logits(cos, other_logit=0.0)
         exps = np.exp(np.array([50.0, -50.0, 0.0]))
         expected = exps / exps.sum()
-        probs = np.exp(np.array([logits[0], logits[1], logits[OTHER_LABEL]]))
+        probs = np.exp(logits)
         probs /= probs.sum()
         np.testing.assert_allclose(probs, expected, rtol=1e-12)
+
+    def test_batch_rows_match_single_rows(self, rng):
+        cos = rng.uniform(-1, 1, size=(4, 3))
+        logits = augmented_logits(cos, other_logit=-0.25)
+        assert logits.shape == (4, 4)
+        for row, c in zip(logits, cos):
+            np.testing.assert_array_equal(row, augmented_logits(c, -0.25))
+        np.testing.assert_array_equal(logits[:, :3], TEMPERATURE * cos)
+        assert np.all(logits[:, 3] == -0.25)
 
 
 def _orthogonal_batch():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from ovstream import compression
+from ovstream import compression, protocols
+from ovstream.core import TEMPERATURE
 from ovstream.data import SyntheticSpec, generate
+from ovstream.decoder import decode
 from ovstream.protocols import (
     Engine,
     EngineConfig,
@@ -200,14 +202,79 @@ class TestEngineRun:
             EngineConfig(compression="dataset-pca").validate()
 
 
+class TestPOtherWeighting:
+    """OCW with the tuned accuracy discounted by the decoded sample's p(OTHER)."""
+
+    def _engine(self, trained_below: int):
+        ds = _dataset(num_classes=6, samples_per_class=4, seed=16)
+        engine = Engine(ds, _fast_config(p_other_weighting=True, seed=16))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < trained_below:
+                engine.process(idx)
+        # An OTHER logit on the scale of the cosine logits, so p(OTHER) is
+        # far from 0 and 1 and the discount shows.
+        engine.params.tensors["other_logit"] = np.array(0.5 * TEMPERATURE)
+        return ds, engine
+
+    def test_never_trained_candidates_give_frozen_bit_exact(self):
+        ds, engine = self._engine(trained_below=3)
+        unseen = {3, 4, 5}
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            assert engine.predict(tokens, unseen) == engine.frozen_probabilities(tokens, unseen)
+
+    def test_all_trained_candidates_give_tuned_bit_exact(self):
+        ds, engine = self._engine(trained_below=6)
+        labels = set(range(6))
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            assert engine.predict(tokens, labels) == engine.tuned_probabilities(tokens, labels)
+
+    def test_mixed_suite_matches_reference(self, monkeypatch):
+        ds, engine = self._engine(trained_below=3)
+        candidates = {1, 2, 3, 4}
+        labels = sorted(candidates)
+        mat = np.stack([ds.label_table.embedding(y).astype(np.float64) for y in labels])
+        discounted = 0
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            e = decode(tokens, engine.params).astype(np.float64)
+            z = np.append(TEMPERATURE * np.clip(mat @ e / np.linalg.norm(e), -1, 1),
+                          engine.params.other_logit)
+            q = np.exp(z - z.max())
+            pov = q[-1] / q.sum()
+            p_t = engine.tuned_probabilities(tokens, candidates)
+            p_o = engine.frozen_probabilities(tokens, candidates)
+            raw = {}
+            for y in labels:
+                a = 0.0
+                if y in engine.tracker.seen_labels():
+                    c_t, c_o = engine.tracker.accuracies(y)
+                    c_t *= 1.0 - pov
+                    a = c_t / (c_t + c_o + engine.tracker.eps)
+                raw[y] = a * p_t[y] + (1.0 - a) * p_o[y]
+            total = sum(raw.values())
+            got = engine.predict(tokens, candidates)
+            assert got == pytest.approx({y: v / total for y, v in raw.items()}, rel=1e-12)
+            engine.config.p_other_weighting = False
+            discounted += got != engine.predict(tokens, candidates)
+            engine.config.p_other_weighting = True
+        assert discounted > 0
+
+        calls = []
+        monkeypatch.setattr(protocols, "decode",
+                            lambda *a: calls.append(1) or decode(*a))
+        engine.predict(ds.tokens(0), candidates)
+        assert len(calls) == 1
+
+
 class TestMetricsRecord:
-    def test_accuracy_lookup_and_trajectory(self):
+    def test_accuracy_lookup(self):
         record = MetricsRecord()
         record.add(0, "all", 0.5)
         record.add(1, "all", 0.7)
         record.add(1, "held", 0.2)
         assert record.accuracy(1, "all") == 0.7
-        assert record.suite_trajectory("all") == [(0, 0.5), (1, 0.7)]
         with pytest.raises(KeyError):
             record.accuracy(9, "all")
 

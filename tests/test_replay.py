@@ -25,11 +25,6 @@ class TestInsertAndLookup:
         store = _store_with([9, 2, 9, 4])
         assert store.seen_labels() == [2, 4, 9]
 
-    def test_class_index(self):
-        store = _store_with([1, 2, 1, 1])
-        assert store.class_ids(1) == [0, 2, 3]
-        assert store.class_ids(99) == []
-
     def test_tokens_round_trip(self):
         tokens = np.arange(12, dtype=np.float32).reshape(3, 4)
         store = ReplayStore()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ovstream.core import LabelEmbeddingTable, zero_shot_probabilities
-from ovstream.decoder import OTHER_LABEL
+from ovstream.core import LabelEmbeddingTable, as_embedding, zero_shot_probabilities
+from ovstream.decoder import augmented_logits
 from ovstream.weighting import (
     ClassAccuracyTracker,
     aim_alpha,
@@ -81,106 +81,89 @@ class TestTracker:
 
 
 class TestAlpha:
-    def _warm_tracker(self, t=0.8, f=0.2):
-        tracker = ClassAccuracyTracker()
-        tracker.stats = {}
-        tracker.ema_update(0, True, True)
-        tracker.stats[0].tuned_acc = t
-        tracker.stats[0].frozen_acc = f
-        return tracker
-
     def test_unseen_label_is_all_frozen(self):
-        tracker = ClassAccuracyTracker()
-        assert alpha(tracker, 7, set()) == (0.0, 1.0)
+        assert alpha({}, 7) == 0.0
+        assert alpha({0: (0.8, 0.2)}, 7) == 0.0
 
     def test_all_candidates_seen_is_all_tuned(self):
-        tracker = self._warm_tracker()
-        assert alpha(tracker, 0, {0}, all_candidates_seen=True) == (1.0, 0.0)
+        assert alpha({0: (0.8, 0.2)}, 0, all_candidates_seen=True) == 1.0
+        assert alpha({}, 0, all_candidates_seen=True) == 1.0
 
     def test_ratio_formula(self):
-        tracker = self._warm_tracker(0.8, 0.2)
-        a_t, a_o = alpha(tracker, 0, {0})
-        assert a_t == pytest.approx(0.8 / (1.0 + 1e-8), rel=1e-9)
-        assert a_t + a_o == pytest.approx(1.0)
+        a_t = alpha({0: (0.8, 0.2)}, 0)
+        assert a_t == 0.8 / (0.8 + 0.2 + 1e-8)
+        assert alpha({0: (0.8, 0.2)}, 0, eps=0.5) == 0.8 / 1.5
 
     def test_p_other_discounts_tuned(self):
-        tracker = self._warm_tracker(0.8, 0.2)
-        a_plain, _ = alpha(tracker, 0, {0})
-        a_disc, _ = alpha(tracker, 0, {0}, p_other_value=0.5)
+        a_plain = alpha({0: (0.8, 0.2)}, 0)
+        a_disc = alpha({0: (0.8, 0.2)}, 0, p_other_value=0.5)
         assert a_disc == pytest.approx(0.4 / (0.6 + 1e-8), rel=1e-9)
         assert a_disc < a_plain
 
     def test_both_zero_accuracy(self):
-        tracker = ClassAccuracyTracker()
-        tracker.ema_update(0, False, False)
-        a_t, a_o = alpha(tracker, 0, {0})
-        assert a_t == 0.0 and a_o == 1.0
+        assert alpha({0: (0.0, 0.0)}, 0) == 0.0
 
 
 class TestCombinedPrediction:
     def test_all_unseen_returns_frozen_bit_exact(self):
-        tracker = ClassAccuracyTracker()
         p_t = {0: 0.9, 1: 0.1}
         p_f = {0: 0.123456789, 1: 0.876543211}
-        out = combined_prediction(p_t, p_f, tracker, [0, 1])
+        out = combined_prediction(p_t, p_f, {}, [0, 1])
         assert out == p_f
 
     def test_all_seen_flag_returns_tuned_bit_exact(self):
-        tracker = ClassAccuracyTracker()
-        tracker.ema_update(0, True, True)
-        tracker.ema_update(1, True, True)
         p_t = {0: 0.7, 1: 0.3}
-        out = combined_prediction(p_t, {0: 0.5, 1: 0.5}, tracker, [0, 1],
-                                  all_candidates_seen=True)
+        out = combined_prediction(p_t, {0: 0.5, 1: 0.5}, {0: (1.0, 1.0), 1: (1.0, 1.0)},
+                                  [0, 1], all_candidates_seen=True)
         assert out == p_t
 
     def test_hand_computed_mix(self):
-        # Label 0 seen with c_t = c_o = 1 -> alpha = (x, 1-x) with
-        # x = 1/(2 + eps); label 1 unseen -> (0, 1).
-        tracker = ClassAccuracyTracker()
-        tracker.ema_update(0, True, True)
+        # Label 0 has c_t = c_o = 1 -> alpha = 1/(2 + eps); label 1 has no
+        # pair -> alpha 0.
         p_t = {0: 1.0, 1: 0.0}
         p_f = {0: 0.1, 1: 0.9}
-        out = combined_prediction(p_t, p_f, tracker, [0, 1])
+        out = combined_prediction(p_t, p_f, {0: (1.0, 1.0)}, [0, 1])
         x = 1.0 / (2.0 + 1e-8)
         raw0 = x * 1.0 + (1 - x) * 0.1
         raw1 = 0.9
         assert out[0] == pytest.approx(raw0 / (raw0 + raw1), rel=1e-9)
         assert out[1] == pytest.approx(raw1 / (raw0 + raw1), rel=1e-9)
 
-    def test_output_normalized(self):
+    def test_tracker_accuracies_as_confidence(self):
+        # The OCW source: the tracker's (c_t, c_o) for its seen labels.
         tracker = ClassAccuracyTracker()
         tracker.ema_update(0, True, False)
+        tracker.ema_update(1, False, True)
+        confidence = {y: tracker.accuracies(y) for y in tracker.seen_labels()}
+        p_t = {0: 0.6, 1: 0.3, 2: 0.1}
+        p_f = {0: 0.2, 1: 0.5, 2: 0.3}
+        out = combined_prediction(p_t, p_f, confidence, [0, 1, 2], eps=tracker.eps)
+        a0 = 1.0 / (1.0 + tracker.eps)
+        raw = {0: a0 * 0.6 + (1 - a0) * 0.2, 1: 0.5, 2: 0.3}
+        total = sum(raw.values())
+        assert out == {y: v / total for y, v in raw.items()}
+
+    def test_output_normalized(self):
         out = combined_prediction({0: 0.6, 1: 0.4}, {0: 0.2, 1: 0.8},
-                                  tracker, [0, 1])
+                                  {0: (1.0, 0.0)}, [0, 1])
         assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_candidate_mismatch_rejected(self):
-        tracker = ClassAccuracyTracker()
         with pytest.raises(ValueError):
-            combined_prediction({0: 1.0}, {0: 0.5, 1: 0.5}, tracker, [0, 1])
+            combined_prediction({0: 1.0}, {0: 0.5, 1: 0.5}, {}, [0, 1])
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_mix_stays_normalized_for_any_accuracies(self, c_t, c_o):
-        tracker = ClassAccuracyTracker()
-        tracker.ema_update(0, True, True)
-        tracker.ema_update(1, True, True)
-        tracker.stats[0].tuned_acc = c_t
-        tracker.stats[0].frozen_acc = c_o
         out = combined_prediction({0: 0.25, 1: 0.75}, {0: 0.6, 1: 0.4},
-                                  tracker, [0, 1])
+                                  {0: (c_t, c_o), 1: (1.0, 1.0)}, [0, 1])
         assert sum(out.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for v in out.values())
 
     def test_alpha_monotone_in_tuned_accuracy(self):
         # Fixing c_o, the tuned weight grows with c_t across a grid.
-        tracker = ClassAccuracyTracker()
-        tracker.ema_update(0, True, True)
-        tracker.stats[0].frozen_acc = 0.4
         prev = -1.0
         for c_t in np.linspace(0.0, 1.0, 21):
-            tracker.stats[0].tuned_acc = float(c_t)
-            a_t, _ = alpha(tracker, 0, {0})
+            a_t = alpha({0: (float(c_t), 0.4)}, 0)
             assert a_t >= prev
             prev = a_t
 
@@ -192,6 +175,60 @@ class TestAimAlpha:
 
     def test_no_seen_labels(self):
         assert aim_alpha({0: 1.0}, set()) == 0.0
+
+
+def _nn_loo_loop(exemplars) -> dict[int, float]:
+    """Reference: the pairwise loop nn_loo_confidence replaced, one cosine per pair."""
+    def cosine(a, b):
+        va = as_embedding(a).astype(np.float64)
+        vb = as_embedding(b).astype(np.float64)
+        if va.size != vb.size:
+            raise ValueError(f"dimension mismatch: {va.size} vs {vb.size}")
+        na = np.linalg.norm(va)
+        nb = np.linalg.norm(vb)
+        if na == 0.0 or nb == 0.0:
+            raise ValueError("cosine similarity undefined for zero-norm vector")
+        return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
+
+    items = list(exemplars)
+    if len(items) < 2:
+        return {}
+    counts: dict[int, int] = {}
+    hits: dict[int, int] = {}
+    for label in (label for _, label in items):
+        counts[label] = counts.get(label, 0) + 1
+    for i, (emb_i, label_i) in enumerate(items):
+        if counts[label_i] < 2:
+            continue
+        best_j = -1
+        best_cos = -2.0
+        for j, (emb_j, _) in enumerate(items):
+            if j == i:
+                continue
+            c = cosine(emb_i, emb_j)
+            if c > best_cos:
+                best_cos = c
+                best_j = j
+        if items[best_j][1] == label_i:
+            hits[label_i] = hits.get(label_i, 0) + 1
+    return {
+        label: hits.get(label, 0) / counts[label]
+        for label in sorted(counts) if counts[label] >= 2
+    }
+
+
+def _exemplar_set(gen: np.random.Generator):
+    """Random exemplars with singleton classes and exact duplicates, some relabelled."""
+    n = int(gen.integers(2, 25))
+    dim = int(gen.integers(1, 9))
+    labels = gen.integers(0, int(gen.integers(1, 8)), size=n)
+    embs = gen.standard_normal((n, dim)).astype(np.float32)
+    for _ in range(int(gen.integers(0, n))):
+        i, j = gen.integers(0, n, size=2)
+        embs[j] = embs[i]
+        if gen.random() < 0.5:
+            labels[j] = labels[i]
+    return [(embs[i], int(labels[i])) for i in range(n)]
 
 
 class TestNnLooConfidence:
@@ -214,6 +251,35 @@ class TestNnLooConfidence:
             hits = sum(labels[int(np.argmax(sims[i]))] == label for i in idx)
             expect[label] = hits / counts[label]
         assert got == pytest.approx(expect)
+
+    def test_equals_pairwise_loop(self):
+        gen = np.random.default_rng(20)
+        for _ in range(220):
+            items = _exemplar_set(gen)
+            assert nn_loo_confidence(items) == _nn_loo_loop(items)
+
+    def test_ties_go_to_the_first_neighbour(self):
+        # Items 1 and 2 are both exactly item 0; the first decides.
+        v = np.array([0.3, -0.7, 0.2], dtype=np.float32)
+        w = np.array([-1.0, 0.5, 0.0], dtype=np.float32)
+        items = [(v, 0), (v, 0), (v, 1), (w, 1)]
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {0: 1.0, 1: 0.0}
+        items = [(v, 0), (v, 1), (v, 0), (w, 1)]
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {0: 0.5, 1: 0.0}
+
+    def test_bad_input_raises_value_error(self):
+        good = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 0)]
+        for bad in ([(np.array([0.0, 0.0]), 1)], [(np.array([np.nan, 1.0]), 1)],
+                    [(np.array([1.0, 0.0, 0.0]), 1)]):
+            with pytest.raises(ValueError):
+                _nn_loo_loop(good + bad)
+            with pytest.raises(ValueError):
+                nn_loo_confidence(good + bad)
+
+    def test_all_singletons_are_not_compared(self):
+        # No class has two exemplars, so no cosine is taken, as in the loop.
+        items = [(np.array([0.0, 0.0]), 0), (np.array([1.0, 0.0]), 1)]
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {}
 
     def test_tight_clusters_score_one(self):
         items = []
@@ -249,19 +315,21 @@ class TestNnLooConfidence:
 class TestPOther:
     def test_hand_computed(self):
         # logits (2, 1, OTHER=0): p_OTHER = e^0 / (e^2 + e^1 + e^0).
-        logits = {0: 2.0, 1: 1.0, OTHER_LABEL: 0.0}
         expect = 1.0 / (np.exp(2.0) + np.exp(1.0) + 1.0)
-        assert p_other(logits) == pytest.approx(expect, rel=1e-12)
+        assert p_other(np.array([2.0, 1.0, 0.0])) == pytest.approx(expect, rel=1e-12)
+        assert p_other(augmented_logits([0.02, 0.01], 0.0)) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.0900306, abs=1e-6)
 
     def test_shift_invariant(self):
-        logits = {0: 3.0, 1: -1.0, OTHER_LABEL: 0.5}
-        shifted = {k: v + 123.0 for k, v in logits.items()}
-        assert p_other(shifted) == pytest.approx(p_other(logits), rel=1e-12)
+        logits = np.array([3.0, -1.0, 0.5])
+        assert p_other(logits + 123.0) == pytest.approx(p_other(logits), rel=1e-12)
 
     def test_missing_other(self):
-        with pytest.raises(ValueError):
-            p_other({0: 1.0, 1: 2.0})
+        # OTHER is the last entry, so a vector needs at least one candidate
+        # before it, and a batch is not one vector.
+        for bad in ([1.0], np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                p_other(bad)
 
 
 def test_zero_shot_scale_invariance_through_pipeline(rng):
