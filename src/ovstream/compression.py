@@ -45,13 +45,9 @@ class CompressedFeature:
 # Quantization
 
 
-def quantize(block, bit_width: int, per_row: bool = True,
-             rounding: str = "nearest") -> QuantizedBlock:
-    """Min-max affine map of a float matrix onto [0, 2**bit_width - 1].
-
-    ``rounding`` is "nearest" (default, halves the worst-case error) or
-    "trunc" for a plain integer cast.
-    """
+def quantize(block, bit_width: int, per_row: bool = True) -> QuantizedBlock:
+    """Min-max affine map of a float matrix onto [0, 2**bit_width - 1],
+    rounded to the nearest code (half a step of worst-case error)."""
     x = np.asarray(block, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"quantize expects a 2-D block, got shape {x.shape}")
@@ -68,7 +64,7 @@ def quantize(block, bit_width: int, per_row: bool = True,
     # the stored min, which reproduces the constant exactly.
     safe = np.where(span > 0, span, 1.0)
     scaled = levels * (x - mins) / safe
-    codes = np.round(scaled) if rounding == "nearest" else np.trunc(scaled)
+    codes = np.round(scaled)
     dtype = np.uint8 if bit_width == 8 else np.uint16
     return QuantizedBlock(
         codes=codes.astype(dtype),
@@ -100,13 +96,12 @@ def _block_array(block) -> np.ndarray:
 # CLS-attention token weighting
 
 
-def cls_weighting(tokens, norm_gain=None, norm_bias=None,
-                  rescale: bool = True) -> np.ndarray:
+def cls_weighting(tokens, norm_gain=None, norm_bias=None) -> np.ndarray:
     """Scale patch tokens by their softmax attention similarity to the CLS token.
 
     Normalization parameters come from the decoder's first layer norm
-    (identity gain / zero bias when the decoder is linear). With ``rescale``
-    the weights are multiplied by T-1 so the mean patch scale is 1, which
+    (identity gain / zero bias when the decoder is linear). The weights are
+    multiplied by T-1 so the mean patch scale is 1, which
     keeps the reconstruction magnitude comparable to the input.
     """
     x = as_token_matrix(tokens).astype(np.float64)
@@ -119,8 +114,7 @@ def cls_weighting(tokens, norm_gain=None, norm_bias=None,
     sims = sims - sims.max()
     weights = np.exp(sims)
     weights /= weights.sum()
-    if rescale:
-        weights = weights * (x.shape[0] - 1)
+    weights = weights * (x.shape[0] - 1)
     out = x.copy()
     out[1:] *= weights[:, None]
     return out.astype(np.float32)

@@ -3,13 +3,14 @@
 Labels are integer ids. Embeddings and token matrices are numpy arrays:
 an embedding is a 1-D float vector, a token matrix is T x D with the CLS
 token in row 0 and patch tokens below it. Probability distributions are
-plain ``{label_id: prob}`` dicts.
+``{label_id: prob}`` dicts, or ``{label_id: (B,) column}`` for B samples.
 
 Inputs are stored as float32; all scoring arithmetic runs in float64.
 Every cosine in the package comes from one kernel, ``label_cosines``:
 embeddings scaled to unit rows by ``unit_rows`` against unit label rows.
 The scorers and the loss use it with the label table, and
-``weighting.nn_loo_confidence`` with the unit exemplars themselves.
+``weighting.nn_loo_confidence`` with the unit exemplars themselves. A row
+scores the same bits in any batch, and equal label rows get equal cosines.
 """
 
 from __future__ import annotations
@@ -142,20 +143,34 @@ def label_cosines(embeddings, label_matrix: np.ndarray):
 
     The one cosine kernel: frozen and tuned scorers, loss, nn-loo confidence.
     Returns the (C,) or (B, C) cosines, the unit embeddings and their norms.
+    einsum's own loop, unlike BLAS, sums each row in one order in any batch.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.shape[-1] != label_matrix.shape[1]:
         raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
     unit, norms = unit_rows(e)
-    return np.clip(unit @ label_matrix.T, -1.0, 1.0), unit, norms
+    return np.clip(np.einsum("...d,cd->...c", unit, label_matrix), -1.0, 1.0), unit, norms
 
 
-def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict[int, float]:
-    """Softmax over temperature-scaled cosine similarities for each candidate."""
-    labels = sorted(candidates)
-    cos, _, _ = label_cosines(as_embedding(e_x), table.matrix(labels))
+def candidate_probabilities(embeddings, label_matrix: np.ndarray, labels):
+    """Softmax over temperature-scaled cosines with the rows of ``label_matrix``, the
+    sorted ``labels``, plus the cosines: ``{label: float}`` for a D vector,
+    ``{label: (B,) column}`` for a B x D matrix."""
+    e = np.asarray(embeddings, dtype=np.float32)
+    if e.ndim != 2:
+        e = as_embedding(e)
+    elif not np.all(np.isfinite(e)):
+        raise ValueError("embeddings contain non-finite entries")
+    cos, _, _ = label_cosines(e, label_matrix)
     probs = softmax(TEMPERATURE * cos)
-    return {label: float(p) for label, p in zip(labels, probs)}
+    return dict(zip(labels, probs.tolist() if probs.ndim == 1 else probs.T)), cos
+
+
+def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict:
+    """Softmax over temperature-scaled cosine similarities for each candidate, of a
+    D vector or of each row of a B x D matrix (``candidate_probabilities``)."""
+    labels = sorted(candidates)
+    return candidate_probabilities(e_x, table.matrix(labels), labels)[0]
 
 
 def argmax_label(dist: dict[int, float]) -> int:

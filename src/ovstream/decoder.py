@@ -16,8 +16,9 @@ Two variants map a token matrix to an output embedding:
   shift every score of a row by the same amount, which the softmax ignores
   (a ``bk`` tensor in an older checkpoint still loads and is unused).
 
-The loss runs one forward and one backward pass over the stacked B x T x D
-batch (one per token length when lengths differ).
+``decode`` (of one token matrix, or of a list of them) and the loss run one
+forward pass per stacked B x T x D group of equal-shape matrices; padding
+would change the attention.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
@@ -240,10 +241,24 @@ def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderPar
     g["ln1_bias"] += ds.sum(axis=1) @ qk + attn_w.sum(axis=1) @ dv_y + dq_y.sum(axis=0)
 
 
+def _forward_groups(token_matrices, params: DecoderParams):
+    """B x D_out outputs of B token matrices, in input order, from one forward pass
+    per group of equal-shape matrices; plus ``(ids, cache)`` per group."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, tokens in enumerate(token_matrices):
+        by_shape.setdefault(np.shape(tokens), []).append(i)
+    out = np.empty((len(token_matrices), params.d_out))
+    groups = []
+    for ids in by_shape.values():
+        out[ids], cache = _forward(_stack([token_matrices[i] for i in ids], params.d_in), params)
+        groups.append((ids, cache))
+    return out, groups
+
+
 def decode(tokens, params: DecoderParams) -> np.ndarray:
-    """Map a token matrix to its output embedding (float32)."""
-    e, _ = _forward(_stack([tokens], params.d_in), params)
-    return e[0].astype(np.float32)
+    """Output embedding (float32) of a token matrix, or B x D_out of a list of B."""
+    e, _ = _forward_groups(tokens if isinstance(tokens, list) else [tokens], params)
+    return (e if isinstance(tokens, list) else e[0]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +310,15 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
     Term 1: cross-entropy with the true label over candidates + OTHER.
     Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
     it vanishes when the true label is the only candidate (singleton softmax).
-    Samples are grouped by shape because padding would change the attention.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     batch.validate()
     candidates = sorted(batch.candidates)
-    by_shape: dict[tuple, list[int]] = {}
-    for i, (tokens, _) in enumerate(batch.samples):
-        by_shape.setdefault(np.shape(tokens), []).append(i)
-    groups = []
-    for ids in by_shape.values():
-        x = _stack([batch.samples[i][0] for i in ids], params.d_in)
-        groups.append((ids, *_forward(x, params)))
-    e = np.concatenate([out for _, out, _ in groups])
-    order = [i for ids, _, _ in groups for i in ids]
-    rows = np.arange(len(order))
+    e, groups = _forward_groups([tokens for tokens, _ in batch.samples], params)
+    rows = np.arange(len(e))
     col = {label: j for j, label in enumerate(candidates)}
-    idx = np.array([col[batch.samples[i][1]] for i in order])
+    idx = np.array([col[label] for _, label in batch.samples])
 
     mat = table.matrix(candidates)
     n = len(candidates)
@@ -329,7 +335,7 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
         loss += beta * -np.log(np.maximum(p2[:, n], 1e-300))
         p2[:, n] -= 1.0
         dlogits += beta * p2
-    inv_n = 1.0 / len(order)
+    inv_n = 1.0 / len(e)
     total = float(loss.sum() * inv_n)
     if not want_grads:
         return total, None
@@ -339,10 +345,8 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
     # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
     dl = dlogits[:, :n]
     d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
-    start = 0
-    for ids, _, cache in groups:
-        _backward(d_e[start:start + len(ids)], params, cache, grads)
-        start += len(ids)
+    for ids, cache in groups:
+        _backward(d_e[ids], params, cache, grads)
     return total, grads
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compression
-from .core import argmax_label, label_cosines, zero_shot_probabilities
+from .core import argmax_label, candidate_probabilities, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
@@ -154,8 +154,11 @@ class EngineConfig:
             raise ValueError(f"unknown compression mode {self.compression!r}")
         if self.decoder_variant not in ("linear", "block"):
             raise ValueError(f"unknown decoder variant {self.decoder_variant!r}")
-        if self.beta < 0 or not 0 < self.ema_decay <= 1 or self.lr <= 0:
+        if (self.beta < 0 or not 0 < self.ema_decay <= 1 or self.lr <= 0
+                or self.weight_decay < 0 or self.pca_components < 1):
             raise ValueError("hyperparameters out of range")
+        if self.p_other_weighting and self.weighting != "ocw":
+            raise ValueError(f"p_other_weighting applies to 'ocw' only, not {self.weighting!r}")
         self.sampler.validate()
 
 
@@ -210,59 +213,66 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _nn_loo_maps(self):
-        exemplars_t = []
-        exemplars_o = []
-        for sid in range(len(self.store)):
-            tokens = self.store.tokens(sid)
-            label = self.store.label(sid)
-            exemplars_t.append((decode(tokens, self.params), label))
-            exemplars_o.append((tokens[0], label))
-        return nn_loo_confidence(exemplars_t), nn_loo_confidence(exemplars_o)
+    def _chunks(self, items):
+        size = self.config.sampler.batch_size  # the size that bounds a training step
+        return [items[i:i + size] for i in range(0, len(items), size)]
 
-    def predict(self, tokens, candidates, nn_maps=None) -> dict[int, float]:
-        """Combined candidate distribution for one sample under the configured weighting;
-        a mixing weighting picks the confidence pairs ``combined_prediction`` mixes by."""
+    def _nn_loo_maps(self):
+        tokens = [self.store.tokens(sid) for sid in range(len(self.store))]
+        labels = [self.store.label(sid) for sid in range(len(self.store))]
+        decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
+        return (nn_loo_confidence(list(zip(decoded, labels))),
+                nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)]))
+
+    def predict(self, tokens, candidates, nn_maps=None):
+        """Combined candidate distribution of a token matrix under the configured
+        weighting, or a list of them for a list of token matrices, scored as one batch."""
+        labels = sorted(candidates)
+        matrices = tokens if isinstance(tokens, list) else [tokens]
+        dist = self._batch_prediction(matrices, labels, nn_maps)
+        dists = [dict(zip(labels, row)) for row in np.array([dist[y] for y in labels]).T.tolist()]
+        return dists if isinstance(tokens, list) else dists[0]
+
+    def _batch_prediction(self, matrices, labels, nn_maps) -> dict:
+        """``{label: (B,) column}`` of B token matrices from one frozen and one tuned cosine
+        product; a mixing weighting picks the confidence pairs ``combined_prediction`` mixes by."""
+        mat = self.table.matrix(labels)
+        cls = np.array([t[0] for t in matrices], dtype=np.float32)
+        p_o, _ = candidate_probabilities(cls, mat, labels)
         strategy = self.config.weighting
-        p_o = self.frozen_probabilities(tokens, candidates)
         if strategy == "frozen-only":
             return p_o
-        e_t = decode(tokens, self.params)
-        p_t = zero_shot_probabilities(e_t, self.table, candidates)
+        p_t, cos_t = candidate_probabilities(decode(matrices, self.params), mat, labels)
         if strategy == "tuned-only":
             return p_t
         seen = self.tracker.seen_labels()
         if strategy == "aim":
-            a = aim_alpha(p_o, seen)
-            return mix_predictions(p_t, p_o, dict.fromkeys(p_o, a))
+            return mix_predictions(p_t, p_o, dict.fromkeys(labels, aim_alpha(p_o, seen)))
 
         pov = None
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
             if self.config.p_other_weighting:
-                cos, _, _ = label_cosines(e_t, self.table.matrix(sorted(candidates)))
-                pov = p_other(augmented_logits(cos, self.params.other_logit))
+                logits = augmented_logits(cos_t, self.params.other_logit)
+                pov = np.array([p_other(row) for row in logits])
         elif strategy == "nn-loo":
             conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
             confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
         else:  # ocw-binary: the tuned model once every candidate is trained
             confidence = {}
-        all_seen = bool(candidates) and set(candidates) <= seen
-        return combined_prediction(p_t, p_o, confidence, candidates,
-                                   all_candidates_seen=all_seen, eps=self.tracker.eps,
-                                   p_other_value=pov)
+        return combined_prediction(p_t, p_o, confidence, labels,
+                                   all_candidates_seen=set(labels) <= seen,
+                                   eps=self.tracker.eps, p_other_value=pov)
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, dict[int, dict]]:
+        """Accuracy and per-sample distributions, scored one ``batch_size`` chunk at a time."""
         nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None
-        hits = 0
         predictions = {}
-        for idx in suite.sample_ids:
-            tokens = self.dataset.tokens(idx)
-            label = self.dataset.samples[idx][1]
-            dist = self.predict(tokens, suite.candidates, nn_maps=nn_maps)
-            predictions[idx] = dist
-            if argmax_label(dist) == label:
-                hits += 1
+        for ids in self._chunks(suite.sample_ids):
+            tokens = [self.dataset.tokens(idx) for idx in ids]
+            predictions.update(zip(ids, self.predict(tokens, suite.candidates, nn_maps)))
+        hits = sum(argmax_label(predictions[idx]) == self.dataset.samples[idx][1]
+                   for idx in suite.sample_ids)
         accuracy = hits / len(suite.sample_ids) if suite.sample_ids else 0.0
         return accuracy, predictions
 

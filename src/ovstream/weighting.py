@@ -85,10 +85,10 @@ class ClassAccuracyTracker:
 
 def alpha(confidence: dict[int, tuple[float, float]], label: int,
           all_candidates_seen: bool = False, eps: float = 1e-8,
-          p_other_value: float | None = None) -> float:
+          p_other_value=None):
     """Tuned-model weight of one label: 1 when every candidate has been trained,
     0 without a ``(c_t, c_o)`` pair in ``confidence``, else ``c_t / (c_t + c_o + eps)``
-    with ``c_t`` first discounted by ``p_other_value`` when given."""
+    with ``c_t`` first discounted by ``p_other_value`` (a float or a (B,) column) when given."""
     if all_candidates_seen:
         return 1.0
     if label not in confidence:
@@ -99,43 +99,45 @@ def alpha(confidence: dict[int, tuple[float, float]], label: int,
     return c_t / (c_t + c_o + eps)
 
 
-def combined_prediction(p_tuned: dict[int, float], p_frozen: dict[int, float],
+def combined_prediction(p_tuned: dict, p_frozen: dict,
                         confidence: dict[int, tuple[float, float]], candidates,
                         all_candidates_seen: bool = False, eps: float = 1e-8,
-                        p_other_value: float | None = None) -> dict[int, float]:
+                        p_other_value=None) -> dict:
     """Per-label mix of the two distributions by :func:`alpha`, renormalized over the candidates."""
     alphas = {label: alpha(confidence, label, all_candidates_seen, eps, p_other_value)
               for label in sorted(candidates)}
     return mix_predictions(p_tuned, p_frozen, alphas)
 
 
-def mix_predictions(p_tuned: dict[int, float], p_frozen: dict[int, float],
-                    alphas: dict[int, float]) -> dict[int, float]:
+def mix_predictions(p_tuned: dict, p_frozen: dict, alphas: dict) -> dict:
     """``a * p_tuned + (1 - a) * p_frozen`` per label (``alphas[label] = a``), renormalized.
 
-    When every ``a`` is 0 (or every one is 1) the frozen (tuned) input is
-    returned unchanged, so the untouched model's output is kept bit for bit.
+    Values and alphas are floats or (B,) columns of B samples (see ``core``).
+    A sample whose every ``a`` is 0 (or every one is 1) gets its frozen (tuned)
+    values back unchanged, so the untouched model's output is kept bit for bit.
     """
     labels = sorted(alphas)
     if sorted(p_tuned) != labels or sorted(p_frozen) != labels:
         raise ValueError("distributions must cover exactly the candidate set")
-    if all(a == 0.0 for a in alphas.values()):
+    frozen = sum(alphas[y] != 0.0 for y in labels) == 0  # per sample when alphas are columns
+    tuned = sum(alphas[y] != 1.0 for y in labels) == 0
+    if np.all(frozen):
         return dict(p_frozen)
-    if all(a == 1.0 for a in alphas.values()):
+    if np.all(tuned):
         return dict(p_tuned)
     mixed = {
         label: alphas[label] * p_tuned[label] + (1.0 - alphas[label]) * p_frozen[label]
         for label in labels
     }
     total = sum(mixed.values())
-    if total <= 0.0:
-        return {label: 1.0 / len(labels) for label in labels}
+    if np.ndim(frozen):  # a corner sample's mix is its input (0 * p + 1 * q == q)
+        total = np.where(frozen | tuned, 1.0, total)
     return {label: value / total for label, value in mixed.items()}
 
 
-def aim_alpha(p_frozen: dict[int, float], seen_set) -> float:
+def aim_alpha(p_frozen: dict, seen_set):
     """Zero-shot probability mass on already-trained labels, as a global alpha."""
-    return float(sum(p for label, p in p_frozen.items() if label in seen_set))
+    return sum((p for label, p in p_frozen.items() if label in seen_set), 0.0)
 
 
 def nn_loo_confidence(exemplars) -> dict[int, float]:

@@ -171,6 +171,18 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "p_other_weighting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, word", [
+        ({"weighting": "nn-loo", "p_other_weighting": True}, "p_other_weighting"),
+        ({"weight_decay": -1.0}, "hyperparameters"),
+        ({"pca_components": 0, "compression": "pca-cls-quant"}, "hyperparameters"),
+    ])
+    def test_config_rejected_before_any_output(self, tmp_path, capsys, extra, word):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_lists_every_run_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme[readme.index("### Run a stream experiment"):

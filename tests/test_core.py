@@ -51,6 +51,24 @@ class TestCosineSimilarity:
             assert norm[0] == np.linalg.norm(row)
             np.testing.assert_array_equal(unit, row / np.linalg.norm(row))
 
+    def test_rows_score_the_same_in_any_batch(self):
+        # A row of a batch gets the bits it gets alone, as a vector and as a
+        # batch of one, and equal label rows get equal cosines.
+        gen = np.random.default_rng(31)
+        for _ in range(300):
+            b, d, c = (int(gen.integers(1, 200)), int(gen.integers(3, 97)),
+                       int(gen.integers(2, 120)))
+            labels, _ = unit_rows(gen.standard_normal((c, d)))
+            j, k = gen.choice(c, size=2, replace=False)
+            labels[j] = labels[k]
+            batch = gen.standard_normal((b, d)).astype(np.float32)
+            cos, _, _ = label_cosines(batch, labels)
+            np.testing.assert_array_equal(cos[:, j], cos[:, k])
+            for i in gen.choice(b, size=min(b, 3), replace=False):
+                np.testing.assert_array_equal(label_cosines(batch[i], labels)[0], cos[i])
+                np.testing.assert_array_equal(label_cosines(batch[i:i + 1], labels)[0][0],
+                                              cos[i])
+
 
 class TestLabelTable:
     def test_unit_norm_on_insert(self):
@@ -133,6 +151,18 @@ class TestZeroShotProbabilities:
     def test_unknown_candidate(self, small_table):
         with pytest.raises(KeyError):
             zero_shot_probabilities([1.0] * 8, small_table, [0, 99])
+
+
+    def test_matrix_gives_columns_of_the_vector_results(self, small_table, rng):
+        batch = rng.standard_normal((7, small_table.dim)).astype(np.float32)
+        labels = small_table.labels()
+        columns = zero_shot_probabilities(batch, small_table, labels)
+        assert list(columns) == sorted(labels)
+        for i, row in enumerate(batch):
+            assert {y: float(col[i]) for y, col in columns.items()} == \
+                zero_shot_probabilities(row, small_table, labels)
+        with pytest.raises(ValueError):
+            zero_shot_probabilities(np.full((2, small_table.dim), np.nan), small_table, labels)
 
 
 class TestArgmaxLabel:

@@ -49,6 +49,17 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(rng.standard_normal((4, 5)).astype(np.float32), params)
 
+    @pytest.mark.parametrize("variant", ["linear", "block"])
+    def test_ragged_list_matches_each_matrix(self, variant, rng):
+        _, params, _ = _instance(variant, seed=8)
+        lengths = [3, 5, 3, 2, 5, 5, 4, 3]
+        mats = [rng.standard_normal((t, 8)).astype(np.float32) for t in lengths]
+        out = decode(mats, params)
+        assert out.shape == (len(mats), 8) and out.dtype == np.float32
+        for row, tokens in zip(out, mats):
+            np.testing.assert_allclose(row, decode(tokens, params), rtol=1e-6, atol=1e-7)
+        assert decode([], params).shape == (0, 8)
+
 
 class TestAugmentedLogits:
     def test_orthogonal_all_zero(self):

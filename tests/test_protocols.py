@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ovstream import compression, protocols
-from ovstream.core import TEMPERATURE
+from ovstream.core import TEMPERATURE, argmax_label
 from ovstream.data import SyntheticSpec, generate
 from ovstream.decoder import decode
 from ovstream.protocols import (
@@ -180,6 +180,53 @@ class TestEngineRun:
             assert (engine.predict(tokens, {0, 1, 2})
                     == engine.tuned_probabilities(tokens, {0, 1, 2}))
 
+    @pytest.mark.parametrize("weighting, p_other_weighting",
+                             [(w, False) for w in protocols.WEIGHTINGS] + [("ocw", True)])
+    def test_suite_scores_as_per_sample_predict(self, weighting, p_other_weighting):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=18)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=18,
+                                         p_other_weighting=p_other_weighting))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3 and idx % 5:
+                engine.process(idx)
+        if p_other_weighting:
+            engine.params.tensors["other_logit"] = np.array(0.5 * TEMPERATURE)
+        unseen = [i for i, (_, label) in enumerate(ds.samples) if label >= 3]
+        suites = [EvalSuite("all", list(range(len(ds.samples))), set(range(6))),  # 30 = 7 * 4 + 2
+                  EvalSuite("one", [7], {1, 2, 4}),
+                  EvalSuite("unseen", unseen, {3, 4, 5})]
+        for suite in suites:
+            accuracy, predictions = engine.evaluate_suite(suite)
+            hits = 0
+            for idx in suite.sample_ids:
+                tokens = ds.tokens(idx)
+                got, alone = predictions[idx], engine.predict(tokens, suite.candidates)
+                assert list(got) == list(alone) == sorted(suite.candidates)
+                assert max(abs(got[y] - alone[y]) for y in got) <= 1e-12
+                assert argmax_label(got) == argmax_label(alone)
+                if suite.name == "unseen" and weighting != "tuned-only":
+                    assert got == engine.frozen_probabilities(tokens, suite.candidates)
+                hits += argmax_label(got) == ds.samples[idx][1]
+            assert accuracy == hits / len(suite.sample_ids)
+
+    def test_suite_scored_in_batch_size_chunks(self, monkeypatch):
+        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=19))  # batch_size 4
+        for idx in range(10):
+            engine.process(idx)
+        predicts, decodes = [], []
+        monkeypatch.setattr(protocols, "decode",
+                            lambda tokens, params: decodes.append(len(tokens))
+                            or decode(tokens, params))
+        original = Engine.predict
+        monkeypatch.setattr(Engine, "predict",
+                            lambda self, tokens, *a, **kw: predicts.append(len(tokens))
+                            or original(self, tokens, *a, **kw))
+        engine.evaluate_suite(EvalSuite("all", list(range(25)), set(range(5))))
+        assert predicts == [4, 4, 4, 4, 4, 4, 1]
+        # The ten stored samples for the nn-loo maps, then one per predict.
+        assert decodes == [4, 4, 2] + predicts
+
     def test_compression_modes_run(self):
         ds = _dataset(num_classes=3, samples_per_class=3, dim=12, tokens=5,
                       seed=14)
@@ -193,9 +240,17 @@ class TestEngineRun:
     def test_invalid_config_rejected(self):
         for kw in (dict(weighting="nope"), dict(compression="zip"),
                    dict(decoder_variant="conv"), dict(lr=0.0),
-                   dict(ema_decay=0.0), dict(beta=-1.0)):
+                   dict(ema_decay=0.0), dict(beta=-1.0), dict(weight_decay=-1.0),
+                   dict(pca_components=0)):
             with pytest.raises(ValueError):
                 EngineConfig(**kw).validate()
+
+    @pytest.mark.parametrize("weighting", ["ocw-binary", "aim", "nn-loo",
+                                           "frozen-only", "tuned-only"])
+    def test_p_other_weighting_outside_ocw_rejected(self, weighting):
+        with pytest.raises(ValueError, match="p_other_weighting"):
+            EngineConfig(weighting=weighting, p_other_weighting=True).validate()
+        EngineConfig(weighting="ocw", p_other_weighting=True).validate()
 
     def test_dataset_pca_rejected_as_stream_mode(self):
         with pytest.raises(ValueError, match="ovstream compress"):

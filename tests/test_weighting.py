@@ -11,6 +11,7 @@ from ovstream.weighting import (
     aim_alpha,
     alpha,
     combined_prediction,
+    mix_predictions,
     nn_loo_confidence,
     p_other,
 )
@@ -159,6 +160,25 @@ class TestCombinedPrediction:
         assert sum(out.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for v in out.values())
 
+    def test_columns_mix_each_sample_as_alone(self):
+        # Sample 0's alphas are all 0, sample 1's all 1, sample 2 mixes, and
+        # sample 3 has 0 on one label and 1 on the other, which is no corner.
+        p_t = {0: np.array([0.9, 0.7, 0.6, 0.2]), 1: np.array([0.1, 0.3, 0.4, 0.8])}
+        p_f = {0: np.array([0.3, 0.4, 0.5, 0.6]), 1: np.array([0.7, 0.6, 0.5, 0.4])}
+        alphas = {0: np.array([0.0, 1.0, 0.25, 0.0]), 1: np.array([0.0, 1.0, 0.5, 1.0])}
+        out = mix_predictions(p_t, p_f, alphas)
+        for i in range(4):
+            alone = mix_predictions({y: float(p_t[y][i]) for y in p_t},
+                                    {y: float(p_f[y][i]) for y in p_f},
+                                    {y: float(alphas[y][i]) for y in alphas})
+            assert {y: float(out[y][i]) for y in out} == alone
+        assert {y: float(out[y][0]) for y in out} == {y: float(p_f[y][0]) for y in p_f}
+        assert {y: float(out[y][1]) for y in out} == {y: float(p_t[y][1]) for y in p_t}
+        # A float alpha beside column alphas broadcasts over the samples.
+        out = mix_predictions(p_t, p_f, {0: 0.0, 1: np.array([0.0, 0.5, 0.0, 0.5])})
+        for y in p_f:
+            assert out[y][0] == p_f[y][0] and out[y][2] == p_f[y][2]
+
     def test_alpha_monotone_in_tuned_accuracy(self):
         # Fixing c_o, the tuned weight grows with c_t across a grid.
         prev = -1.0
@@ -175,6 +195,10 @@ class TestAimAlpha:
 
     def test_no_seen_labels(self):
         assert aim_alpha({0: 1.0}, set()) == 0.0
+
+    def test_columns_give_one_alpha_per_sample(self):
+        p_f = {0: np.array([0.5, 0.1]), 1: np.array([0.3, 0.6]), 2: np.array([0.2, 0.3])}
+        np.testing.assert_array_equal(aim_alpha(p_f, {0, 2}), [0.5 + 0.2, 0.1 + 0.3])
 
 
 def _nn_loo_loop(exemplars) -> dict[int, float]:
