@@ -2,8 +2,8 @@
 
 Labels are integer ids. Embeddings and token matrices are numpy arrays:
 an embedding is a 1-D float vector, a token matrix is T x D with the CLS
-token in row 0 and patch tokens below it. Probability distributions are
-``{label_id: prob}`` dicts, or ``{label_id: (B,) column}`` for B samples.
+token in row 0 and patch tokens below it. B samples are scored as (B, C)
+probability arrays, one column per candidate in sorted label order.
 
 Inputs are stored as float32; all scoring arithmetic runs in float64.
 Every cosine in the package comes from one kernel, ``label_cosines``:
@@ -152,25 +152,24 @@ def label_cosines(embeddings, label_matrix: np.ndarray):
     return np.clip(np.einsum("...d,cd->...c", unit, label_matrix), -1.0, 1.0), unit, norms
 
 
-def candidate_probabilities(embeddings, label_matrix: np.ndarray, labels):
-    """Softmax over temperature-scaled cosines with the rows of ``label_matrix``, the
-    sorted ``labels``, plus the cosines: ``{label: float}`` for a D vector,
-    ``{label: (B,) column}`` for a B x D matrix."""
+def candidate_probabilities(embeddings, label_matrix: np.ndarray):
+    """Softmax over temperature-scaled cosines with the rows of ``label_matrix``, plus
+    the cosines: (C,) arrays for a D vector, (B, C) arrays for a B x D matrix."""
     e = np.asarray(embeddings, dtype=np.float32)
     if e.ndim != 2:
         e = as_embedding(e)
     elif not np.all(np.isfinite(e)):
         raise ValueError("embeddings contain non-finite entries")
     cos, _, _ = label_cosines(e, label_matrix)
-    probs = softmax(TEMPERATURE * cos)
-    return dict(zip(labels, probs.tolist() if probs.ndim == 1 else probs.T)), cos
+    return softmax(TEMPERATURE * cos), cos
 
 
 def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict:
-    """Softmax over temperature-scaled cosine similarities for each candidate, of a
-    D vector or of each row of a B x D matrix (``candidate_probabilities``)."""
+    """Softmax over temperature-scaled cosine similarities for each candidate:
+    ``{label: float}`` for a D vector, ``{label: (B,) column}`` for a B x D matrix."""
     labels = sorted(candidates)
-    return candidate_probabilities(e_x, table.matrix(labels), labels)[0]
+    probs, _ = candidate_probabilities(e_x, table.matrix(labels))
+    return dict(zip(labels, probs.tolist() if probs.ndim == 1 else probs.T))
 
 
 def argmax_label(dist: dict[int, float]) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compression
-from .core import argmax_label, candidate_probabilities, zero_shot_probabilities
+from .core import candidate_probabilities, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
@@ -108,7 +108,8 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
         groups = [list(g) for g in np.array_split(classes, class_groups) if len(g)]
         stages = []
         for i, group in enumerate(groups):
-            ids = [j for j, label in enumerate(labels) if label in set(int(g) for g in group)]
+            members = {int(g) for g in group}
+            ids = [j for j, label in enumerate(labels) if label in members]
             ids = [int(j) for j in rng.permutation(ids)]
             stages.append(StreamStage(i + 1, ids, suites))
         return stages
@@ -180,6 +181,7 @@ class Engine:
         self.opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
         self.tracker = ClassAccuracyTracker(decay=config.ema_decay)
         self.store = ReplayStore()
+        self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
 
     # -- training -----------------------------------------------------------
 
@@ -202,12 +204,13 @@ class Engine:
         tokens = self.dataset.tokens(sample_index)
         label = self.dataset.samples[sample_index][1]
         sid = self.store.insert(label, self._payload(tokens))
-        candidates = self.store.seen_labels()
-        p_t = self.tuned_probabilities(tokens, candidates)
-        p_o = self.frozen_probabilities(tokens, candidates)
-        self.tracker.ema_update(label,
-                                argmax_label(p_t) == label,
-                                argmax_label(p_o) == label)
+        # The decoded embedding and the CLS row, scored as one two-row batch.
+        columns = zero_shot_probabilities(np.stack([decode(tokens, self.params), tokens[0]]),
+                                          self.table, self.store.seen_labels())
+        labels = list(columns)
+        # argmax takes the first maximum: ties go to the lowest label id.
+        tuned, frozen = np.array(list(columns.values())).argmax(axis=0)
+        self.tracker.ema_update(label, labels[tuned] == label, labels[frozen] == label)
         online_update(sid, self.store, self.params, self.opt, self.table,
                       self.config.sampler, self.rng, beta=self.config.beta)
 
@@ -218,61 +221,69 @@ class Engine:
         return [items[i:i + size] for i in range(0, len(items), size)]
 
     def _nn_loo_maps(self):
-        tokens = [self.store.tokens(sid) for sid in range(len(self.store))]
-        labels = [self.store.label(sid) for sid in range(len(self.store))]
-        decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
-        return (nn_loo_confidence(list(zip(decoded, labels))),
-                nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)]))
+        """The nn-loo (tuned, frozen) confidence maps of the stored samples, built once
+        per store and decoder state: every ``process`` inserts a sample and steps."""
+        key = (len(self.store), self.opt.step)
+        if self._nn_cache[0] != key:
+            tokens = [self.store.tokens(sid) for sid in range(len(self.store))]
+            labels = [self.store.label(sid) for sid in range(len(self.store))]
+            decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
+            self._nn_cache = (key, (
+                nn_loo_confidence(list(zip(decoded, labels))),
+                nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])))
+        return self._nn_cache[1]
 
     def predict(self, tokens, candidates, nn_maps=None):
-        """Combined candidate distribution of a token matrix under the configured
-        weighting, or a list of them for a list of token matrices, scored as one batch."""
+        """Combined ``{label: prob}`` distribution of a token matrix under the configured
+        weighting, or a list for a list of matrices, each a row of one (B, C) array."""
         labels = sorted(candidates)
         matrices = tokens if isinstance(tokens, list) else [tokens]
-        dist = self._batch_prediction(matrices, labels, nn_maps)
-        dists = [dict(zip(labels, row)) for row in np.array([dist[y] for y in labels]).T.tolist()]
+        probs = self._batch_prediction(matrices, labels, nn_maps)
+        dists = [dict(zip(labels, row)) for row in probs.tolist()]
         return dists if isinstance(tokens, list) else dists[0]
 
-    def _batch_prediction(self, matrices, labels, nn_maps) -> dict:
-        """``{label: (B,) column}`` of B token matrices from one frozen and one tuned cosine
-        product; a mixing weighting picks the confidence pairs ``combined_prediction`` mixes by."""
+    def _batch_prediction(self, matrices, labels, nn_maps) -> np.ndarray:
+        """(B, C) distributions of B token matrices from one frozen and one tuned cosine
+        product; a mixing weighting picks the pairs ``combined_prediction`` mixes by."""
         mat = self.table.matrix(labels)
         cls = np.array([t[0] for t in matrices], dtype=np.float32)
-        p_o, _ = candidate_probabilities(cls, mat, labels)
+        p_o, _ = candidate_probabilities(cls, mat)
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        p_t, cos_t = candidate_probabilities(decode(matrices, self.params), mat, labels)
+        p_t, cos_t = candidate_probabilities(decode(matrices, self.params), mat)
         if strategy == "tuned-only":
             return p_t
         seen = self.tracker.seen_labels()
         if strategy == "aim":
-            return mix_predictions(p_t, p_o, dict.fromkeys(labels, aim_alpha(p_o, seen)))
+            return mix_predictions(p_t, p_o, aim_alpha(p_o, labels, seen))
 
         pov = None
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
             if self.config.p_other_weighting:
                 logits = augmented_logits(cos_t, self.params.other_logit)
-                pov = np.array([p_other(row) for row in logits])
+                pov = np.array([[p_other(row)] for row in logits])
         elif strategy == "nn-loo":
             conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
             confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
         else:  # ocw-binary: the tuned model once every candidate is trained
             confidence = {}
-        return combined_prediction(p_t, p_o, confidence, labels,
-                                   all_candidates_seen=set(labels) <= seen,
-                                   eps=self.tracker.eps, p_other_value=pov)
+        mixed = combined_prediction(p_t, p_o, confidence, labels,
+                                    all_candidates_seen=set(labels) <= seen,
+                                    eps=self.tracker.eps, p_other_value=pov)
+        return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, dict[int, dict]]:
-        """Accuracy and per-sample distributions, scored one ``batch_size`` chunk at a time."""
+        """Accuracy and per-sample distributions, one ``predict`` per ``batch_size`` chunk."""
         nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None
         predictions = {}
         for ids in self._chunks(suite.sample_ids):
             tokens = [self.dataset.tokens(idx) for idx in ids]
             predictions.update(zip(ids, self.predict(tokens, suite.candidates, nn_maps)))
-        hits = sum(argmax_label(predictions[idx]) == self.dataset.samples[idx][1]
-                   for idx in suite.sample_ids)
+        # max keeps the first maximum in sorted-label order: ties go to the lowest label id.
+        winners = {idx: max(dist, key=dist.get) for idx, dist in predictions.items()}
+        hits = sum(winners[idx] == self.dataset.samples[idx][1] for idx in suite.sample_ids)
         accuracy = hits / len(suite.sample_ids) if suite.sample_ids else 0.0
         return accuracy, predictions
 

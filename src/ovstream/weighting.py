@@ -1,12 +1,13 @@
 """Per-class accuracy tracking and model-vote weighting.
 
-The two models' candidate distributions are mixed per label by one rule,
-``alpha = c_t / (c_t + c_o + eps)`` (:func:`alpha`). Weightings differ only
+The two models' (B, C) candidate distributions are mixed per label by one
+rule, ``alpha = c_t / (c_t + c_o + eps)`` (:func:`alpha`). Weightings differ only
 in the source of the ``(c_t, c_o)`` pairs: the tracker's EMA accuracies
 (OCW, updated once per training sample before the parameter update),
 leave-one-out nearest-neighbour accuracy (:func:`nn_loo_confidence`), or
 none (binary). :func:`p_other` optionally discounts ``c_t``; the zero-shot
-seen-mass baseline (:func:`aim_alpha`) is one global alpha.
+seen-mass baseline (:func:`aim_alpha`) is one alpha per sample. Every sum
+across labels adds in label order (:func:`label_sum`), as Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -83,61 +84,66 @@ class ClassAccuracyTracker:
         return tracker
 
 
-def alpha(confidence: dict[int, tuple[float, float]], label: int,
+def alpha(confidence: dict[int, tuple[float, float]], labels,
           all_candidates_seen: bool = False, eps: float = 1e-8,
-          p_other_value=None):
-    """Tuned-model weight of one label: 1 when every candidate has been trained,
-    0 without a ``(c_t, c_o)`` pair in ``confidence``, else ``c_t / (c_t + c_o + eps)``
-    with ``c_t`` first discounted by ``p_other_value`` (a float or a (B,) column) when given."""
+          p_other_value=None) -> np.ndarray:
+    """Tuned-model weight of each of the sorted ``labels``, a (C,) array: 1 when every
+    candidate has been trained, 0 without a ``(c_t, c_o)`` pair in ``confidence``, else
+    ``c_t / (c_t + c_o + eps)``. A (B, 1) ``p_other_value`` first discounts each
+    sample's ``c_t`` by its OTHER probability, giving (B, C)."""
     if all_candidates_seen:
-        return 1.0
-    if label not in confidence:
-        return 0.0
-    c_t, c_o = confidence[label]
+        return np.ones(len(labels))
+    # A label without a pair scores (0, 1), whose weight is exactly 0.
+    c_t, c_o = np.array([confidence.get(y, (0.0, 1.0)) for y in labels], float).reshape(-1, 2).T
     if p_other_value is not None:
         c_t = (1.0 - p_other_value) * c_t
     return c_t / (c_t + c_o + eps)
 
 
-def combined_prediction(p_tuned: dict, p_frozen: dict,
-                        confidence: dict[int, tuple[float, float]], candidates,
+def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray,
+                        confidence: dict[int, tuple[float, float]], labels,
                         all_candidates_seen: bool = False, eps: float = 1e-8,
                         p_other_value=None) -> dict:
-    """Per-label mix of the two distributions by :func:`alpha`, renormalized over the candidates."""
-    alphas = {label: alpha(confidence, label, all_candidates_seen, eps, p_other_value)
-              for label in sorted(candidates)}
-    return mix_predictions(p_tuned, p_frozen, alphas)
+    """Mix of two (B, C) distributions over the sorted ``labels`` by :func:`alpha`,
+    renormalized, as ``{label: (B,) column}`` views of the one (B, C) result."""
+    alphas = alpha(confidence, labels, all_candidates_seen, eps, p_other_value)
+    return dict(zip(labels, mix_predictions(p_tuned, p_frozen, alphas).T))
 
 
-def mix_predictions(p_tuned: dict, p_frozen: dict, alphas: dict) -> dict:
-    """``a * p_tuned + (1 - a) * p_frozen`` per label (``alphas[label] = a``), renormalized.
+def label_sum(values: np.ndarray) -> np.ndarray:
+    """Sums over the last (label) axis, kept as a length-1 axis, added left to right
+    as Python's ``sum`` adds; ``ndarray.sum`` adds in pairs and can round differently."""
+    return np.cumsum(values, axis=-1)[..., -1:]
 
-    Values and alphas are floats or (B,) columns of B samples (see ``core``).
-    A sample whose every ``a`` is 0 (or every one is 1) gets its frozen (tuned)
-    values back unchanged, so the untouched model's output is kept bit for bit.
+
+def mix_predictions(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas) -> np.ndarray:
+    """``a * p_tuned + (1 - a) * p_frozen`` of (B, C) distributions, renormalized per row.
+
+    ``alphas`` is a (C,) per-label, (B, 1) per-sample or (B, C) array. A row
+    whose every ``a`` is 0 (or every one is 1) gets its frozen (tuned) row back
+    unchanged, so the untouched model's output is kept bit for bit.
     """
-    labels = sorted(alphas)
-    if sorted(p_tuned) != labels or sorted(p_frozen) != labels:
+    if p_tuned.shape != p_frozen.shape:
         raise ValueError("distributions must cover exactly the candidate set")
-    frozen = sum(alphas[y] != 0.0 for y in labels) == 0  # per sample when alphas are columns
-    tuned = sum(alphas[y] != 1.0 for y in labels) == 0
-    if np.all(frozen):
-        return dict(p_frozen)
-    if np.all(tuned):
-        return dict(p_tuned)
-    mixed = {
-        label: alphas[label] * p_tuned[label] + (1.0 - alphas[label]) * p_frozen[label]
-        for label in labels
-    }
-    total = sum(mixed.values())
-    if np.ndim(frozen):  # a corner sample's mix is its input (0 * p + 1 * q == q)
-        total = np.where(frozen | tuned, 1.0, total)
-    return {label: value / total for label, value in mixed.items()}
+    a = np.broadcast_to(alphas, p_tuned.shape)
+    frozen = ~a.any(axis=-1)
+    tuned = (a == 1.0).all(axis=-1)
+    if frozen.all():
+        return p_frozen
+    if tuned.all():
+        return p_tuned
+    mixed = a * p_tuned + (1.0 - a) * p_frozen
+    # A corner row's mix is its input (0 * p + 1 * q == q), so it is divided by 1.
+    total = np.where((frozen | tuned)[..., None], 1.0, label_sum(mixed))
+    if not total.all():
+        raise ZeroDivisionError("mixed distribution has zero mass")
+    return mixed / total
 
 
-def aim_alpha(p_frozen: dict, seen_set):
-    """Zero-shot probability mass on already-trained labels, as a global alpha."""
-    return sum((p for label, p in p_frozen.items() if label in seen_set), 0.0)
+def aim_alpha(p_frozen: np.ndarray, labels, seen_set) -> np.ndarray:
+    """Zero-shot probability mass on already-trained labels, one alpha per sample:
+    (B, 1) for (B, C) distributions over the sorted ``labels``."""
+    return label_sum(np.where([y in seen_set for y in labels], p_frozen, 0.0))
 
 
 def nn_loo_confidence(exemplars) -> dict[int, float]:

@@ -1,11 +1,13 @@
 """Stream construction, the online engine loop, and the incremental metrics."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from ovstream import compression, protocols
-from ovstream.core import TEMPERATURE, argmax_label
-from ovstream.data import SyntheticSpec, generate
+from ovstream import compression, core, protocols
+from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label
+from ovstream.data import Dataset, SyntheticSpec, generate
 from ovstream.decoder import decode
 from ovstream.protocols import (
     Engine,
@@ -16,7 +18,7 @@ from ovstream.protocols import (
     mtil_metrics,
     run_stream,
 )
-from ovstream.replay import SamplerConfig
+from ovstream.replay import ReplayStore, SamplerConfig
 
 
 def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
@@ -24,6 +26,16 @@ def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
     return generate(SyntheticSpec(num_classes=num_classes,
                                   samples_per_class=samples_per_class,
                                   dim=dim, tokens=tokens, seed=seed, **kw))
+
+
+def _tied_dataset(seed=0):
+    """Six classes whose label pairs (0, 1) and (2, 3) share one embedding, so their
+    scores tie exactly, with the samples in shuffled order."""
+    ds = _dataset(num_classes=6, samples_per_class=4, seed=seed, noise=0.3)
+    rows = {y: ds.label_table.embedding(y) for y in ds.labels()}
+    rows[1], rows[3] = rows[0], rows[2]
+    order = np.random.default_rng(seed).permutation(len(ds.samples))
+    return Dataset(LabelEmbeddingTable(rows), [ds.samples[i] for i in order])
 
 
 def _fast_config(**kw):
@@ -50,6 +62,20 @@ class TestBuildStream:
             labels = {ds.samples[i][1] for i in stage.sample_ids}
             assert labels == {2 * g, 2 * g + 1}
             assert len(stage.sample_ids) == 6
+
+    def test_class_incremental_stages_unchanged_on_shuffled_labels(self):
+        # Labels interleaved through the dataset, groups of unequal size: each
+        # stage holds exactly its group's samples, in the seeded order.
+        ds = _tied_dataset(seed=3)
+        stream = build_stream(ds, "class_incremental", seed=4, class_groups=4)
+        labels = [label for _, label in ds.samples]
+        rng = np.random.default_rng(np.random.SeedSequence([4, 0x5EED]))
+        expect = []
+        for group in np.array_split(sorted(set(labels)), 4):
+            ids = [j for j, label in enumerate(labels) if label in {int(g) for g in group}]
+            expect.append([int(j) for j in rng.permutation(ids)])
+        assert [s.sample_ids for s in stream] == expect
+        assert [len(ids) for ids in expect] == [8, 8, 4, 4]
 
     def test_task_incremental_follows_partition(self):
         ds = _dataset(num_classes=4, samples_per_class=2)
@@ -226,6 +252,112 @@ class TestEngineRun:
         assert predicts == [4, 4, 4, 4, 4, 4, 1]
         # The ten stored samples for the nn-loo maps, then one per predict.
         assert decodes == [4, 4, 2] + predicts
+
+    def test_nn_loo_maps_rebuilt_when_store_or_decoder_changes(self):
+        ds = _dataset(num_classes=5, samples_per_class=4, seed=20)
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=20))
+        suite = EvalSuite("all", list(range(len(ds.samples))), set(range(5)))
+        for stage in build_stream(ds, "data_incremental", seed=20, fractions=(25, 50, 100)):
+            for idx in stage.sample_ids:
+                engine.process(idx)
+            cached = engine._nn_loo_maps()
+            engine._nn_cache = (None, None)
+            assert cached == engine._nn_loo_maps()
+            engine.evaluate_suite(suite)
+
+    def test_second_suite_at_a_stage_decodes_no_stored_sample(self, monkeypatch):
+        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=19))  # batch_size 4
+        for idx in range(10):
+            engine.process(idx)
+        suite = EvalSuite("all", list(range(25)), set(range(5)))
+        first = engine.evaluate_suite(suite)
+        decodes, reads = [], []
+        monkeypatch.setattr(protocols, "decode",
+                            lambda tokens, params: decodes.append(len(tokens))
+                            or decode(tokens, params))
+        original = ReplayStore.tokens
+        monkeypatch.setattr(ReplayStore, "tokens",
+                            lambda self, sid: reads.append(sid) or original(self, sid))
+        assert engine.evaluate_suite(suite) == first
+        assert decodes == [4, 4, 4, 4, 4, 4, 1] and reads == []
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_winners_follow_argmax_label(self, weighting):
+        # Labels 0 and 1 (2 and 3) tie exactly in both scorers; the winner is
+        # argmax_label's on the returned dict, the lowest label id on a tie.
+        ds = _tied_dataset(seed=22)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=22))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label in (0, 1, 4) and idx % 3:
+                engine.process(idx)
+        ids = list(range(len(ds.samples)))
+        ties = 0
+        for suite in (EvalSuite("all", ids, set(range(6))), EvalSuite("one", ids, {3})):
+            accuracy, predictions = engine.evaluate_suite(suite)
+            hits = 0
+            for idx in ids:
+                dist = predictions[idx]
+                best = max(dist.values())
+                ties += sum(p == best for p in dist.values()) > 1
+                hits += argmax_label(dist) == ds.samples[idx][1]
+            assert accuracy == hits / len(ids)
+        if weighting in ("frozen-only", "tuned-only", "aim", "ocw-binary"):
+            assert ties > 0
+        assert engine.evaluate_suite(EvalSuite("one", ids, {3}))[0] == 1 / 6
+
+    def test_process_updates_tracker_as_argmax_label_of_both_scorers(self):
+        ds = _tied_dataset(seed=23)
+        for variant in ("linear", "block"):
+            engine = Engine(ds, _fast_config(decoder_variant=variant, seed=23))
+            ref = protocols.ClassAccuracyTracker(decay=engine.tracker.decay)
+            outcomes = set()
+            for idx, (tokens, label) in enumerate(ds.samples):
+                candidates = set(engine.store.seen_labels()) | {label}
+                tuned = argmax_label(engine.tuned_probabilities(ds.tokens(idx), candidates))
+                frozen = argmax_label(engine.frozen_probabilities(ds.tokens(idx), candidates))
+                ref.ema_update(label, tuned == label, frozen == label)
+                outcomes.add((tuned == label, frozen == label))
+                engine.process(idx)
+                assert engine.tracker.stats == ref.stats
+            assert len(outcomes) > 1
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_runs_without_argmax_label(self, monkeypatch, weighting):
+        def refuse(dist):
+            raise AssertionError("argmax_label called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ovstream" and getattr(module, "argmax_label", None):
+                monkeypatch.setattr(module, "argmax_label", refuse)
+        assert core.argmax_label is refuse
+        ds = _dataset(num_classes=4, samples_per_class=3, seed=24)
+        stream = build_stream(ds, "data_incremental", seed=24, fractions=(50, 100))
+        record = run_stream(ds, stream, _fast_config(weighting=weighting, seed=24))
+        assert len(record.rows) == 3
+
+    @pytest.mark.parametrize("weighting", ["ocw", "ocw-binary", "nn-loo"])
+    def test_predictions_are_combined_predictions_result(self, monkeypatch, weighting):
+        # The engine's distributions are the values combined_prediction returns:
+        # a 1e-15 nudge to them changes every prediction, the benchmark's
+        # never-trained check included.
+        ds = _dataset(num_classes=6, samples_per_class=4, seed=25)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=25))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3:
+                engine.process(idx)
+        ids = list(range(len(ds.samples)))
+        suites = [EvalSuite("all", ids, set(range(6))), EvalSuite("unseen", ids, {3, 4, 5})]
+        before = [engine.evaluate_suite(suite)[1] for suite in suites]
+        original = protocols.combined_prediction
+
+        def nudged(*args, **kwargs):
+            return {y: p * (1 + 1e-15) for y, p in original(*args, **kwargs).items()}
+
+        monkeypatch.setattr(protocols, "combined_prediction", nudged)
+        after = [engine.evaluate_suite(suite)[1] for suite in suites]
+        for old, new in zip(before, after):
+            assert all(old[idx] != new[idx] for idx in ids)
 
     def test_compression_modes_run(self):
         ds = _dataset(num_classes=3, samples_per_class=3, dim=12, tokens=5,

@@ -11,6 +11,7 @@ from ovstream.weighting import (
     aim_alpha,
     alpha,
     combined_prediction,
+    label_sum,
     mix_predictions,
     nn_loo_confidence,
     p_other,
@@ -83,52 +84,62 @@ class TestTracker:
 
 class TestAlpha:
     def test_unseen_label_is_all_frozen(self):
-        assert alpha({}, 7) == 0.0
-        assert alpha({0: (0.8, 0.2)}, 7) == 0.0
+        assert alpha({}, [7]).tolist() == [0.0]
+        assert alpha({0: (0.8, 0.2)}, [0, 7])[1] == 0.0
 
     def test_all_candidates_seen_is_all_tuned(self):
-        assert alpha({0: (0.8, 0.2)}, 0, all_candidates_seen=True) == 1.0
-        assert alpha({}, 0, all_candidates_seen=True) == 1.0
+        assert alpha({0: (0.8, 0.2)}, [0], all_candidates_seen=True).tolist() == [1.0]
+        assert alpha({}, [0, 3], all_candidates_seen=True).tolist() == [1.0, 1.0]
 
     def test_ratio_formula(self):
-        a_t = alpha({0: (0.8, 0.2)}, 0)
+        a_t = alpha({0: (0.8, 0.2)}, [0])[0]
         assert a_t == 0.8 / (0.8 + 0.2 + 1e-8)
-        assert alpha({0: (0.8, 0.2)}, 0, eps=0.5) == 0.8 / 1.5
+        assert alpha({0: (0.8, 0.2)}, [0], eps=0.5)[0] == 0.8 / 1.5
 
     def test_p_other_discounts_tuned(self):
-        a_plain = alpha({0: (0.8, 0.2)}, 0)
-        a_disc = alpha({0: (0.8, 0.2)}, 0, p_other_value=0.5)
-        assert a_disc == pytest.approx(0.4 / (0.6 + 1e-8), rel=1e-9)
-        assert a_disc < a_plain
+        # A (B, 1) p_other column gives each sample its own row of alphas.
+        a_plain = alpha({0: (0.8, 0.2)}, [0, 1])
+        a_disc = alpha({0: (0.8, 0.2)}, [0, 1], p_other_value=np.array([[0.5], [0.0]]))
+        assert a_disc.shape == (2, 2)
+        assert a_disc[0, 0] == pytest.approx(0.4 / (0.6 + 1e-8), rel=1e-9)
+        assert a_disc[0, 0] < a_plain[0]
+        assert a_disc[1].tolist() == a_plain.tolist() == [a_plain[0], 0.0]
 
     def test_both_zero_accuracy(self):
-        assert alpha({0: (0.0, 0.0)}, 0) == 0.0
+        assert alpha({0: (0.0, 0.0)}, [0]).tolist() == [0.0]
+
+
+def _columns(out, labels):
+    """The (B, C) array of a ``{label: (B,) column}`` result, in label order."""
+    assert list(out) == list(labels)
+    return np.array([out[y] for y in labels]).T
 
 
 class TestCombinedPrediction:
     def test_all_unseen_returns_frozen_bit_exact(self):
-        p_t = {0: 0.9, 1: 0.1}
-        p_f = {0: 0.123456789, 1: 0.876543211}
+        p_t = np.array([[0.9, 0.1]])
+        p_f = np.array([[0.123456789, 0.876543211]])
         out = combined_prediction(p_t, p_f, {}, [0, 1])
-        assert out == p_f
+        assert _columns(out, [0, 1]).tolist() == p_f.tolist()
 
     def test_all_seen_flag_returns_tuned_bit_exact(self):
-        p_t = {0: 0.7, 1: 0.3}
-        out = combined_prediction(p_t, {0: 0.5, 1: 0.5}, {0: (1.0, 1.0), 1: (1.0, 1.0)},
-                                  [0, 1], all_candidates_seen=True)
-        assert out == p_t
+        p_t = np.array([[0.7, 0.3]])
+        out = combined_prediction(p_t, np.array([[0.5, 0.5]]),
+                                  {0: (1.0, 1.0), 1: (1.0, 1.0)}, [0, 1],
+                                  all_candidates_seen=True)
+        assert _columns(out, [0, 1]).tolist() == p_t.tolist()
 
     def test_hand_computed_mix(self):
         # Label 0 has c_t = c_o = 1 -> alpha = 1/(2 + eps); label 1 has no
         # pair -> alpha 0.
-        p_t = {0: 1.0, 1: 0.0}
-        p_f = {0: 0.1, 1: 0.9}
+        p_t = np.array([[1.0, 0.0]])
+        p_f = np.array([[0.1, 0.9]])
         out = combined_prediction(p_t, p_f, {0: (1.0, 1.0)}, [0, 1])
         x = 1.0 / (2.0 + 1e-8)
         raw0 = x * 1.0 + (1 - x) * 0.1
         raw1 = 0.9
-        assert out[0] == pytest.approx(raw0 / (raw0 + raw1), rel=1e-9)
-        assert out[1] == pytest.approx(raw1 / (raw0 + raw1), rel=1e-9)
+        assert out[0][0] == pytest.approx(raw0 / (raw0 + raw1), rel=1e-9)
+        assert out[1][0] == pytest.approx(raw1 / (raw0 + raw1), rel=1e-9)
 
     def test_tracker_accuracies_as_confidence(self):
         # The OCW source: the tracker's (c_t, c_o) for its seen labels.
@@ -136,69 +147,85 @@ class TestCombinedPrediction:
         tracker.ema_update(0, True, False)
         tracker.ema_update(1, False, True)
         confidence = {y: tracker.accuracies(y) for y in tracker.seen_labels()}
-        p_t = {0: 0.6, 1: 0.3, 2: 0.1}
-        p_f = {0: 0.2, 1: 0.5, 2: 0.3}
+        p_t = np.array([[0.6, 0.3, 0.1]])
+        p_f = np.array([[0.2, 0.5, 0.3]])
         out = combined_prediction(p_t, p_f, confidence, [0, 1, 2], eps=tracker.eps)
         a0 = 1.0 / (1.0 + tracker.eps)
         raw = {0: a0 * 0.6 + (1 - a0) * 0.2, 1: 0.5, 2: 0.3}
         total = sum(raw.values())
-        assert out == {y: v / total for y, v in raw.items()}
+        assert {y: float(v[0]) for y, v in out.items()} == {y: v / total for y, v in raw.items()}
 
     def test_output_normalized(self):
-        out = combined_prediction({0: 0.6, 1: 0.4}, {0: 0.2, 1: 0.8},
+        out = combined_prediction(np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]),
                                   {0: (1.0, 0.0)}, [0, 1])
-        assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
+        assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_candidate_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combined_prediction({0: 1.0}, {0: 0.5, 1: 0.5}, {}, [0, 1])
+            combined_prediction(np.array([[1.0]]), np.array([[0.5, 0.5]]), {}, [0, 1])
+        with pytest.raises(ValueError):  # alphas for three labels, columns for two
+            combined_prediction(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
+                                {0: (1.0, 0.0)}, [0, 1, 2])
+
+    def test_zero_mass_raises(self):
+        # The scorers' distributions are strictly positive; a hand-made mix
+        # with no mass has nothing to renormalize.
+        with pytest.raises(ZeroDivisionError):
+            mix_predictions(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]]), np.array([0.5, 0.0]))
 
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_mix_stays_normalized_for_any_accuracies(self, c_t, c_o):
-        out = combined_prediction({0: 0.25, 1: 0.75}, {0: 0.6, 1: 0.4},
+        out = combined_prediction(np.array([[0.25, 0.75]]), np.array([[0.6, 0.4]]),
                                   {0: (c_t, c_o), 1: (1.0, 1.0)}, [0, 1])
-        assert sum(out.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(v >= 0 for v in out.values())
+        assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-9)
+        assert all(v[0] >= 0 for v in out.values())
 
     def test_columns_mix_each_sample_as_alone(self):
-        # Sample 0's alphas are all 0, sample 1's all 1, sample 2 mixes, and
-        # sample 3 has 0 on one label and 1 on the other, which is no corner.
-        p_t = {0: np.array([0.9, 0.7, 0.6, 0.2]), 1: np.array([0.1, 0.3, 0.4, 0.8])}
-        p_f = {0: np.array([0.3, 0.4, 0.5, 0.6]), 1: np.array([0.7, 0.6, 0.5, 0.4])}
-        alphas = {0: np.array([0.0, 1.0, 0.25, 0.0]), 1: np.array([0.0, 1.0, 0.5, 1.0])}
+        # Row 0's alphas are all 0, row 1's all 1, row 2 mixes, and row 3 has
+        # 0 on one label and 1 on the other, which is no corner.
+        p_t = np.array([[0.9, 0.1], [0.7, 0.3], [0.6, 0.4], [0.2, 0.8]])
+        p_f = np.array([[0.3, 0.7], [0.4, 0.6], [0.5, 0.5], [0.6, 0.4]])
+        alphas = np.array([[0.0, 0.0], [1.0, 1.0], [0.25, 0.5], [0.0, 1.0]])
         out = mix_predictions(p_t, p_f, alphas)
         for i in range(4):
-            alone = mix_predictions({y: float(p_t[y][i]) for y in p_t},
-                                    {y: float(p_f[y][i]) for y in p_f},
-                                    {y: float(alphas[y][i]) for y in alphas})
-            assert {y: float(out[y][i]) for y in out} == alone
-        assert {y: float(out[y][0]) for y in out} == {y: float(p_f[y][0]) for y in p_f}
-        assert {y: float(out[y][1]) for y in out} == {y: float(p_t[y][1]) for y in p_t}
-        # A float alpha beside column alphas broadcasts over the samples.
-        out = mix_predictions(p_t, p_f, {0: 0.0, 1: np.array([0.0, 0.5, 0.0, 0.5])})
-        for y in p_f:
-            assert out[y][0] == p_f[y][0] and out[y][2] == p_f[y][2]
+            alone = mix_predictions(p_t[i:i + 1], p_f[i:i + 1], alphas[i:i + 1])
+            assert out[i].tolist() == alone[0].tolist()
+        assert out[0].tolist() == p_f[0].tolist()
+        assert out[1].tolist() == p_t[1].tolist()
+        # A (B, 1) per-sample alpha column broadcasts over the labels.
+        out = mix_predictions(p_t, p_f, np.array([[0.0], [0.5], [0.0], [0.5]]))
+        assert out[0].tolist() == p_f[0].tolist() and out[2].tolist() == p_f[2].tolist()
 
     def test_alpha_monotone_in_tuned_accuracy(self):
         # Fixing c_o, the tuned weight grows with c_t across a grid.
         prev = -1.0
         for c_t in np.linspace(0.0, 1.0, 21):
-            a_t = alpha({0: (float(c_t), 0.4)}, 0)
+            a_t = alpha({0: (float(c_t), 0.4)}, [0])[0]
             assert a_t >= prev
             prev = a_t
+
+    def test_label_sum_adds_in_python_order(self):
+        # Bit for bit Python's sum over labels, for one row and for many;
+        # ndarray.sum adds in pairs and differs on some of these.
+        gen = np.random.default_rng(4)
+        for _ in range(200):
+            b, c = int(gen.integers(1, 40)), int(gen.integers(1, 150))
+            values = gen.dirichlet(np.full(c, 0.3), size=b)
+            assert label_sum(values)[:, 0].tolist() == [sum(row) for row in values.tolist()]
 
 
 class TestAimAlpha:
     def test_sums_seen_mass(self):
-        p_f = {0: 0.5, 1: 0.3, 2: 0.2}
-        assert aim_alpha(p_f, {0, 2}) == pytest.approx(0.7)
+        p_f = np.array([[0.5, 0.3, 0.2]])
+        assert aim_alpha(p_f, [0, 1, 2], {0, 2})[0, 0] == pytest.approx(0.7)
 
     def test_no_seen_labels(self):
-        assert aim_alpha({0: 1.0}, set()) == 0.0
+        assert aim_alpha(np.array([[1.0]]), [0], set()).tolist() == [[0.0]]
 
     def test_columns_give_one_alpha_per_sample(self):
-        p_f = {0: np.array([0.5, 0.1]), 1: np.array([0.3, 0.6]), 2: np.array([0.2, 0.3])}
-        np.testing.assert_array_equal(aim_alpha(p_f, {0, 2}), [0.5 + 0.2, 0.1 + 0.3])
+        p_f = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        np.testing.assert_array_equal(aim_alpha(p_f, [0, 1, 2], {0, 2}),
+                                      [[0.5 + 0.2], [0.1 + 0.3]])
 
 
 def _nn_loo_loop(exemplars) -> dict[int, float]:
@@ -365,4 +392,5 @@ def test_zero_shot_scale_invariance_through_pipeline(rng):
     p2 = zero_shot_probabilities(1000.0 * x, table, range(5))
     for label in p1:
         assert abs(p1[label] - p2[label]) <= 1e-7
-    assert aim_alpha(p1, {0, 1}) == pytest.approx(aim_alpha(p2, {0, 1}), abs=1e-7)
+    a1, a2 = (aim_alpha(np.array([list(p.values())]), list(p), {0, 1}) for p in (p1, p2))
+    assert a1[0, 0] == pytest.approx(a2[0, 0], abs=1e-7)
