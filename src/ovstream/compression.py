@@ -76,12 +76,11 @@ def quantize(block, bit_width: int, per_row: bool = True) -> QuantizedBlock:
 
 
 def dequantize(block: QuantizedBlock) -> np.ndarray:
+    """Float32 block of a quantized one. Codes may carry leading batch axes; the
+    envelopes broadcast as (..., rows, 1), one per row or one for the matrix."""
     levels = (1 << block.bit_width) - 1
-    mins = block.mins.astype(np.float64)
-    maxs = block.maxs.astype(np.float64)
-    if block.per_row:
-        mins = mins[:, None]
-        maxs = maxs[:, None]
+    mins = block.mins.astype(np.float64)[..., None]
+    maxs = block.maxs.astype(np.float64)[..., None]
     out = mins + block.codes.astype(np.float64) * (maxs - mins) / levels
     return out.astype(np.float32)
 
@@ -175,15 +174,20 @@ def compress(tokens, n: int, quantized: bool = False, cls_weight: bool = False,
 
 
 def reconstruct(cf: CompressedFeature) -> np.ndarray:
-    """Token matrix approximation: coefficients @ components + mean."""
+    """Token matrix approximation: coefficients @ components + mean.
+
+    Blocks may carry one leading batch axis (records of one layout stacked);
+    the result is then a (B, T, D) stack, each matrix bit-equal to its
+    record's own reconstruction.
+    """
     mean = _block_array(cf.mean).astype(np.float64)
     coeff = _block_array(cf.coefficients).astype(np.float64)
     comp = _block_array(cf.components).astype(np.float64)
-    if not coeff.shape[1] == comp.shape[0] == cf.n or mean.shape[1] != comp.shape[1]:
+    if not coeff.shape[-1] == comp.shape[-2] == cf.n or mean.shape[-1] != comp.shape[-1]:
         raise FormatError(f"inconsistent block shapes {coeff.shape} / {comp.shape} / "
                           f"{mean.shape} for {cf.n} components")
     out = coeff @ comp + mean
-    if out.shape != cf.shape:
+    if out.shape[-2:] != cf.shape:
         raise FormatError(f"reconstructed shape {out.shape} != recorded {cf.shape}")
     return out.astype(np.float32)
 
@@ -214,18 +218,30 @@ def encode(tokens, mode: str, n: int, norm_gain=None, norm_bias=None):
 
 def to_tokens(payload) -> np.ndarray:
     """Token matrix of a payload: a raw matrix as it is (no copy), a compressed
-    record reconstructed."""
+    record reconstructed. Payloads stacked on a leading batch axis give a stack."""
     if isinstance(payload, CompressedFeature):
         return reconstruct(payload)
     return payload
 
 
 def checked_payload(payload):
-    """A payload fit to store: a compressed record as it is, anything else
-    validated as a token matrix."""
-    if isinstance(payload, CompressedFeature):
-        return payload
-    return as_token_matrix(payload)
+    """A payload fit to store: a compressed record whose blocks fit its ``n`` and
+    ``shape`` (one envelope per row, or one for the matrix), as it is; anything
+    else validated as a token matrix."""
+    if not isinstance(payload, CompressedFeature):
+        return as_token_matrix(payload)
+    t, d = payload.shape
+    blocks = (payload.mean, payload.coefficients, payload.components)
+    for block, shape in zip(blocks, ((1, d), (t, payload.n), (payload.n, d))):
+        codes = block.codes if isinstance(block, QuantizedBlock) else block
+        fits = np.shape(codes) == shape
+        if isinstance(block, QuantizedBlock):
+            envelopes = (shape[0] if block.per_row else 1,)
+            fits = fits and np.shape(block.mins) == np.shape(block.maxs) == envelopes
+        if not fits:
+            raise ValueError(f"block of shape {np.shape(codes)} does not fit a "
+                             f"{payload.shape} record of {payload.n} components")
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ class Engine:
         per store and decoder state: every ``process`` inserts a sample and steps."""
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
-            tokens = [self.store.tokens(sid) for sid in range(len(self.store))]
-            labels = [self.store.label(sid) for sid in range(len(self.store))]
+            ids = range(len(self.store))
+            tokens, labels = self.store.tokens(ids), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._nn_cache = (key, (
                 nn_loo_confidence(list(zip(decoded, labels))),
@@ -263,7 +263,7 @@ class Engine:
             confidence = {y: self.tracker.accuracies(y) for y in seen}
             if self.config.p_other_weighting:
                 logits = augmented_logits(cos_t, self.params.other_logit)
-                pov = np.array([[p_other(row)] for row in logits])
+                pov = p_other(logits)[:, None]
         elif strategy == "nn-loo":
             conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
             confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}

@@ -1,8 +1,16 @@
 """Replay store: holds training samples and composes batches for online updates.
 
-Payloads are whatever :func:`ovstream.compression.encode` stored: raw token
-matrices or compressed records; ``tokens()`` reads them back through
-:func:`ovstream.compression.to_tokens`.
+The store is columnar: labels, batch counts and FWS weights are growing
+numpy arrays, with one id array per class. Payloads are whatever
+:func:`ovstream.compression.encode` stored (raw token matrices or compressed
+records), their arrays stacked on a leading sample axis in one group per
+payload layout. The first insert fixes the token shape (T, D); an insert of
+another shape, or of a record whose blocks do not fit it, raises.
+``tokens(ids)`` gathers a group's rows with one index array and reads them
+back with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``),
+so a training step decodes its batch at once. Decoded matrices are never
+cached.
+
 Four sampling strategies are supported: FIFO, Uniform, ClassBalanced, and
 frequency-weighted sampling (FWS) whose per-sample weight decays by a
 multiplier each time the sample lands in a batch.
@@ -11,7 +19,7 @@ multiplier each time the sample lands in a batch.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,46 +47,155 @@ class SamplerConfig:
             raise ValueError("weight floor must be in (0, 1]")
 
 
-@dataclass
+class _Column:
+    """A growing array with a leading sample axis; ``values`` is the filled part."""
+
+    def __init__(self, row):
+        row = np.asarray(row)
+        self._data = np.empty((8,) + row.shape, row.dtype)
+        self.size = 0
+
+    def append(self, row) -> None:
+        if self.size == len(self._data):
+            self._data = np.concatenate([self._data, np.empty_like(self._data)])
+        self._data[self.size] = row
+        self.size += 1
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._data[:self.size]
+
+
+def _split(payload):
+    """Layout key and arrays of a payload: payloads of one key stack on a sample axis."""
+    if not isinstance(payload, compression.CompressedFeature):
+        return ("raw", payload.dtype.str), [payload]
+    layout, arrays = [payload.n], []
+    for block in (payload.mean, payload.coefficients, payload.components):
+        if isinstance(block, compression.QuantizedBlock):
+            layout.append((block.bit_width, block.per_row))
+            arrays += [block.codes, block.mins, block.maxs]
+        else:
+            layout.append(None)
+            arrays.append(block)
+    return tuple(layout) + tuple(a.dtype.str for a in arrays), arrays
+
+
+def _join(key, shape, arrays):
+    """The payload of ``_split``'s key and arrays, with any leading sample axis kept."""
+    if key[0] == "raw":
+        return arrays[0]
+    rest = iter(arrays)
+    blocks = [next(rest) if layout is None
+              else compression.QuantizedBlock(next(rest), next(rest), next(rest), *layout)
+              for layout in key[1:4]]
+    return compression.CompressedFeature(shape, key[0], *blocks)
+
+
+def _entry(column: str) -> property:
+    """A property reading and writing one sample's entry of a store column."""
+    def get(self):
+        return getattr(self._store, column).values[self.id].item()
+
+    def set_(self, value):
+        getattr(self._store, column).values[self.id] = value
+
+    return property(get, set_)
+
+
 class StoredSample:
-    id: int
-    label: int
-    payload: object  # np.ndarray token matrix or compression.CompressedFeature
-    batch_count: int = 0
-    fws_weight: float = 1.0
+    """A view of one stored sample: batch count and FWS weight write through to
+    the store's arrays, and the payload's arrays are views of the store's."""
+
+    batch_count = _entry("_counts")
+    fws_weight = _entry("_weights")
+
+    def __init__(self, store: "ReplayStore", sid: int):
+        self._store = store
+        self.id = sid
+        self.label = store.label(sid)
+
+    @property
+    def payload(self):
+        return self._store._payloads(*self._store._slots.values[self.id])
 
 
 class ReplayStore:
-    """Append-only sample store with class index and FWS weights."""
+    """Append-only columnar sample store with class index and FWS weights."""
 
     def __init__(self):
-        self._samples: list[StoredSample] = []
-        self._by_class: dict[int, list[int]] = {}
+        self._shape = None                     # (T, D), fixed by the first insert
+        self._labels = _Column(np.int64(0))
+        self._counts = _Column(np.int64(0))
+        self._weights = _Column(np.float64(0))
+        self._slots = _Column(np.zeros(2, np.int64))  # (payload group, row in it)
+        self._by_class: dict[int, _Column] = {}
+        self._layouts: list[tuple] = []        # layout key per payload group
+        self._columns: list[list[_Column]] = []  # payload arrays per group
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return self._labels.size
 
     def insert(self, label: int, payload) -> int:
+        label = int(label)
         payload = compression.checked_payload(payload)
-        sid = len(self._samples)
-        self._samples.append(StoredSample(sid, int(label), payload))
-        self._by_class.setdefault(int(label), []).append(sid)
+        shape = tuple(payload.shape)
+        if self._shape is None:
+            self._shape = shape
+        elif shape != self._shape:
+            raise ValueError(f"token shape {shape} != the store's {self._shape}")
+        key, arrays = _split(payload)
+        if key not in self._layouts:
+            self._layouts.append(key)
+            self._columns.append([_Column(a) for a in arrays])
+        group = self._layouts.index(key)
+        for column, a in zip(self._columns[group], arrays):
+            column.append(a)
+        sid = len(self)
+        self._slots.append((group, self._columns[group][0].size - 1))
+        self._labels.append(label)
+        self._counts.append(0)
+        self._weights.append(1.0)
+        self._by_class.setdefault(label, _Column(np.int64(0))).append(sid)
         return sid
 
-    def _get(self, sid: int) -> StoredSample:
-        if not 0 <= sid < len(self._samples):
+    def _check(self, sid: int) -> int:
+        if not 0 <= sid < len(self):
             raise ValueError(f"unknown sample id {sid}")
-        return self._samples[sid]
+        return sid
+
+    def _ids(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
+            raise ValueError(f"unknown sample id in {ids.tolist()}")
+        return ids
 
     def label(self, sid: int) -> int:
-        return self._get(sid).label
+        return int(self._labels.values[self._check(sid)])
+
+    def labels(self, ids) -> list[int]:
+        return self._labels.values[self._ids(ids)].tolist()
 
     def sample(self, sid: int) -> StoredSample:
-        return self._get(sid)
+        return StoredSample(self, self._check(sid))
 
-    def tokens(self, sid: int) -> np.ndarray:
-        """Sample payload as a token matrix, reconstructing compressed records."""
-        return compression.to_tokens(self._get(sid).payload)
+    def _payloads(self, group: int, rows):
+        """The payload at a row of a group, or the stacked payloads at an index array."""
+        return _join(self._layouts[group], self._shape,
+                     [column.values[rows] for column in self._columns[group]])
+
+    def tokens(self, ids) -> np.ndarray:
+        """(B, T, D) float32 token matrices of ``ids``, in order: one gather and one
+        ``to_tokens`` (one ``reconstruct`` for compressed records) per payload group."""
+        slots = self._slots.values[self._ids(ids)]
+        if len(self._layouts) == 1:  # one layout, as in a stream: no regrouping copy
+            return compression.to_tokens(self._payloads(0, slots[:, 1]))
+        out = np.empty((len(slots),) + (self._shape or (0, 0)), np.float32)
+        for group in range(len(self._layouts)):
+            mine = slots[:, 0] == group
+            if mine.any():
+                out[mine] = compression.to_tokens(self._payloads(group, slots[mine, 1]))
+        return out
 
     def seen_labels(self) -> list[int]:
         return sorted(self._by_class)
@@ -87,93 +204,100 @@ class ReplayStore:
 
     def compose_batch(self, new_id: int, config: SamplerConfig,
                       rng: np.random.Generator) -> list[int]:
-        """Batch of ids containing ``new_id`` exactly once plus replay companions."""
+        """Batch of ids containing ``new_id`` exactly once plus replay companions.
+
+        Companions come from the other ids in insertion order without listing
+        them: FIFO and Uniform map positions among the others to ids, FWS draws
+        from the weight array less ``new_id``, ClassBalanced from the class arrays.
+        """
         config.validate()
-        self._get(new_id)
-        others = [s.id for s in self._samples if s.id != new_id]
+        self._check(new_id)
+        n_others = len(self) - 1
         want = config.batch_size - 1
-        if want == 0 or not others:
+        if want == 0 or not n_others:
             return [new_id]
+        n = min(want, n_others)
 
         if config.strategy == "fifo":
-            companions = others[-min(want, len(others)):][::-1]
+            recent = range(len(self) - 1, -1, -1)[:n + 1]
+            companions = [i for i in recent if i != new_id][:n]
         elif config.strategy == "uniform":
-            n = min(want, len(others))
-            companions = [others[i] for i in rng.integers(0, len(others), size=n)]
+            picks = rng.integers(0, n_others, size=n)
+            companions = (picks + (picks >= new_id)).tolist()
         elif config.strategy == "fws":
-            n = min(want, len(others))
-            weights = np.array([self._samples[i].fws_weight for i in others])
+            others = np.delete(np.arange(len(self)), new_id)
+            weights = np.delete(self._weights.values, new_id)
             probs = weights / weights.sum()
-            companions = list(rng.choice(others, size=n, replace=False, p=probs))
+            companions = rng.choice(others, size=n, replace=False, p=probs).tolist()
         else:  # class_balanced
             companions = self._class_balanced(new_id, want, rng)
-        return [new_id] + [int(c) for c in companions]
+        return [new_id] + companions
 
     def _class_balanced(self, new_id: int, want: int, rng) -> list[int]:
         classes = self.seen_labels()
         k = min(want, len(classes))
-        chosen = list(rng.choice(classes, size=k, replace=False))
+        chosen = rng.choice(classes, size=k, replace=False).tolist()
         base, extra = divmod(want, k)
         companions = []
         for pos, label in enumerate(chosen):
             count = base + (1 if pos < extra else 0)
-            pool = [i for i in self._by_class[label] if i != new_id]
-            if not pool or count == 0:
+            pool = self._by_class[label].values
+            pool = pool[pool != new_id]
+            if not len(pool) or count == 0:
                 continue
-            if len(pool) >= count:
-                picks = rng.choice(pool, size=count, replace=False)
-            else:
-                picks = rng.choice(pool, size=count, replace=True)
-            companions.extend(int(p) for p in picks)
+            picks = rng.choice(pool, size=count, replace=len(pool) < count)
+            companions.extend(picks.tolist())
         return companions
 
     def record_batched(self, ids, config: SamplerConfig) -> None:
-        """Bump batch counts and decay FWS weights for every batched sample."""
-        for sid in ids:
-            s = self._get(sid)
-            s.batch_count += 1
-            # Recomputed from the count so the weight is exactly
-            # max(decay**batch_count, floor), free of accumulation error.
-            s.fws_weight = max(config.decay ** s.batch_count, config.weight_floor)
+        """Bump batch counts (twice for an id batched twice) and decay FWS weights."""
+        ids = self._ids(ids)
+        np.add.at(self._counts.values, ids, 1)
+        # Recomputed from the count in Python floats, so each weight is exactly
+        # max(decay**batch_count, floor), free of accumulation error. A repeated
+        # id writes the same weight twice.
+        self._weights.values[ids] = [max(config.decay ** count, config.weight_floor)
+                                     for count in self._counts.values[ids].tolist()]
 
     # -- persistence --------------------------------------------------------
 
     def save(self, payload_path, metadata_path) -> None:
         """Snapshot payloads to the binary container plus a CSV metadata sidecar."""
+        samples = [self.sample(sid) for sid in range(len(self))]
         with open(payload_path, "wb") as fh:
             fh.write(b"OVRS")
-            fh.write(len(self._samples).to_bytes(4, "little"))
-            for s in self._samples:
+            fh.write(len(samples).to_bytes(4, "little"))
+            for s in samples:
                 fh.write(compression.payload_to_bytes(s.payload))
         with open(metadata_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "label", "batch_count", "fws_weight"])
-            for s in self._samples:
+            for s in samples:
                 writer.writerow([s.id, s.label, s.batch_count, repr(s.fws_weight)])
 
     @classmethod
     def load(cls, payload_path, metadata_path) -> "ReplayStore":
-        store = cls()
+        """Read a snapshot back; any rejection, by the payload decoder or by
+        ``insert``, raises ``FormatError`` naming the record."""
         with open(payload_path, "rb") as fh:
             data = fh.read()
         if data[:4] != b"OVRS":
             raise FormatError("bad store magic at offset 0")
         count = int.from_bytes(data[4:8], "little")
-        payloads = []
-        off = 8
-        for _ in range(count):
-            payload, off = compression.payload_from_bytes(data, off)
-            payloads.append(payload)
         try:
             with open(metadata_path, newline="") as fh:
                 rows = list(csv.DictReader(fh))
-            if len(rows) != count:
-                raise FormatError("metadata row count does not match payload count")
-            for row, payload in zip(rows, payloads):
-                sid = store.insert(int(row["label"]), payload)
-                s = store._samples[sid]
-                s.batch_count = int(row["batch_count"])
-                s.fws_weight = float(row["fws_weight"])
-        except (KeyError, TypeError, ValueError, csv.Error) as exc:
-            raise FormatError(f"bad metadata row {len(store)}: {exc}") from exc
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"bad metadata: {exc}") from exc
+        if len(rows) != count:
+            raise FormatError("metadata row count does not match payload count")
+        store, off = cls(), 8
+        for sid, row in enumerate(rows):
+            try:
+                payload, off = compression.payload_from_bytes(data, off)
+                store.insert(int(row["label"]), payload)
+                s = store.sample(sid)
+                s.batch_count, s.fws_weight = int(row["batch_count"]), float(row["fws_weight"])
+            except (FormatError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise FormatError(f"bad store record {sid}: {exc}") from exc
         return store

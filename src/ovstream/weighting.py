@@ -169,10 +169,11 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
             for label in sorted(counts) if counts[label] >= 2}
 
 
-def p_other(logits) -> float:
-    """Softmax mass of the none-of-the-above option: the last entry of a
-    1-D augmented logit vector (``decoder.augmented_logits``)."""
+def p_other(logits):
+    """Softmax mass of the none-of-the-above option: the last entry of
+    (..., C+1) augmented logits (``decoder.augmented_logits``), one value per row
+    of a batch, in one row-wise softmax."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
+    if logits.ndim < 1 or logits.shape[-1] < 2:
         raise ValueError(f"expected candidate logits plus OTHER, got shape {logits.shape}")
-    return float(softmax(logits)[-1])
+    return softmax(logits)[..., -1]

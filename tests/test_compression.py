@@ -7,6 +7,7 @@ from ovstream.compression import (
     MODES,
     CompressedFeature,
     DatasetPcaCodec,
+    QuantizedBlock,
     cls_weighting,
     compress,
     dequantize,
@@ -226,6 +227,51 @@ class TestDatasetPcaCodec:
             DatasetPcaCodec(chunk_size=3, n_components=5)
         with pytest.raises(ValueError):
             DatasetPcaCodec.fit([], chunk_size=4, n_components=2)
+
+
+def _stacked(records):
+    """Records of one layout as one record whose blocks carry a leading batch axis."""
+    def stack(blocks):
+        if isinstance(blocks[0], QuantizedBlock):
+            return QuantizedBlock(*(np.stack([getattr(b, f) for b in blocks])
+                                    for f in ("codes", "mins", "maxs")),
+                                  blocks[0].bit_width, blocks[0].per_row)
+        return np.stack(blocks)
+    first = records[0]
+    return CompressedFeature(first.shape, first.n,
+                             *(stack([getattr(r, f) for r in records])
+                               for f in ("mean", "coefficients", "components")))
+
+
+class TestBatchAxis:
+    """A leading batch axis gives the stack of per-record results, bit for bit."""
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("per_row", [True, False])
+    def test_dequantize(self, rng, bits, per_row):
+        blocks = [quantize(rng.standard_normal((6, 9)), bits, per_row) for _ in range(7)]
+        got = dequantize(QuantizedBlock(np.stack([b.codes for b in blocks]),
+                                        np.stack([b.mins for b in blocks]),
+                                        np.stack([b.maxs for b in blocks]), bits, per_row))
+        want = np.stack([dequantize(b) for b in blocks])
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["float", "stored", (8, True), (8, False),
+                                        (16, True), (16, False)])
+    def test_reconstruct(self, rng, layout):
+        records = []
+        for _ in range(32):
+            cf = per_instance_pca(_tokens(rng, t=10, d=64), 5)
+            if layout == "stored":
+                cf = quantize_feature(cf)
+            elif layout != "float":
+                cf = CompressedFeature(cf.shape, cf.n, *(
+                    quantize(b, *layout) for b in (cf.mean, cf.coefficients, cf.components)))
+            records.append(cf)
+        got = reconstruct(_stacked(records))
+        want = np.stack([reconstruct(cf) for cf in records])
+        assert got.shape == (32, 10, 64) and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(to_tokens(_stacked(records[:1]))[0], reconstruct(records[0]))
 
 
 class TestStorageModes:

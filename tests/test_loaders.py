@@ -128,8 +128,7 @@ class TestReplayStoreFiles:
         target.write_bytes(data.draw(corrupted(target.read_bytes())))
         try:
             store = ReplayStore.load(payload, meta)
-            for sid in range(len(store)):
-                store.tokens(sid)
+            store.tokens(range(len(store)))
         except FormatError:
             pass
 
@@ -140,4 +139,29 @@ class TestReplayStoreFiles:
         blob[17:21] = NAN  # first token value of the first (raw) record
         payload.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="offset 8"):
+            ReplayStore.load(payload, meta)
+
+    def test_tokens_of_every_layout_equal_each_record(self):
+        ids = [2, 0, 1, 2, 1]
+        want = np.stack([to_tokens(_payloads()[i]) for i in ids])
+        assert _store().tokens(ids).tobytes() == want.tobytes()
+
+    def test_record_whose_coefficients_do_not_fit_its_n(self, tmp_path):
+        payload, meta = tmp_path / "store.bin", tmp_path / "store.csv"
+        _store().save(payload, meta)
+        blob = bytearray(payload.read_bytes())
+        off = 8 + len(payload_to_bytes(_payloads()[0]))  # record 1: float PCA, n=2
+        blob[off + 9:off + 13] = struct.pack("<I", 1)
+        payload.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="record 1"):
+            ReplayStore.load(payload, meta)
+
+    def test_record_of_another_token_shape(self, tmp_path):
+        payload, meta = tmp_path / "store.bin", tmp_path / "store.csv"
+        _store().save(payload, meta)
+        other = np.ones((5, 3), dtype=np.float32)
+        blob = payload.read_bytes()
+        payload.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:] + payload_to_bytes(other))
+        meta.write_text(meta.read_text() + "3,0,0,1.0\n")
+        with pytest.raises(FormatError, match="record 3"):
             ReplayStore.load(payload, meta)

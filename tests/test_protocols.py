@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ovstream import compression, core, protocols
-from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label
+from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label, candidate_probabilities
 from ovstream.data import Dataset, SyntheticSpec, generate
-from ovstream.decoder import decode
+from ovstream.decoder import augmented_logits, decode
 from ovstream.protocols import (
     Engine,
     EngineConfig,
@@ -19,6 +19,7 @@ from ovstream.protocols import (
     run_stream,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
+from ovstream.weighting import p_other
 
 
 def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
@@ -278,7 +279,7 @@ class TestEngineRun:
                             or decode(tokens, params))
         original = ReplayStore.tokens
         monkeypatch.setattr(ReplayStore, "tokens",
-                            lambda self, sid: reads.append(sid) or original(self, sid))
+                            lambda self, ids: reads.append(ids) or original(self, ids))
         assert engine.evaluate_suite(suite) == first
         assert decodes == [4, 4, 4, 4, 4, 4, 1] and reads == []
 
@@ -453,6 +454,22 @@ class TestPOtherWeighting:
                             lambda *a: calls.append(1) or decode(*a))
         engine.predict(ds.tokens(0), candidates)
         assert len(calls) == 1
+
+    def test_batch_discount_is_each_rows_p_other(self, monkeypatch):
+        ds, engine = self._engine(trained_below=3)
+        labels = [1, 2, 3, 4]
+        matrices = [ds.tokens(idx) for idx in range(len(ds.samples))]
+        discounts = []
+        original = protocols.combined_prediction
+        monkeypatch.setattr(protocols, "combined_prediction",
+                            lambda *a, **kw: discounts.append(kw["p_other_value"])
+                            or original(*a, **kw))
+        engine.predict(matrices, set(labels))
+        _, cos_t = candidate_probabilities(decode(matrices, engine.params),
+                                           engine.table.matrix(labels))
+        logits = augmented_logits(cos_t, engine.params.other_logit)
+        want = np.array([[p_other(row)] for row in logits])
+        assert discounts[0].shape == want.shape and discounts[0].tobytes() == want.tobytes()
 
 
 class TestMetricsRecord:

@@ -1,10 +1,17 @@
-"""Replay store: batching strategies, FWS weight updates, persistence."""
+"""Replay store: batching strategies, FWS weight updates, columnar layout, persistence."""
 
 import numpy as np
 import pytest
 
+from ovstream.compression import (
+    CompressedFeature,
+    compress,
+    per_instance_pca,
+    storage_bytes,
+    to_tokens,
+)
 from ovstream.core import FormatError
-from ovstream.replay import ReplayStore, SamplerConfig, StoredSample
+from ovstream.replay import STRATEGIES, ReplayStore, SamplerConfig, StoredSample
 
 
 def _store_with(labels, dim=4, tokens=3, seed=0):
@@ -29,7 +36,7 @@ class TestInsertAndLookup:
         tokens = np.arange(12, dtype=np.float32).reshape(3, 4)
         store = ReplayStore()
         sid = store.insert(0, tokens)
-        np.testing.assert_array_equal(store.tokens(sid), tokens)
+        np.testing.assert_array_equal(store.tokens([sid]), [tokens])
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -195,6 +202,144 @@ class TestFws:
             assert len(set(batch)) == len(batch)
 
 
+class _ListStore:
+    """Reference sampler: the list-based store the columnar one replaced, with
+    its ``compose_batch`` and ``record_batched`` as they were."""
+
+    def __init__(self):
+        self.samples = []   # [label, batch_count, fws_weight] per id
+        self.by_class = {}
+
+    def insert(self, label):
+        self.by_class.setdefault(label, []).append(len(self.samples))
+        self.samples.append([label, 0, 1.0])
+
+    def compose_batch(self, new_id, config, rng):
+        others = [i for i in range(len(self.samples)) if i != new_id]
+        want = config.batch_size - 1
+        if want == 0 or not others:
+            return [new_id]
+        if config.strategy == "fifo":
+            companions = others[-min(want, len(others)):][::-1]
+        elif config.strategy == "uniform":
+            n = min(want, len(others))
+            companions = [others[i] for i in rng.integers(0, len(others), size=n)]
+        elif config.strategy == "fws":
+            n = min(want, len(others))
+            weights = np.array([self.samples[i][2] for i in others])
+            probs = weights / weights.sum()
+            companions = list(rng.choice(others, size=n, replace=False, p=probs))
+        else:
+            classes = sorted(self.by_class)
+            k = min(want, len(classes))
+            chosen = list(rng.choice(classes, size=k, replace=False))
+            base, extra = divmod(want, k)
+            companions = []
+            for pos, label in enumerate(chosen):
+                count = base + (1 if pos < extra else 0)
+                pool = [i for i in self.by_class[label] if i != new_id]
+                if not pool or count == 0:
+                    continue
+                if len(pool) >= count:
+                    picks = rng.choice(pool, size=count, replace=False)
+                else:
+                    picks = rng.choice(pool, size=count, replace=True)
+                companions.extend(int(p) for p in picks)
+        return [new_id] + [int(c) for c in companions]
+
+    def record_batched(self, ids, config):
+        for sid in ids:
+            s = self.samples[sid]
+            s[1] += 1
+            s[2] = max(config.decay ** s[1], config.weight_floor)
+
+
+class TestListReference:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_same_ids_and_bit_equal_weights(self, strategy):
+        duplicates = 0
+        for seed in range(50):
+            gen = np.random.default_rng(seed)
+            n_classes = int(gen.integers(1, 6))
+            labels = gen.integers(0, n_classes, size=int(gen.integers(2, 30))).tolist()
+            labels.insert(int(gen.integers(0, len(labels))), n_classes)  # a one-sample class
+            config = SamplerConfig(strategy=strategy, batch_size=int(gen.integers(1, 13)),
+                                   decay=float(gen.uniform(0.5, 1.0)), weight_floor=0.05)
+            store, ref = ReplayStore(), _ListStore()
+            rng, ref_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            steps = []
+            for label in labels:
+                store.insert(label, gen.standard_normal((3, 4)).astype(np.float32))
+                ref.insert(label)
+                steps.append(len(store) - 1)
+            steps += gen.integers(0, len(store), size=20).tolist()  # older ids too
+            for new_id in steps:
+                ids = store.compose_batch(new_id, config, rng)
+                assert ids == ref.compose_batch(new_id, config, ref_rng)
+                assert all(type(i) is int for i in ids)
+                duplicates += len(set(ids)) < len(ids)
+                store.record_batched(ids, config)
+                ref.record_batched(ids, config)
+            for sid, (_, count, weight) in enumerate(ref.samples):
+                assert store.sample(sid).batch_count == count
+                assert store.sample(sid).fws_weight == weight  # weights are > 0: bit-equal
+        if strategy in ("uniform", "class_balanced"):
+            assert duplicates > 0  # draws with replacement were covered
+
+
+class TestColumnarLayout:
+    def _payloads(self, t=10, d=64, seed=0):
+        tokens = np.random.default_rng(seed).standard_normal((t, d)).astype(np.float32)
+        return [tokens, per_instance_pca(tokens, 5), compress(tokens, 5, quantized=True)]
+
+    def test_second_token_shape_rejected(self):
+        store = ReplayStore()
+        store.insert(0, self._payloads()[2])
+        for payload in self._payloads(t=11) + self._payloads(d=32):
+            with pytest.raises(ValueError, match="token shape"):
+                store.insert(1, payload)
+        assert len(store) == 1 and store.seen_labels() == [0]
+
+    def test_record_whose_blocks_do_not_fit_rejected(self):
+        _, pca, quant = self._payloads()
+        wrong_n = CompressedFeature(pca.shape, 4, pca.mean, pca.coefficients, pca.components)
+        quant.components.mins = quant.components.mins[:1]  # per-row, one envelope
+        for bad in (wrong_n, quant):
+            with pytest.raises(ValueError, match="does not fit"):
+                ReplayStore().insert(0, bad)
+
+    def test_stored_bytes_are_the_inserted_records(self):
+        store = ReplayStore()
+        payloads = self._payloads() * 3
+        for i, payload in enumerate(payloads):
+            store.insert(i % 2, payload)
+        for sid, payload in enumerate(payloads):
+            assert storage_bytes(store.sample(sid).payload) == storage_bytes(payload)
+        assert [storage_bytes(p) for p in payloads[:3:2]] == [2560, 540]
+
+    @pytest.mark.parametrize("layouts", [(0,), (2,), (0, 1, 2)])
+    def test_tokens_gather_in_order_with_repeats(self, layouts):
+        store = ReplayStore()
+        payloads = [self._payloads(seed=s)[layouts[s % len(layouts)]] for s in range(9)]
+        for i, payload in enumerate(payloads):
+            store.insert(i, payload)
+        ids = [4, 0, 8, 4, 1, 3]
+        got = store.tokens(ids)
+        want = np.stack([to_tokens(payloads[i]) for i in ids])
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        assert store.tokens([]).shape == (0, 10, 64)
+        with pytest.raises(ValueError):
+            store.tokens([0, 9])
+
+    def test_sample_view_writes_through(self):
+        store = _store_with([0, 1, 2])
+        view = store.sample(1)
+        assert isinstance(view, StoredSample) and (view.id, view.label) == (1, 1)
+        view.fws_weight = 0.25
+        view.batch_count = 3
+        assert store.sample(1).fws_weight == 0.25 and store.sample(1).batch_count == 3
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         store = _store_with([4, 4, 6], seed=31)
@@ -208,7 +353,7 @@ class TestPersistence:
             a, b = store.sample(sid), loaded.sample(sid)
             assert (a.label, a.batch_count) == (b.label, b.batch_count)
             assert a.fws_weight == b.fws_weight  # repr() round trip is exact
-            np.testing.assert_array_equal(store.tokens(sid), loaded.tokens(sid))
+            np.testing.assert_array_equal(store.tokens([sid]), loaded.tokens([sid]))
 
     def test_bad_magic(self, tmp_path):
         payload = tmp_path / "store.bin"

@@ -375,10 +375,19 @@ class TestPOther:
         logits = np.array([3.0, -1.0, 0.5])
         assert p_other(logits + 123.0) == pytest.approx(p_other(logits), rel=1e-12)
 
+    def test_batch_column_equals_each_row(self):
+        gen = np.random.default_rng(11)
+        for _ in range(300):
+            b, c = gen.integers(1, 40), gen.integers(1, 120)
+            logits = augmented_logits(gen.uniform(-1.0, 1.0, (b, c)), gen.normal(0.0, 30.0))
+            column = p_other(logits)
+            assert column.shape == (b,)
+            assert column.tobytes() == np.array([p_other(row) for row in logits]).tobytes()
+
     def test_missing_other(self):
-        # OTHER is the last entry, so a vector needs at least one candidate
-        # before it, and a batch is not one vector.
-        for bad in ([1.0], np.zeros((2, 3))):
+        # OTHER is the last entry, so a vector (or each row of a batch) needs at
+        # least one candidate before it, and a scalar is no vector.
+        for bad in (1.0, [1.0], np.zeros((2, 1))):
             with pytest.raises(ValueError):
                 p_other(bad)
 
