@@ -16,10 +16,11 @@ Two variants map a token matrix to an output embedding:
   shift every score of a row by the same amount, which the softmax ignores
   (a ``bk`` tensor in an older checkpoint still loads and is unused).
 
-``decode`` (of one token matrix, a list of them, or a B x T x D stack) and
-the loss run one forward pass per stacked B x T x D group of equal-shape
-matrices; padding would change the attention. A training step reads its
-batch from the replay store as one stack, which is one group.
+``decode`` (of one token matrix, or of a list of them) and the loss run one
+forward pass per stacked B x T x D group of equal-shape matrices; padding
+would change the attention. A training step reads its batch from the replay
+store with one ``tokens(ids)`` call; its matrices share one shape, so they
+form one group.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
@@ -244,11 +245,7 @@ def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderPar
 
 def _forward_groups(token_matrices, params: DecoderParams):
     """B x D_out outputs of B token matrices, in input order, from one forward pass
-    per group of equal-shape matrices (a B x T x D array is one group); plus
-    ``(ids, cache)`` per group."""
-    if isinstance(token_matrices, np.ndarray) and token_matrices.ndim == 3:
-        out, cache = _forward(_stack(token_matrices, params.d_in), params)
-        return out, [(np.arange(len(out)), cache)]
+    per group of equal-shape matrices; plus ``(ids, cache)`` per group."""
     by_shape: dict[tuple, list[int]] = {}
     for i, tokens in enumerate(token_matrices):
         by_shape.setdefault(np.shape(tokens), []).append(i)
@@ -261,41 +258,26 @@ def _forward_groups(token_matrices, params: DecoderParams):
 
 
 def decode(tokens, params: DecoderParams) -> np.ndarray:
-    """Output embedding (float32) of a token matrix, or B x D_out of a list of B
-    matrices or of a B x T x D stack."""
-    batched = isinstance(tokens, list) or np.ndim(tokens) == 3
-    e, _ = _forward_groups(tokens if batched else [tokens], params)
-    return (e if batched else e[0]).astype(np.float32)
+    """Output embedding (float32) of a token matrix, or B x D_out of a list of B."""
+    e, _ = _forward_groups(tokens if isinstance(tokens, list) else [tokens], params)
+    return (e if isinstance(tokens, list) else e[0]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
 # Loss
 
 
+@dataclass
 class TrainingBatch:
-    """Token matrices with their true label ids, plus the candidate label set used
-    by the loss. Built from (token matrix, label) pairs, or by :meth:`stacked` from
-    one B x T x D stack, which the loss runs as one shape group."""
+    """Samples plus the candidate label set used by the loss."""
 
-    def __init__(self, samples, candidates: set):
-        self.tokens = [tokens for tokens, _ in samples]
-        self.labels = [label for _, label in samples]
-        self.candidates = candidates
-
-    @classmethod
-    def stacked(cls, tokens: np.ndarray, labels, candidates: set) -> "TrainingBatch":
-        batch = cls([], candidates)
-        batch.tokens, batch.labels = tokens, list(labels)
-        return batch
-
-    @property
-    def samples(self) -> list:
-        return list(zip(self.tokens, self.labels))
+    samples: list  # of (token matrix, true label id)
+    candidates: set
 
     def validate(self) -> None:
-        if not self.labels:
+        if not self.samples:
             raise ValueError("empty training batch")
-        for label in self.labels:
+        for _, label in self.samples:
             if label not in self.candidates:
                 raise ValueError(f"true label {label} missing from candidate set")
 
@@ -335,10 +317,10 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
         raise ValueError("beta must be non-negative")
     batch.validate()
     candidates = sorted(batch.candidates)
-    e, groups = _forward_groups(batch.tokens, params)
+    e, groups = _forward_groups([tokens for tokens, _ in batch.samples], params)
     rows = np.arange(len(e))
     col = {label: j for j, label in enumerate(candidates)}
-    idx = np.array([col[label] for label in batch.labels])
+    idx = np.array([col[label] for _, label in batch.samples])
 
     mat = table.matrix(candidates)
     n = len(candidates)
@@ -426,7 +408,8 @@ def online_update(new_id: int, store, params: DecoderParams,
     """
     ids = store.compose_batch(new_id, sampler_config, rng)
     store.record_batched(ids, sampler_config)
-    batch = TrainingBatch.stacked(store.tokens(ids), store.labels(ids), set(store.seen_labels()))
+    samples = list(zip(store.tokens(ids), store.labels(ids)))
+    batch = TrainingBatch(samples, set(store.seen_labels()))
     grads = loss_gradients(batch, params, table, beta)
     optimizer_step(params, grads, state)
     return ids

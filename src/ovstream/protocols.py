@@ -226,7 +226,7 @@ class Engine:
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
-            tokens, labels = self.store.tokens(ids), self.store.labels(ids)
+            tokens, labels = list(self.store.tokens(ids)), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._nn_cache = (key, (
                 nn_loo_confidence(list(zip(decoded, labels))),

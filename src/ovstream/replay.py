@@ -1,11 +1,11 @@
 """Replay store: holds training samples and composes batches for online updates.
 
-The store is columnar: labels, batch counts and FWS weights are growing
-numpy arrays, with one id array per class. Payloads are whatever
-:func:`ovstream.compression.encode` stored (raw token matrices or compressed
-records), their arrays stacked on a leading sample axis in one group per
-payload layout. The first insert fixes the token shape (T, D); an insert of
-another shape, or of a record whose blocks do not fit it, raises.
+Payloads are whatever :func:`ovstream.compression.encode` stored (raw token
+matrices or compressed records), kept columnar: their arrays are stacked on a
+leading sample axis in one group per payload layout. Labels, batch counts and
+FWS weights stay in Python lists, with one id list per class. The first insert
+fixes the token shape (T, D); an insert of another shape, or of a record whose
+blocks do not fit it, raises.
 ``tokens(ids)`` gathers a group's rows with one index array and reads them
 back with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``),
 so a training step decodes its batch at once. Decoded matrices are never
@@ -93,19 +93,19 @@ def _join(key, shape, arrays):
 
 
 def _entry(column: str) -> property:
-    """A property reading and writing one sample's entry of a store column."""
+    """A property reading and writing one sample's entry of a store list."""
     def get(self):
-        return getattr(self._store, column).values[self.id].item()
+        return getattr(self._store, column)[self.id]
 
     def set_(self, value):
-        getattr(self._store, column).values[self.id] = value
+        getattr(self._store, column)[self.id] = value
 
     return property(get, set_)
 
 
 class StoredSample:
     """A view of one stored sample: batch count and FWS weight write through to
-    the store's arrays, and the payload's arrays are views of the store's."""
+    the store's lists, and the payload's arrays are views of the store's."""
 
     batch_count = _entry("_counts")
     fws_weight = _entry("_weights")
@@ -121,30 +121,31 @@ class StoredSample:
 
 
 class ReplayStore:
-    """Append-only columnar sample store with class index and FWS weights."""
+    """Append-only sample store with columnar payloads, class index and FWS weights."""
 
     def __init__(self):
         self._shape = None                     # (T, D), fixed by the first insert
-        self._labels = _Column(np.int64(0))
-        self._counts = _Column(np.int64(0))
-        self._weights = _Column(np.float64(0))
+        self._labels: list[int] = []
+        self._counts: list[int] = []
+        self._weights: list[float] = []
+        self._by_class: dict[int, list[int]] = {}
         self._slots = _Column(np.zeros(2, np.int64))  # (payload group, row in it)
-        self._by_class: dict[int, _Column] = {}
         self._layouts: list[tuple] = []        # layout key per payload group
         self._columns: list[list[_Column]] = []  # payload arrays per group
 
     def __len__(self) -> int:
-        return self._labels.size
+        return len(self._labels)
 
     def insert(self, label: int, payload) -> int:
+        # Every check runs before the first append: a rejected insert leaves the
+        # store as it was.
         label = int(label)
         payload = compression.checked_payload(payload)
         shape = tuple(payload.shape)
-        if self._shape is None:
-            self._shape = shape
-        elif shape != self._shape:
+        if self._shape is not None and shape != self._shape:
             raise ValueError(f"token shape {shape} != the store's {self._shape}")
         key, arrays = _split(payload)
+        self._shape = shape
         if key not in self._layouts:
             self._layouts.append(key)
             self._columns.append([_Column(a) for a in arrays])
@@ -156,7 +157,7 @@ class ReplayStore:
         self._labels.append(label)
         self._counts.append(0)
         self._weights.append(1.0)
-        self._by_class.setdefault(label, _Column(np.int64(0))).append(sid)
+        self._by_class.setdefault(label, []).append(sid)
         return sid
 
     def _check(self, sid: int) -> int:
@@ -171,10 +172,10 @@ class ReplayStore:
         return ids
 
     def label(self, sid: int) -> int:
-        return int(self._labels.values[self._check(sid)])
+        return self._labels[self._check(sid)]
 
     def labels(self, ids) -> list[int]:
-        return self._labels.values[self._ids(ids)].tolist()
+        return [self._labels[sid] for sid in self._ids(ids).tolist()]
 
     def sample(self, sid: int) -> StoredSample:
         return StoredSample(self, self._check(sid))
@@ -188,8 +189,6 @@ class ReplayStore:
         """(B, T, D) float32 token matrices of ``ids``, in order: one gather and one
         ``to_tokens`` (one ``reconstruct`` for compressed records) per payload group."""
         slots = self._slots.values[self._ids(ids)]
-        if len(self._layouts) == 1:  # one layout, as in a stream: no regrouping copy
-            return compression.to_tokens(self._payloads(0, slots[:, 1]))
         out = np.empty((len(slots),) + (self._shape or (0, 0)), np.float32)
         for group in range(len(self._layouts)):
             mine = slots[:, 0] == group
@@ -208,7 +207,7 @@ class ReplayStore:
 
         Companions come from the other ids in insertion order without listing
         them: FIFO and Uniform map positions among the others to ids, FWS draws
-        from the weight array less ``new_id``, ClassBalanced from the class arrays.
+        from the weights less ``new_id``, ClassBalanced from the class lists.
         """
         config.validate()
         self._check(new_id)
@@ -226,7 +225,7 @@ class ReplayStore:
             companions = (picks + (picks >= new_id)).tolist()
         elif config.strategy == "fws":
             others = np.delete(np.arange(len(self)), new_id)
-            weights = np.delete(self._weights.values, new_id)
+            weights = np.delete(np.array(self._weights, dtype=np.float64), new_id)
             probs = weights / weights.sum()
             companions = rng.choice(others, size=n, replace=False, p=probs).tolist()
         else:  # class_balanced
@@ -241,9 +240,8 @@ class ReplayStore:
         companions = []
         for pos, label in enumerate(chosen):
             count = base + (1 if pos < extra else 0)
-            pool = self._by_class[label].values
-            pool = pool[pool != new_id]
-            if not len(pool) or count == 0:
+            pool = [i for i in self._by_class[label] if i != new_id]
+            if not pool or count == 0:
                 continue
             picks = rng.choice(pool, size=count, replace=len(pool) < count)
             companions.extend(picks.tolist())
@@ -251,13 +249,12 @@ class ReplayStore:
 
     def record_batched(self, ids, config: SamplerConfig) -> None:
         """Bump batch counts (twice for an id batched twice) and decay FWS weights."""
-        ids = self._ids(ids)
-        np.add.at(self._counts.values, ids, 1)
-        # Recomputed from the count in Python floats, so each weight is exactly
-        # max(decay**batch_count, floor), free of accumulation error. A repeated
-        # id writes the same weight twice.
-        self._weights.values[ids] = [max(config.decay ** count, config.weight_floor)
-                                     for count in self._counts.values[ids].tolist()]
+        for sid in ids:
+            sid = self._check(sid)
+            self._counts[sid] += 1
+            # Recomputed from the count so the weight is exactly
+            # max(decay**batch_count, floor), free of accumulation error.
+            self._weights[sid] = max(config.decay ** self._counts[sid], config.weight_floor)
 
     # -- persistence --------------------------------------------------------
 

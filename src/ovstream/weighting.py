@@ -171,9 +171,10 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
 
 def p_other(logits):
     """Softmax mass of the none-of-the-above option: the last entry of
-    (..., C+1) augmented logits (``decoder.augmented_logits``), one value per row
-    of a batch, in one row-wise softmax."""
+    (..., C+1) augmented logits (``decoder.augmented_logits``). A 1-D row gives
+    a float; a batch gives one value per row, from one row-wise softmax."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim < 1 or logits.shape[-1] < 2:
         raise ValueError(f"expected candidate logits plus OTHER, got shape {logits.shape}")
-    return softmax(logits)[..., -1]
+    column = softmax(logits)[..., -1]
+    return float(column) if logits.ndim == 1 else column

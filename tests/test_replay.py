@@ -203,8 +203,8 @@ class TestFws:
 
 
 class _ListStore:
-    """Reference sampler: the list-based store the columnar one replaced, with
-    its ``compose_batch`` and ``record_batched`` as they were."""
+    """Reference sampler: the store's former ``compose_batch`` and
+    ``record_batched``, which listed every other id for each batch."""
 
     def __init__(self):
         self.samples = []   # [label, batch_count, fws_weight] per id
@@ -307,6 +307,24 @@ class TestColumnarLayout:
         for bad in (wrong_n, quant):
             with pytest.raises(ValueError, match="does not fit"):
                 ReplayStore().insert(0, bad)
+
+    def test_rejected_insert_leaves_the_store_as_it_was(self):
+        raw, pca, _ = self._payloads()
+        wrong_n = CompressedFeature(pca.shape, 4, pca.mean, pca.coefficients, pca.components)
+        store = ReplayStore()
+        with pytest.raises(ValueError):
+            store.insert(0, wrong_n)
+        assert len(store) == 0
+        store.insert(0, self._payloads(t=11)[0])  # the failed insert fixed no shape
+        before = store.tokens([0])
+        for label, bad in ((1, raw), (1, wrong_n), ("x", self._payloads(t=11)[1])):
+            with pytest.raises(ValueError):
+                store.insert(label, bad)
+        assert len(store) == 1 and store.seen_labels() == [0]
+        assert store.tokens([0]).tobytes() == before.tobytes()
+        sid = store.insert(2**63, self._payloads(t=11, seed=1)[0])  # any int label
+        assert store.label(sid) == 2**63 and store.labels([sid, 0]) == [2**63, 0]
+        assert store.tokens([sid]).tobytes() == self._payloads(t=11, seed=1)[0].tobytes()
 
     def test_stored_bytes_are_the_inserted_records(self):
         store = ReplayStore()

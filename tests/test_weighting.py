@@ -371,6 +371,10 @@ class TestPOther:
         assert p_other(augmented_logits([0.02, 0.01], 0.0)) == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(0.0900306, abs=1e-6)
 
+    def test_row_gives_a_float(self):
+        assert type(p_other(np.array([2.0, 1.0, 0.0]))) is float
+        assert type(p_other([[2.0, 1.0, 0.0]])) is np.ndarray
+
     def test_shift_invariant(self):
         logits = np.array([3.0, -1.0, 0.5])
         assert p_other(logits + 123.0) == pytest.approx(p_other(logits), rel=1e-12)
