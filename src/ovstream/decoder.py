@@ -25,8 +25,8 @@ form one group.
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
 after the candidates' cosine logits, for the loss and for the "other"
-probability of ``weighting.p_other``. Parameters live in float64;
-checkpoints store float32.
+probability of ``weighting.p_other``. Parameters live in one float64 vector,
+which ``DecoderParams.tensors`` views by name; checkpoints store float32.
 """
 
 from __future__ import annotations
@@ -50,29 +50,62 @@ _VERSION = 1
 # Parameters
 
 
+# The "other" logit is a bias-like scalar and is excluded from weight decay.
+_NO_DECAY = {"other_logit"}
+
+
 @dataclass
 class DecoderParams:
-    """Named parameter tensors for one decoder variant."""
+    """Named parameter tensors for one decoder variant, as views of one float64 vector
+    ``flat``; ``_NO_DECAY`` tensors come last, so weight decay covers ``flat[:n_decay]``."""
 
     variant: str  # "linear" | "block"
     d_in: int
     d_out: int
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        names = sorted(self.tensors, key=lambda k: k in _NO_DECAY)  # stable
+        self.layout = tuple((k, np.shape(self.tensors[k])) for k in names)
+        ends = np.cumsum([0] + [math.prod(shape) for _, shape in self.layout])
+        self.n_decay = int(ends[sum(k not in _NO_DECAY for k in names)])
+        self.flat = np.concatenate([np.zeros(0)] + [np.ravel(self.tensors[k]) for k in names])
+        self._views = [self.flat[a:b].reshape(shape)
+                       for (_, shape), a, b in zip(self.layout, ends, ends[1:])]
+        self.tensors = dict(zip(names, self._views))
+
+    def buffer(self) -> np.ndarray:
+        """``flat``, after copying back each tensor replaced by assignment."""
+        layout = tuple((k, np.shape(t)) for k, t in self.tensors.items())
+        if layout != self.layout:
+            raise ValueError(f"tensor shapes {layout} do not match the buffer's {self.layout}")
+        for (name, _), view in zip(self.layout, self._views):
+            if self.tensors[name] is not view:
+                view[...], self.tensors[name] = self.tensors[name], view
+        return self.flat
+
     def copy(self) -> "DecoderParams":
-        return DecoderParams(
-            self.variant, self.d_in, self.d_out,
-            {k: v.copy() for k, v in self.tensors.items()},
-        )
+        return DecoderParams(self.variant, self.d_in, self.d_out, dict(self.tensors))
 
     @property
     def other_logit(self) -> float:
         return float(self.tensors["other_logit"])
 
     def validate(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"parameter {name} contains non-finite entries")
+        if not np.isfinite(self.buffer()).all():
+            name = next(k for k, t in self.tensors.items() if not np.isfinite(t).all())
+            raise ValueError(f"parameter {name} contains non-finite entries")
+
+
+def _layout(variant: str, d_in: int, d_out: int) -> dict[str, tuple]:
+    """The shape of every tensor a variant decodes with."""
+    if variant == "linear":
+        return {"weight": (d_out, d_in), "bias": (d_out,), "other_logit": ()}
+    d = d_in
+    return {"ln1_gain": (d,), "ln1_bias": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
+            "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2_gain": (d,),
+            "ln2_bias": (d,), "w1": (d, 4 * d), "b1": (4 * d,), "w2": (4 * d, d),
+            "b2": (d,), "other_logit": ()}
 
 
 def linear_params(d_in: int, d_out: int | None = None, identity: bool = True,
@@ -84,12 +117,8 @@ def linear_params(d_in: int, d_out: int | None = None, identity: bool = True,
     else:
         rng = rng or np.random.default_rng(0)
         weight = scale * rng.standard_normal((d_out, d_in))
-    tensors = {
-        "weight": weight.astype(np.float64),
-        "bias": np.zeros(d_out),
-        "other_logit": np.zeros(()),
-    }
-    return DecoderParams("linear", d_in, d_out, tensors)
+    return DecoderParams("linear", d_in, d_out,
+                         {"weight": weight, "bias": np.zeros(d_out), "other_logit": np.zeros(())})
 
 
 def block_params(dim: int, rng: np.random.Generator | None = None,
@@ -100,29 +129,15 @@ def block_params(dim: int, rng: np.random.Generator | None = None,
     so the initial tuned embedding stays near the CLS token.
     """
     rng = rng or np.random.default_rng(0)
-
-    def w(shape):
-        return scale * rng.standard_normal(shape)
-
-    tensors = {
-        "ln1_gain": np.ones(dim), "ln1_bias": np.zeros(dim),
-        "wq": w((dim, dim)), "bq": np.zeros(dim),
-        "wk": w((dim, dim)),
-        "wv": w((dim, dim)), "bv": np.zeros(dim),
-        "wo": w((dim, dim)), "bo": np.zeros(dim),
-        "ln2_gain": np.ones(dim), "ln2_bias": np.zeros(dim),
-        "w1": w((dim, 4 * dim)), "b1": np.zeros(4 * dim),
-        "w2": w((4 * dim, dim)), "b2": np.zeros(dim),
-        "other_logit": np.zeros(()),
-    }
+    tensors = {name: (scale * rng.standard_normal(shape) if name[0] == "w"
+                      else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
+               for name, shape in _layout("block", dim, dim).items()}
     return DecoderParams("block", dim, dim, tensors)
 
 
 def zeros_like_params(params: DecoderParams) -> DecoderParams:
-    return DecoderParams(
-        params.variant, params.d_in, params.d_out,
-        {k: np.zeros_like(v) for k, v in params.tensors.items()},
-    )
+    return DecoderParams(params.variant, params.d_in, params.d_out,
+                         {k: np.zeros_like(v) for k, v in params.tensors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +161,14 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def _gelu(z):
-    return 0.5 * z * (1.0 + erf(z / np.sqrt(2.0)))
+    """GELU of z, plus ``1 + erf(z / sqrt 2)``, which its derivative reuses."""
+    s = 1.0 + erf(z / np.sqrt(2.0))
+    return 0.5 * z * s, s
 
 
-def _gelu_grad(z):
+def _gelu_grad(z, s):
     phi = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + erf(z / np.sqrt(2.0))) + z * phi
+    return 0.5 * s + z * phi
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +207,9 @@ def _forward(x: np.ndarray, params: DecoderParams):
     h = x[:, 0] + attn @ t["wo"] + t["bo"]
     y2, xhat2, inv2 = layer_norm(h, t["ln2_gain"], t["ln2_bias"])
     z = y2 @ t["w1"] + t["b1"]
-    a = _gelu(z)
+    a, erf1 = _gelu(z)
     out = h + a @ t["w2"] + t["b2"]
-    return out, (y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a)
+    return out, (y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a, erf1)
 
 
 def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderParams) -> None:
@@ -205,12 +222,12 @@ def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderPar
         g["bias"] += d_out.sum(axis=0)
         return
 
-    y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a = cache
+    y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a, erf1 = cache
 
     # MLP branch
     g["w2"] += a.T @ d_out
     g["b2"] += d_out.sum(axis=0)
-    dz = (d_out @ t["w2"].T) * _gelu_grad(z)
+    dz = (d_out @ t["w2"].T) * _gelu_grad(z, erf1)
     g["w1"] += y2.T @ dz
     g["b1"] += dz.sum(axis=0)
     dy2 = dz @ t["w1"].T
@@ -295,19 +312,21 @@ def augmented_logits(cos, other_logit: float) -> np.ndarray:
 def combined_loss(batch: TrainingBatch, params: DecoderParams,
                   table: LabelEmbeddingTable, beta: float) -> float:
     """Mean over the batch of true-label CE plus beta times the OTHER-target CE."""
-    loss, _ = _loss_and_grads(batch, params, table, beta, want_grads=False)
-    return loss
+    return _loss_and_grads(batch, params, table, beta)
 
 
-def loss_gradients(batch: TrainingBatch, params: DecoderParams,
-                   table: LabelEmbeddingTable, beta: float) -> DecoderParams:
-    """Analytic gradients of :func:`combined_loss` wrt every parameter."""
-    _, grads = _loss_and_grads(batch, params, table, beta, want_grads=True)
-    return grads
+def loss_gradients(batch: TrainingBatch, params: DecoderParams, table: LabelEmbeddingTable,
+                   beta: float, out: DecoderParams | None = None) -> DecoderParams:
+    """Analytic gradients of :func:`combined_loss` wrt every parameter, in new
+    arrays or, zeroed first, in ``out``'s buffer."""
+    out = zeros_like_params(params) if out is None else out
+    out.flat.fill(0)
+    _loss_and_grads(batch, params, table, beta, out)
+    return out
 
 
-def _loss_and_grads(batch, params, table, beta, want_grads):
-    """Loss, and optionally gradients, from one forward and backward per token length.
+def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
+    """Loss, plus gradients added into ``grads`` if given, from one pass per token length.
 
     Term 1: cross-entropy with the true label over candidates + OTHER.
     Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
@@ -339,17 +358,16 @@ def _loss_and_grads(batch, params, table, beta, want_grads):
         dlogits += beta * p2
     inv_n = 1.0 / len(e)
     total = float(loss.sum() * inv_n)
-    if not want_grads:
-        return total, None
+    if grads is None:
+        return total
 
-    grads = zeros_like_params(params)
     grads.tensors["other_logit"] += inv_n * dlogits[:, n].sum()
     # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
     dl = dlogits[:, :n]
     d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
     for ids, cache in groups:
         _backward(d_e[ids], params, cache, grads)
-    return total, grads
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -364,37 +382,35 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-# The "other" logit is a bias-like scalar and is excluded from weight decay.
-_NO_DECAY = {"other_logit"}
+    m: np.ndarray | None = None  # moments over DecoderParams.flat
+    v: np.ndarray | None = None
+    scratch: list | None = field(default=None, repr=False)  # reused work buffers
+    grads: DecoderParams | None = field(default=None, repr=False)
 
 
 def optimizer_step(params: DecoderParams, grads: DecoderParams,
                    state: OptimizerState) -> tuple[DecoderParams, OptimizerState]:
-    """One decoupled-weight-decay adaptive-moment update, in place."""
+    """One decoupled-weight-decay adaptive-moment update, in place, on ``params.flat``."""
+    theta, g = params.buffer(), grads.buffer()
+    if grads.layout != params.layout:
+        raise ValueError("gradient tensors do not match the parameter tensors")
+    if state.m is None:  # rows: m, v and two scratch rows
+        state.m, state.v, *state.scratch = np.zeros((4,) + theta.shape)
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
-    for name, theta in params.tensors.items():
-        g = grads.tensors[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        if name not in _NO_DECAY:
-            update = update + state.weight_decay * theta
-        theta -= state.lr * update
+    m, v, (s, update), k = state.m, state.v, state.scratch, params.n_decay
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, g, out=s)
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, g, out=s)
+    v += np.multiply(s, g, out=s)
+    np.sqrt(np.divide(v, bc2, out=s), out=s)
+    s += state.eps
+    np.divide(m, bc1, out=update)
+    update /= s
+    update[:k] += np.multiply(state.weight_decay, theta[:k], out=s[:k])
+    theta -= np.multiply(state.lr, update, out=update)
     return params, state
 
 
@@ -410,8 +426,8 @@ def online_update(new_id: int, store, params: DecoderParams,
     store.record_batched(ids, sampler_config)
     samples = list(zip(store.tokens(ids), store.labels(ids)))
     batch = TrainingBatch(samples, set(store.seen_labels()))
-    grads = loss_gradients(batch, params, table, beta)
-    optimizer_step(params, grads, state)
+    state.grads = loss_gradients(batch, params, table, beta, state.grads)
+    optimizer_step(params, state.grads, state)
     return ids
 
 
@@ -431,7 +447,7 @@ def save_checkpoint(params: DecoderParams, path) -> None:
                              params.d_in, params.d_out))
         fh.write(struct.pack("<I", len(params.tensors)))
         for name in sorted(params.tensors):
-            t = np.ascontiguousarray(params.tensors[name], dtype="<f4")
+            t = np.asarray(params.tensors[name], dtype="<f4")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
@@ -461,18 +477,27 @@ def load_checkpoint(path) -> DecoderParams:
                 name = data[off:off + nlen].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(f"tensor name is not utf-8 at offset {off}") from exc
+            if name in tensors:
+                raise FormatError(f"duplicate tensor {name!r} at offset {off}")
             off += nlen
             (ndim,) = struct.unpack_from("<B", data, off)
             off += 1
             shape = struct.unpack_from(f"<{ndim}I", data, off)
             off += 4 * ndim
+            shape = () if name == "other_logit" and shape == (1,) else shape  # older files: (1,)
             size = math.prod(shape)
             try:
                 arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape)
             except (ValueError, OverflowError) as exc:  # truncated, or a shape numpy cannot hold
                 raise FormatError(f"bad tensor {name!r} payload at offset {off}") from exc
             off += 4 * size
-            tensors[name] = arr.astype(np.float64)
+            tensors[name] = arr
     except struct.error as exc:
         raise FormatError(f"truncated checkpoint near offset {len(data)}") from exc
-    return DecoderParams(_VARIANT_NAMES[variant_code], d_in, d_out, tensors)
+    variant = _VARIANT_NAMES[variant_code]
+    if variant == "block" and d_in != d_out:
+        raise FormatError(f"block checkpoint has d_in {d_in} != d_out {d_out}")
+    for name, shape in _layout(variant, d_in, d_out).items():
+        if name not in tensors or tensors[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r} is missing or not of shape {shape}")
+    return DecoderParams(variant, d_in, d_out, tensors)

@@ -247,6 +247,128 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimizer_step(params, grads, OptimizerState())
 
+    @pytest.mark.parametrize("variant", ["linear", "block"])
+    def test_flat_step_equals_per_tensor_reference(self, variant):
+        rng = np.random.default_rng(11)
+        params = (linear_params(5, 3, identity=False, rng=rng) if variant == "linear"
+                  else block_params(6, rng=rng))
+        params.tensors["other_logit"] = np.array(0.4)
+        ref = {k: np.array(v) for k, v in params.tensors.items()}
+        state = OptimizerState(lr=1e-2, weight_decay=0.05)
+        ref_state = OptimizerState(lr=1e-2, weight_decay=0.05)
+        ref_state.m, ref_state.v = {}, {}
+        for step in range(50):
+            grads = zeros_like_params(params)
+            for name, g in grads.tensors.items():
+                g[...] = 10.0 ** (step % 5 - 2) * rng.standard_normal(g.shape)
+            _ref_optimizer_step(ref, {k: v.copy() for k, v in grads.tensors.items()}, ref_state)
+            optimizer_step(params, grads, state)
+        assert state.step == ref_state.step == 50
+        for name, want in ref.items():
+            np.testing.assert_array_equal(params.tensors[name], want)
+        # Packing the reference moments gives the flat layout they must equal.
+        for got, want in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            packed = DecoderParams(params.variant, params.d_in, params.d_out, want)
+            np.testing.assert_array_equal(got, packed.flat)
+        assert params.tensors["other_logit"] != 0.4  # trained, just not decayed
+
+    def test_replaced_tensor_is_trained(self):
+        replaced, fresh = _scalar_params(0.0), _scalar_params(0.7)
+        replaced.tensors["weight"] = np.array([[0.7]])
+        for params in (replaced, fresh):
+            state = OptimizerState(lr=0.1, weight_decay=0.5)
+            for _ in range(3):
+                grads = zeros_like_params(params)
+                grads.tensors["weight"][0, 0] = params.tensors["weight"][0, 0]
+                optimizer_step(params, grads, state)
+        np.testing.assert_array_equal(replaced.flat, fresh.flat)
+        assert np.shares_memory(replaced.tensors["weight"], replaced.flat)
+
+    @pytest.mark.parametrize("change", ["reshape", "add"])
+    def test_changed_tensor_set_rejected(self, change):
+        params = _scalar_params(1.0)
+        grads = zeros_like_params(params)
+        if change == "reshape":
+            params.tensors["bias"] = np.zeros(2)
+        else:
+            params.tensors["extra"] = np.zeros(1)
+        with pytest.raises(ValueError):
+            optimizer_step(params, grads, OptimizerState())
+
+
+def _ref_optimizer_step(params, grads, state):
+    """The per-tensor update the flat ``optimizer_step`` replaced, on name -> array
+    dicts; ``state.m`` and ``state.v`` are dicts too."""
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    for name, theta in params.items():
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(theta)
+            state.v[name] = np.zeros_like(theta)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if name != "other_logit":
+            update = update + state.weight_decay * theta
+        theta -= state.lr * update
+
+
+class TestFlatBuffer:
+    @staticmethod
+    def _assert_views_of_one_buffer(params):
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert sum(t.size for t in params.tensors.values()) == params.flat.size
+        for t in params.tensors.values():
+            assert t.base is params.flat
+
+    @pytest.mark.parametrize("variant", ["linear", "block"])
+    def test_every_constructor_packs_one_buffer(self, tmp_path, variant):
+        params = (linear_params(6, 4, identity=False, rng=np.random.default_rng(0))
+                  if variant == "linear" else block_params(6))
+        save_checkpoint(params, tmp_path / "ck.bin")
+        made = [params, params.copy(), zeros_like_params(params),
+                load_checkpoint(tmp_path / "ck.bin")]
+        for p in made:
+            self._assert_views_of_one_buffer(p)
+            assert list(p.tensors)[-1] == "other_logit"
+            assert p.n_decay == p.flat.size - 1
+        assert not any(np.shares_memory(a.flat, b.flat)
+                       for i, a in enumerate(made) for b in made[i + 1:])
+
+    def test_loss_gradients_calls_return_independent_arrays(self, rng):
+        table, params, _ = _instance("block", seed=8)
+        store = ReplayStore()
+        state = OptimizerState(lr=1e-3)
+        for label in range(3):
+            sid = store.insert(label, rng.standard_normal((4, 8)).astype(np.float32))
+        online_update(sid, store, params, state, table, SamplerConfig(batch_size=4),
+                      np.random.default_rng(0))
+        batch = TrainingBatch([(rng.standard_normal((4, 8)), 1)], {0, 1, 2})
+        first = loss_gradients(batch, params, table, 0.1)
+        want = first.flat.copy()
+        second = loss_gradients(batch, params, table, 0.1)
+        for a, b in ((first, second), (first, state.grads), (second, state.grads)):
+            assert not np.shares_memory(a.flat, b.flat)
+        second.flat[:] = 1.0
+        np.testing.assert_array_equal(first.flat, want)
+
+    def test_validate_names_the_non_finite_tensor(self):
+        params = block_params(4)
+        params.validate()
+        params.tensors["w1"][1, 2] = np.nan
+        with pytest.raises(ValueError, match="parameter w1 contains non-finite"):
+            params.validate()
+        params = linear_params(3)
+        params.tensors["bias"] = np.array([0.0, np.inf, 0.0])  # replaced, not written into
+        with pytest.raises(ValueError, match="parameter bias contains non-finite"):
+            params.validate()
+
 
 class TestOnlineUpdate:
     def _setup(self, rng, n_classes=3, dim=6):
@@ -280,6 +402,26 @@ class TestOnlineUpdate:
         companion_labels = [store.label(i) for i in ids[1:]]
         assert len(set(companion_labels)) == 3  # 3 distinct chosen classes
 
+    def test_reused_gradient_buffer_matches_fresh_gradients(self):
+        # Every step starts from zero gradients, as a fresh loss_gradients does.
+        runs = []
+        for reuse in (True, False):
+            gen = np.random.default_rng(3)
+            table, store, params, state = self._setup(np.random.default_rng(5))
+            for step in range(6):
+                sid = store.insert(step % 3, gen.standard_normal((3, 6)).astype(np.float32))
+                config, draws = SamplerConfig(batch_size=4), np.random.default_rng(step)
+                if reuse:
+                    online_update(sid, store, params, state, table, config, draws)
+                    continue
+                ids = store.compose_batch(sid, config, draws)
+                store.record_batched(ids, config)
+                batch = TrainingBatch(list(zip(store.tokens(ids), store.labels(ids))),
+                                      set(store.seen_labels()))
+                optimizer_step(params, loss_gradients(batch, params, table, 0.1), state)
+            runs.append(params.flat.copy())
+        np.testing.assert_array_equal(runs[0], runs[1])
+
     def test_determinism(self, rng):
         runs = []
         for _ in range(2):
@@ -294,6 +436,16 @@ class TestOnlineUpdate:
             runs.append({k: v.copy() for k, v in params.tensors.items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+
+def _checkpoint_bytes(variant_code, d_in, d_out, tensors):
+    """A checkpoint file holding ``tensors``, a list of (name, array), as given."""
+    out = [b"OVCK", struct.pack("<IBIII", 1, variant_code, d_in, d_out, len(tensors))]
+    for name, t in tensors:
+        t = np.asarray(t, dtype="<f4")
+        out += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", t.ndim),
+                struct.pack(f"<{t.ndim}I", *t.shape), t.tobytes()]
+    return b"".join(out)
 
 
 class TestCheckpoint:
@@ -351,6 +503,41 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="offset 23"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case,match", [
+        ("missing_bias", "'bias' is missing"),
+        ("transposed_weight", "'weight' is missing or not of shape \\(4, 3\\)"),
+        ("transposed_w1", "'w1' is missing or not of shape \\(4, 16\\)"),
+        ("duplicate", "duplicate tensor 'bias'"),
+        ("block_d_out", "d_in 4 != d_out 5"),
+    ])
+    def test_checkpoint_that_cannot_decode(self, tmp_path, case, match):
+        block = case in ("transposed_w1", "block_d_out")
+        params = block_params(4) if block else linear_params(3, 4)
+        tensors = [(k, np.asarray(v)) for k, v in params.tensors.items()]
+        d_out = params.d_out
+        if case == "missing_bias":
+            tensors = [t for t in tensors if t[0] != "bias"]
+        elif case == "transposed_weight":
+            tensors = [(k, v.T if k == "weight" else v) for k, v in tensors]
+        elif case == "transposed_w1":
+            tensors = [(k, v.reshape(16, 4) if k == "w1" else v) for k, v in tensors]
+        elif case == "duplicate":
+            tensors.append(("bias", np.zeros(4)))
+        else:
+            d_out = 5
+        path = tmp_path / "ck.bin"
+        path.write_bytes(_checkpoint_bytes(int(block), params.d_in, d_out, tensors))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+    def test_scalar_stored_with_one_dimension_still_loads(self, tmp_path):
+        params = linear_params(3)
+        tensors = [(k, np.asarray(v).reshape(-1) if k == "other_logit" else v)
+                   for k, v in params.tensors.items()]
+        path = tmp_path / "ck.bin"
+        path.write_bytes(_checkpoint_bytes(0, 3, 3, tensors))
+        assert load_checkpoint(path).tensors["other_logit"].shape == ()
 
     def test_shape_numpy_cannot_hold(self, tmp_path):
         path = tmp_path / "ck.bin"

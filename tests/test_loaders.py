@@ -1,8 +1,8 @@
 """Every loader rejects truncated or corrupted bytes with FormatError and nothing else.
 
 The fuzz tests cut a valid file short or flip some of its bytes, load it, and
-read every loaded sample back with ``tokens()``; any exception other than
-FormatError fails them.
+read every loaded sample back with ``tokens()`` (a decoder checkpoint: decode
+with it); any exception other than FormatError fails them.
 """
 
 import struct
@@ -20,6 +20,7 @@ from ovstream.compression import (
 )
 from ovstream.core import FormatError, LabelEmbeddingTable
 from ovstream.data import Dataset, load, save
+from ovstream.decoder import block_params, decode, linear_params, load_checkpoint, save_checkpoint
 from ovstream.replay import ReplayStore
 
 NAN = struct.pack("<f", float("nan"))
@@ -165,3 +166,40 @@ class TestReplayStoreFiles:
         meta.write_text(meta.read_text() + "3,0,0,1.0\n")
         with pytest.raises(FormatError, match="record 3"):
             ReplayStore.load(payload, meta)
+
+
+class TestDecoderCheckpoint:
+    @staticmethod
+    def _saved(tmp_path, variant):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(linear_params(3, 2, identity=False) if variant == "linear"
+                        else block_params(3), path)
+        return path
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), variant=st.sampled_from(["linear", "block"]))
+    def test_corrupt_checkpoint_raises_only_format_error(self, tmp_path_factory, data, variant):
+        path = self._saved(tmp_path_factory.mktemp("fuzz"), variant)
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        try:
+            params = load_checkpoint(path)
+            if params.d_in < 1024:  # a linear header with d_out 0 can claim any d_in
+                decode(np.ones((2, params.d_in), dtype=np.float32), params)
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("variant,name", [("linear", b"weight"), ("block", b"w2")])
+    def test_renamed_tensor_is_missing(self, tmp_path, variant, name):
+        path = self._saved(tmp_path, variant)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(name, name[:-1] + b"x", 1))
+        with pytest.raises(FormatError, match=repr(name.decode())):
+            load_checkpoint(path)
+
+    def test_block_d_out_other_than_d_in(self, tmp_path):
+        path = self._saved(tmp_path, "block")
+        blob = bytearray(path.read_bytes())
+        blob[13:17] = struct.pack("<I", 4)  # d_out: 3 -> 4
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="d_in 3 != d_out 4"):
+            load_checkpoint(path)
