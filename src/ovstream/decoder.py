@@ -495,6 +495,8 @@ def load_checkpoint(path) -> DecoderParams:
     except struct.error as exc:
         raise FormatError(f"truncated checkpoint near offset {len(data)}") from exc
     variant = _VARIANT_NAMES[variant_code]
+    if not d_in or not d_out:  # no label could be scored against a 0-wide embedding
+        raise FormatError(f"checkpoint has zero width: d_in {d_in}, d_out {d_out}")
     if variant == "block" and d_in != d_out:
         raise FormatError(f"block checkpoint has d_in {d_in} != d_out {d_out}")
     for name, shape in _layout(variant, d_in, d_out).items():

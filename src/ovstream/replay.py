@@ -13,13 +13,17 @@ cached.
 
 Four sampling strategies are supported: FIFO, Uniform, ClassBalanced, and
 frequency-weighted sampling (FWS) whose per-sample weight decays by a
-multiplier each time the sample lands in a batch.
+multiplier each time the sample lands in a batch. A ClassBalanced batch makes
+two Generator calls with the same draws as one ``rng.choice`` per chosen
+class, so its ids and the generator's state after it match those calls.
 """
 
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -120,6 +124,48 @@ class StoredSample:
         return self._store._payloads(*self._store._slots.values[self.id])
 
 
+# ``Generator.choice(n, size=count, replace=n < count)`` without the call:
+# numpy takes every bounded integer (Lemire's method, as ``integers`` does) from
+# one stream of 32-bit words however the draws are grouped, and a bound of 1
+# consumes nothing. So one ``integers`` call over the bounds ``choice`` would
+# draw, for every class of a batch, followed by a replay of its algorithms,
+# gives the same positions and leaves the generator in the same state.
+
+def _choice_bounds(n: int, count: int) -> list[int]:
+    """Bounds of the integers ``choice`` draws, in its order."""
+    if n < count:                              # with replacement
+        return [n] * count
+    if n <= 10000 or count <= n // 50:         # Floyd's picks, then their shuffle
+        return [*range(n - count + 1, n + 1), *range(count, 1, -1)]
+    return list(range(n, max(n - count, 1), -1))  # a tail shuffle of range(n)
+
+
+def _choice_positions(n: int, count: int, draws) -> list[int]:
+    """The positions ``choice`` returns, from an iterator over the integers
+    drawn with ``_choice_bounds(n, count)``; consumes exactly those."""
+    if n < count:
+        return list(islice(draws, count))
+    if n <= 10000 or count <= n // 50:
+        # Floyd (Bentley & Floyd 1987): for j from n - count to n - 1, pick the
+        # draw (bound j + 1), or j when the draw is picked already.
+        picks, seen = [], set()
+        for j, val in zip(range(n - count, n), draws):
+            if val in seen:
+                val = j
+            seen.add(val)
+            picks.append(val)
+        return _shuffle(picks, 1, draws)
+    return _shuffle(list(range(n)), max(n - count, 1), draws)[n - count:]
+
+
+def _shuffle(seq: list, first: int, draws) -> list:
+    """numpy's ``_shuffle_int`` in place: for i from the last index down to
+    ``first``, swap items i and j, j the next draw (bound i + 1)."""
+    for i, j in zip(range(len(seq) - 1, first - 1, -1), draws):
+        seq[i], seq[j] = seq[j], seq[i]
+    return seq
+
+
 class ReplayStore:
     """Append-only sample store with columnar payloads, class index and FWS weights."""
 
@@ -208,6 +254,10 @@ class ReplayStore:
         Companions come from the other ids in insertion order without listing
         them: FIFO and Uniform map positions among the others to ids, FWS draws
         from the weights less ``new_id``, ClassBalanced from the class lists.
+        ClassBalanced takes its picks with the same draws as one
+        ``rng.choice(pool, size=count, replace=len(pool) < count)`` per chosen
+        class, but in two Generator calls per batch: the ``choice`` of classes
+        and one ``integers`` over the bounds of every class's draws.
         """
         config.validate()
         self._check(new_id)
@@ -237,14 +287,25 @@ class ReplayStore:
         k = min(want, len(classes))
         chosen = rng.choice(classes, size=k, replace=False).tolist()
         base, extra = divmod(want, k)
-        companions = []
+        new_label = self._labels[new_id]
+        plans, bounds = [], []
         for pos, label in enumerate(chosen):
-            count = base + (1 if pos < extra else 0)
-            pool = [i for i in self._by_class[label] if i != new_id]
-            if not pool or count == 0:
-                continue
-            picks = rng.choice(pool, size=count, replace=len(pool) < count)
-            companions.extend(picks.tolist())
+            count = base + (pos < extra)
+            members = self._by_class[label]
+            # The class's pool is ``members`` less ``new_id``; ids ascend, so
+            # bisect finds the slot that positions skip.
+            n = skip = len(members)
+            if label == new_label:
+                skip = bisect_left(members, new_id)
+                n -= 1
+            if n and count:
+                bounds += _choice_bounds(n, count)
+                plans.append((members, skip, n, count))
+        draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64)).tolist())
+        companions = []
+        for members, skip, n, count in plans:
+            companions += [members[p + (p >= skip)]
+                           for p in _choice_positions(n, count, draws)]
         return companions
 
     def record_batched(self, ids, config: SamplerConfig) -> None:

@@ -531,6 +531,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("d_in,d_out", [(5, 0), (0, 3), (0, 0)])
+    def test_zero_width_checkpoint(self, tmp_path, d_in, d_out):
+        # Tensors of the shapes the header claims: the file is consistent but
+        # would decode to a 0-wide embedding.
+        tensors = [("weight", np.zeros((d_out, d_in))), ("bias", np.zeros(d_out)),
+                   ("other_logit", np.zeros(()))]
+        path = tmp_path / "ck.bin"
+        path.write_bytes(_checkpoint_bytes(0, d_in, d_out, tensors))
+        with pytest.raises(FormatError, match=f"zero width: d_in {d_in}, d_out {d_out}"):
+            load_checkpoint(path)
+
     def test_scalar_stored_with_one_dimension_still_loads(self, tmp_path):
         params = linear_params(3)
         tensors = [(k, np.asarray(v).reshape(-1) if k == "other_logit" else v)

@@ -287,6 +287,89 @@ class TestListReference:
             assert duplicates > 0  # draws with replacement were covered
 
 
+def _same_as_reference(labels, new_ids, batch_sizes, seeds=range(4)):
+    """Class-balanced batches equal the reference's, and so does the generator
+    state after them."""
+    store, ref = ReplayStore(), _ListStore()
+    for label in labels:
+        store.insert(label, np.zeros((2, 1), np.float32))
+        ref.insert(label)
+    for batch_size in batch_sizes:
+        config = SamplerConfig(strategy="class_balanced", batch_size=batch_size)
+        for new_id in new_ids:
+            for seed in seeds:
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                ids = store.compose_batch(new_id, config, rng)
+                assert ids == ref.compose_batch(new_id, config, ref_rng)
+                assert rng.random() == ref_rng.random()
+
+
+class _CountingGenerator:
+    """A Generator proxy that counts the calls made through it."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestClassBalancedDraws:
+    """Every branch of the per-class ``rng.choice`` the draws reproduce."""
+
+    def test_large_class_tail_shuffle(self):
+        # Class 0 has 10001 members: its pool has n = 10000 (Floyd's picks
+        # for any count) when new_id is in it, n = 10001 otherwise. Then
+        # n // 50 = 200, and counts 99-100 and 200 take Floyd's picks while
+        # 201 and 299-300 take numpy's tail shuffle. The 5-member class takes
+        # its picks with replacement.
+        labels = [0] * 10001 + [1] * 5
+        _same_as_reference(labels, [0, 10000, 10001], [200, 402, 600], seeds=range(3))
+
+    def test_count_equal_to_pool_and_larger(self):
+        # One class, new_id 2: the pool has 4 ids. Batch 5 draws all 4 (the
+        # first Floyd bound is 1, which consumes nothing), batch 8 draws 7 of
+        # 4 with replacement.
+        _same_as_reference([0] * 5, [2], [5, 8])
+
+    def test_new_id_alone_in_its_class(self):
+        # Class 1 holds only new_id, so its pool is empty when it is chosen
+        # and the batch comes out short of its slots.
+        _same_as_reference([0, 1, 0, 2, 2, 0], [1], [2, 3, 4, 6], seeds=range(20))
+
+    def test_new_id_first_middle_and_last_in_its_class(self):
+        # Class 0 is ids 0, 3, ..., 15: new_id 0 is first, 9 in the middle
+        # and 15 last; new_id 4 is second in class 1.
+        labels = [0, 1, 2] * 6
+        _same_as_reference(labels, [0, 9, 15, 4], [2, 4, 7, 12], seeds=range(10))
+
+    def test_batch_size_one(self):
+        _same_as_reference([0, 0, 1, 2], [0, 3], [1])
+
+    def test_more_slots_than_classes(self):
+        # 3 classes, up to 63 slots: 21 picks per class, with replacement
+        # from the small classes and without from the large one.
+        labels = [0] * 40 + [1] * 7 + [2] * 2
+        _same_as_reference(labels, [0, 39, 45, 48], [5, 11, 30, 64])
+
+    @pytest.mark.parametrize("batch_size,k", [(4, 3), (41, 40)])
+    def test_two_generator_calls_per_batch(self, batch_size, k):
+        store = _store_with([label for _ in range(3) for label in range(40)])
+        config = SamplerConfig(strategy="class_balanced", batch_size=batch_size)
+        rng, plain = _CountingGenerator(np.random.default_rng(8)), np.random.default_rng(8)
+        for new_id in range(0, len(store), 7):
+            before = rng.calls
+            ids = store.compose_batch(new_id, config, rng)
+            assert rng.calls - before <= 2
+            assert ids == store.compose_batch(new_id, config, plain)
+            assert len({store.label(i) for i in ids[1:]}) == k
+
+
 class TestColumnarLayout:
     def _payloads(self, t=10, d=64, seed=0):
         tokens = np.random.default_rng(seed).standard_normal((t, d)).astype(np.float32)
