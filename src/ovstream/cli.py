@@ -110,14 +110,20 @@ def _dataset_from_config(raw: dict) -> data.Dataset:
 def _suites_from_config(raw: dict, dataset: data.Dataset):
     if "suites" not in raw:
         return None
-    suites = []
+    suites, n = [], len(dataset.samples)
     for entry in raw["suites"]:
         ids = entry.get("samples", "all")
         if ids == "all":
-            ids = list(range(len(dataset.samples)))
+            ids = list(range(n))
+        bad = [i for i in ids if type(i) is not int or not 0 <= i < n]
+        if bad:
+            raise ValueError(f"suite {entry['name']!r}: sample ids {bad} not in [0, {n})")
         cands = entry.get("candidates", "all")
         if cands == "all":
             cands = dataset.labels()
+        unknown = [c for c in cands if c not in dataset.label_table]
+        if unknown:
+            raise ValueError(f"suite {entry['name']!r}: candidates {unknown} not in the label table")
         suites.append(protocols.EvalSuite(entry["name"], list(ids), set(cands)))
     return suites
 

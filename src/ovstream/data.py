@@ -175,7 +175,10 @@ def load(path) -> Dataset:
             task, size = struct.unpack_from("<II", data, off)
             off += 8
             ids = struct.unpack_from(f"<{size}I", data, off)
-            off += 4 * size
+            for i in ids:
+                if i >= n_samples:
+                    raise FormatError(f"task {task} names sample {i} of {n_samples} at offset {off}")
+                off += 4
             task_map[task] = list(ids)
         samples = []
         for _ in range(n_samples):

@@ -13,8 +13,7 @@ Two variants map a token matrix to an output embedding:
   other row reaches the output. Keys and values are linear in the
   normalized tokens, so they enter through the CLS row's scores and
   attention-weighted sum without being formed. Keys carry no bias: it would
-  shift every score of a row by the same amount, which the softmax ignores
-  (a ``bk`` tensor in an older checkpoint still loads and is unused).
+  shift every score of a row by the same amount, which the softmax ignores.
 
 ``decode`` (of one token matrix, or of a list of them) and the loss run one
 forward pass per stacked B x T x D group of equal-shape matrices; padding
@@ -26,24 +25,20 @@ Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
 after the candidates' cosine logits, for the loss and for the "other"
 probability of ``weighting.p_other``. Parameters live in one float64 vector,
-which ``DecoderParams.tensors`` views by name; checkpoints store float32.
+which ``DecoderParams.tensors`` views by name.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
-from .core import TEMPERATURE, FormatError, LabelEmbeddingTable, label_cosines, softmax
+from .core import TEMPERATURE, LabelEmbeddingTable, label_cosines, softmax
 
 LN_EPS = 1e-5
-
-_MAGIC = b"OVCK"
-_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +92,6 @@ class DecoderParams:
             raise ValueError(f"parameter {name} contains non-finite entries")
 
 
-def _layout(variant: str, d_in: int, d_out: int) -> dict[str, tuple]:
-    """The shape of every tensor a variant decodes with."""
-    if variant == "linear":
-        return {"weight": (d_out, d_in), "bias": (d_out,), "other_logit": ()}
-    d = d_in
-    return {"ln1_gain": (d,), "ln1_bias": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
-            "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2_gain": (d,),
-            "ln2_bias": (d,), "w1": (d, 4 * d), "b1": (4 * d,), "w2": (4 * d, d),
-            "b2": (d,), "other_logit": ()}
-
-
 def linear_params(d_in: int, d_out: int | None = None, identity: bool = True,
                   rng: np.random.Generator | None = None, scale: float = 0.02) -> DecoderParams:
     """Linear decoder; identity-initialized when square (the frozen decoder is a no-op)."""
@@ -129,9 +113,14 @@ def block_params(dim: int, rng: np.random.Generator | None = None,
     so the initial tuned embedding stays near the CLS token.
     """
     rng = rng or np.random.default_rng(0)
+    d = dim
+    shapes = {"ln1_gain": (d,), "ln1_bias": (d,), "wq": (d, d), "bq": (d,), "wk": (d, d),
+              "wv": (d, d), "bv": (d,), "wo": (d, d), "bo": (d,), "ln2_gain": (d,),
+              "ln2_bias": (d,), "w1": (d, 4 * d), "b1": (4 * d,), "w2": (4 * d, d),
+              "b2": (d,), "other_logit": ()}
     tensors = {name: (scale * rng.standard_normal(shape) if name[0] == "w"
                       else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
-               for name, shape in _layout("block", dim, dim).items()}
+               for name, shape in shapes.items()}
     return DecoderParams("block", dim, dim, tensors)
 
 
@@ -429,77 +418,3 @@ def online_update(new_id: int, store, params: DecoderParams,
     state.grads = loss_gradients(batch, params, table, beta, state.grads)
     optimizer_step(params, state.grads, state)
     return ids
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: magic "OVCK", u32 version, u8 variant, u32 d_in, u32 d_out,
-# u32 tensor count, then per tensor: u16 name length, utf-8 name, u8 ndim,
-# u32 dims, little-endian float32 payload. Parameters round-trip via float32.
-
-_VARIANT_CODES = {"linear": 0, "block": 1}
-_VARIANT_NAMES = {v: k for k, v in _VARIANT_CODES.items()}
-
-
-def save_checkpoint(params: DecoderParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IBII", _VERSION, _VARIANT_CODES[params.variant],
-                             params.d_in, params.d_out))
-        fh.write(struct.pack("<I", len(params.tensors)))
-        for name in sorted(params.tensors):
-            t = np.asarray(params.tensors[name], dtype="<f4")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", t.ndim))
-            fh.write(struct.pack(f"<{t.ndim}I", *t.shape) if t.ndim else b"")
-            fh.write(t.tobytes())
-
-
-def load_checkpoint(path) -> DecoderParams:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise FormatError("bad checkpoint magic at offset 0")
-    try:
-        version, variant_code, d_in, d_out = struct.unpack_from("<IBII", data, 4)
-        if version != _VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
-        if variant_code not in _VARIANT_NAMES:
-            raise FormatError(f"unknown decoder variant code {variant_code} at offset 8")
-        (count,) = struct.unpack_from("<I", data, 17)
-        off = 21
-        tensors = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            try:
-                name = data[off:off + nlen].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"tensor name is not utf-8 at offset {off}") from exc
-            if name in tensors:
-                raise FormatError(f"duplicate tensor {name!r} at offset {off}")
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", data, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, off)
-            off += 4 * ndim
-            shape = () if name == "other_logit" and shape == (1,) else shape  # older files: (1,)
-            size = math.prod(shape)
-            try:
-                arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(shape)
-            except (ValueError, OverflowError) as exc:  # truncated, or a shape numpy cannot hold
-                raise FormatError(f"bad tensor {name!r} payload at offset {off}") from exc
-            off += 4 * size
-            tensors[name] = arr
-    except struct.error as exc:
-        raise FormatError(f"truncated checkpoint near offset {len(data)}") from exc
-    variant = _VARIANT_NAMES[variant_code]
-    if not d_in or not d_out:  # no label could be scored against a 0-wide embedding
-        raise FormatError(f"checkpoint has zero width: d_in {d_in}, d_out {d_out}")
-    if variant == "block" and d_in != d_out:
-        raise FormatError(f"block checkpoint has d_in {d_in} != d_out {d_out}")
-    for name, shape in _layout(variant, d_in, d_out).items():
-        if name not in tensors or tensors[name].shape != shape:
-            raise FormatError(f"checkpoint tensor {name!r} is missing or not of shape {shape}")
-    return DecoderParams(variant, d_in, d_out, tensors)

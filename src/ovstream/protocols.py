@@ -5,17 +5,23 @@ by one and is followed by an evaluation of every configured suite. A suite
 is a named set of evaluation samples plus the candidate label set scored
 over. Metrics follow the multi-task incremental convention: Transfer
 averages accuracy on tasks not yet trained, Last averages the final row,
-Avg averages per-task column means.
+Avg averages per-task column means. ``Engine.snapshot`` writes an engine's
+whole state to one file and ``Engine.restore`` reads it back exactly, so a
+stream can stop and go on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+import struct
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import compression
-from .core import candidate_probabilities, zero_shot_probabilities
+from .core import FormatError, candidate_probabilities, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
@@ -28,6 +34,7 @@ from .decoder import (
 from .replay import ReplayStore, SamplerConfig
 from .weighting import (
     ClassAccuracyTracker,
+    LabelStats,
     aim_alpha,
     combined_prediction,
     mix_predictions,
@@ -144,6 +151,9 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("beta", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"hyperparameter {name} must be finite, got {getattr(self, name)}")
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting strategy {self.weighting!r}")
         if self.compression == "dataset-pca":
@@ -161,6 +171,31 @@ class EngineConfig:
         if self.p_other_weighting and self.weighting != "ocw":
             raise ValueError(f"p_other_weighting applies to 'ocw' only, not {self.weighting!r}")
         self.sampler.validate()
+
+
+# Snapshot file: magic "OVSN", u32 version, u32 header length, a UTF-8 JSON
+# header {"config": EngineConfig fields, "rng": the engine RNG's bit-generator
+# state}; u32 n, n float64 parameters (DecoderParams.flat), u64 optimizer step,
+# n float64 m, n float64 v; u32 tracker count, per label (i64 label, f64 c_t,
+# f64 c_o, u64 n_seen); u32 sample count, per stored sample (i64 label, i64
+# batch count, f64 FWS weight) then its payload record per ovstream.compression.
+# Little-endian.
+
+_SNAPSHOT_MAGIC = b"OVSN"
+_SNAPSHOT_VERSION = 1
+_STATS = struct.Struct("<qddQ")
+_SAMPLE = struct.Struct("<qqd")
+
+
+def _typed(cls, raw: dict):
+    """``cls(**raw)``, every field of its default's type (an int may stand for a float)."""
+    obj = cls(**raw)
+    for name, default in vars(cls()).items():
+        value = getattr(obj, name)
+        if type(value) is not type(default) and not (type(default) is float
+                                                     and type(value) is int):
+            raise TypeError(f"{cls.__name__}.{name} is {value!r}")
+    return obj
 
 
 class Engine:
@@ -304,6 +339,93 @@ class Engine:
                 acc, _ = self.evaluate_suite(suite)
                 record.add(stage.index, suite.name, acc)
         return record
+
+    # -- snapshot -----------------------------------------------------------
+
+    def snapshot(self, path) -> None:
+        """Write the engine's whole state to one file, which ``restore`` reads back exactly."""
+        header = json.dumps({"config": asdict(self.config),
+                             "rng": self.rng.bit_generator.state}, sort_keys=True).encode()
+        theta = self.params.buffer()
+        m, v = (np.zeros_like(theta) if a is None else a for a in (self.opt.m, self.opt.v))
+        parts = [_SNAPSHOT_MAGIC, struct.pack("<II", _SNAPSHOT_VERSION, len(header)), header,
+                 struct.pack("<I", theta.size), theta.astype("<f8").tobytes(),
+                 struct.pack("<Q", self.opt.step), m.astype("<f8").tobytes(),
+                 v.astype("<f8").tobytes(), struct.pack("<I", len(self.tracker.stats))]
+        parts += [_STATS.pack(label, s.tuned_acc, s.frozen_acc, s.n_seen)
+                  for label, s in self.tracker.stats.items()]
+        parts.append(struct.pack("<I", len(self.store)))
+        for s in map(self.store.sample, range(len(self.store))):
+            parts += [_SAMPLE.pack(s.label, s.batch_count, s.fws_weight),
+                      compression.payload_to_bytes(s.payload)]
+        Path(path).write_bytes(b"".join(parts))
+
+    @classmethod
+    def restore(cls, path, dataset: Dataset) -> "Engine":
+        """The engine a ``snapshot`` file holds, on ``dataset``. Raises only
+        ``FormatError``: for malformed bytes, and for a state no engine on ``dataset``
+        holds (a config ``validate`` rejects, non-finite parameters or moments,
+        ``v < 0``, labels outside the table, batch counts < 0, FWS weights outside
+        (0, 1], tracker accuracies outside [0, 1], another token shape). Stored
+        samples go back in through ``ReplayStore.insert`` and its checks."""
+        data = Path(path).read_bytes()
+        if data[:4] != _SNAPSHOT_MAGIC:
+            raise FormatError("bad snapshot magic at offset 0")
+        off = 4
+        try:
+            version, size = struct.unpack_from("<II", data, off)
+            if version != _SNAPSHOT_VERSION:
+                raise FormatError(f"unsupported snapshot version {version}")
+            off = 12
+            header = json.loads(data[off:off + size])
+            raw = header["config"]
+            engine = cls(dataset, _typed(EngineConfig, {
+                **raw, "sampler": _typed(SamplerConfig, raw["sampler"])}))
+            engine.rng.bit_generator.state = header["rng"]
+            off += size
+            theta = engine.params.buffer()
+            (n,) = struct.unpack_from("<I", data, off)
+            if n != theta.size:
+                raise FormatError(f"{n} parameters at offset {off}, the decoder has {theta.size}")
+            theta[:] = np.frombuffer(data, "<f8", n, off + 4)
+            (engine.opt.step,) = struct.unpack_from("<Q", data, off + 4 + 8 * n)
+            state = np.zeros((4, n))  # m, v and the optimizer's two scratch rows
+            state[:2] = np.frombuffer(data, "<f8", 2 * n, off + 12 + 8 * n).reshape(2, n)
+            if not (np.isfinite(theta).all() and np.isfinite(state).all() and state[1].min() >= 0):
+                raise FormatError(f"non-finite parameters or moments, or v < 0, at offset {off}")
+            engine.opt.m, engine.opt.v, *engine.opt.scratch = state
+            off += 12 + 24 * n
+            (count,) = struct.unpack_from("<I", data, off)
+            off += 4
+            for _ in range(count):
+                label, c_t, c_o, n_seen = _STATS.unpack_from(data, off)
+                if label not in engine.table or not (0 <= c_t <= 1 and 0 <= c_o <= 1):
+                    raise FormatError(f"bad tracker entry for label {label} at offset {off}")
+                engine.tracker.stats[label] = LabelStats(c_t, c_o, n_seen)
+                off += _STATS.size
+            (count,) = struct.unpack_from("<I", data, off)
+            off += 4
+            shape = dataset.tokens(0).shape if dataset.samples else None
+        except (struct.error, ValueError, TypeError, KeyError, OverflowError) as exc:
+            raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
+        for sid in range(count):
+            start = off
+            try:
+                label, batch_count, weight = _SAMPLE.unpack_from(data, off)
+                payload, off = compression.payload_from_bytes(data, off + _SAMPLE.size)
+                if label not in engine.table or batch_count < 0 or not 0 < weight <= 1:
+                    raise ValueError(f"label {label}, batch count {batch_count}, "
+                                     f"FWS weight {weight}")
+                if tuple(payload.shape) != shape:
+                    raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's {shape}")
+                engine.store.insert(label, payload)
+            except (FormatError, struct.error, ValueError) as exc:
+                raise FormatError(f"bad snapshot record {sid} at offset {start}: {exc}") from exc
+            sample = engine.store.sample(sid)
+            sample.batch_count, sample.fws_weight = batch_count, weight
+        if off != len(data):
+            raise FormatError(f"{len(data) - off} bytes after the last record at offset {off}")
+        return engine
 
 
 def run_stream(dataset: Dataset, stream: list[StreamStage],

@@ -20,7 +20,6 @@ class, so its ids and the generator's state after it match those calls.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -28,7 +27,6 @@ from itertools import islice
 import numpy as np
 
 from . import compression
-from .core import FormatError
 
 STRATEGIES = ("fifo", "uniform", "class_balanced", "fws")
 
@@ -316,46 +314,3 @@ class ReplayStore:
             # Recomputed from the count so the weight is exactly
             # max(decay**batch_count, floor), free of accumulation error.
             self._weights[sid] = max(config.decay ** self._counts[sid], config.weight_floor)
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, payload_path, metadata_path) -> None:
-        """Snapshot payloads to the binary container plus a CSV metadata sidecar."""
-        samples = [self.sample(sid) for sid in range(len(self))]
-        with open(payload_path, "wb") as fh:
-            fh.write(b"OVRS")
-            fh.write(len(samples).to_bytes(4, "little"))
-            for s in samples:
-                fh.write(compression.payload_to_bytes(s.payload))
-        with open(metadata_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "label", "batch_count", "fws_weight"])
-            for s in samples:
-                writer.writerow([s.id, s.label, s.batch_count, repr(s.fws_weight)])
-
-    @classmethod
-    def load(cls, payload_path, metadata_path) -> "ReplayStore":
-        """Read a snapshot back; any rejection, by the payload decoder or by
-        ``insert``, raises ``FormatError`` naming the record."""
-        with open(payload_path, "rb") as fh:
-            data = fh.read()
-        if data[:4] != b"OVRS":
-            raise FormatError("bad store magic at offset 0")
-        count = int.from_bytes(data[4:8], "little")
-        try:
-            with open(metadata_path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-        except (ValueError, csv.Error) as exc:
-            raise FormatError(f"bad metadata: {exc}") from exc
-        if len(rows) != count:
-            raise FormatError("metadata row count does not match payload count")
-        store, off = cls(), 8
-        for sid, row in enumerate(rows):
-            try:
-                payload, off = compression.payload_from_bytes(data, off)
-                store.insert(int(row["label"]), payload)
-                s = store.sample(sid)
-                s.batch_count, s.fws_weight = int(row["batch_count"]), float(row["fws_weight"])
-            except (FormatError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise FormatError(f"bad store record {sid}: {exc}") from exc
-        return store

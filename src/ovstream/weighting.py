@@ -12,7 +12,6 @@ across labels adds in label order (:func:`label_sum`), as Python's ``sum``.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .core import as_embedding, label_cosines, softmax, unit_rows
 
 
 @dataclass
-class _LabelStats:
+class LabelStats:
     tuned_acc: float = 0.0
     frozen_acc: float = 0.0
     n_seen: int = 0
@@ -35,7 +34,7 @@ class ClassAccuracyTracker:
 
     decay: float = 0.99
     eps: float = 1e-8
-    stats: dict[int, _LabelStats] = field(default_factory=dict)
+    stats: dict[int, LabelStats] = field(default_factory=dict)
 
     def _cold_start_steps(self) -> int:
         return int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
@@ -53,7 +52,7 @@ class ClassAccuracyTracker:
         The first floor(1/(1-decay)) observations of a label use the running
         arithmetic mean; afterwards the standard EMA recursion applies.
         """
-        s = self.stats.setdefault(label, _LabelStats())
+        s = self.stats.setdefault(label, LabelStats())
         for attr, correct in (("tuned_acc", tuned_correct), ("frozen_acc", frozen_correct)):
             prev = getattr(s, attr)
             ind = 1.0 if correct else 0.0
@@ -63,25 +62,6 @@ class ClassAccuracyTracker:
                 value = self.decay * prev + (1.0 - self.decay) * ind
             setattr(s, attr, value)
         s.n_seen += 1
-
-    # -- persistence --------------------------------------------------------
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "tuned_acc", "frozen_acc", "n_seen"])
-            for label in sorted(self.stats):
-                s = self.stats[label]
-                writer.writerow([label, repr(s.tuned_acc), repr(s.frozen_acc), s.n_seen])
-
-    @classmethod
-    def load_csv(cls, path, decay: float = 0.99, eps: float = 1e-8) -> "ClassAccuracyTracker":
-        tracker = cls(decay=decay, eps=eps)
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                tracker.stats[int(row["label"])] = _LabelStats(
-                    float(row["tuned_acc"]), float(row["frozen_acc"]), int(row["n_seen"]))
-        return tracker
 
 
 def alpha(confidence: dict[int, tuple[float, float]], labels,

@@ -175,9 +175,23 @@ class TestRun:
         ({"weighting": "nn-loo", "p_other_weighting": True}, "p_other_weighting"),
         ({"weight_decay": -1.0}, "hyperparameters"),
         ({"pca_components": 0, "compression": "pca-cls-quant"}, "hyperparameters"),
+        ({"lr": float("nan")}, "lr must be finite"),
     ])
     def test_config_rejected_before_any_output(self, tmp_path, capsys, extra, word):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("suite, word", [
+        ({"name": "past", "samples": [0, 12]}, "sample ids [12] not in [0, 12)"),
+        ({"name": "negative", "samples": [-1, 0]}, "sample ids [-1]"),
+        ({"name": "fraction", "samples": [1.0]}, "sample ids [1.0]"),
+        ({"name": "alien", "candidates": [0, 7]}, "candidates [7] not in the label table"),
+    ])
+    def test_suite_outside_the_dataset_exits_2(self, tmp_path, capsys, suite, word):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "suites": [suite]})
         out = tmp_path / "out"
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert word in capsys.readouterr().err

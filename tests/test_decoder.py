@@ -1,10 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from ovstream.core import TEMPERATURE, FormatError, LabelEmbeddingTable, label_cosines
+from ovstream.core import TEMPERATURE, LabelEmbeddingTable, label_cosines
 from ovstream.decoder import (
     DecoderParams,
     OptimizerState,
@@ -15,11 +13,9 @@ from ovstream.decoder import (
     combined_loss,
     decode,
     linear_params,
-    load_checkpoint,
     loss_gradients,
     online_update,
     optimizer_step,
-    save_checkpoint,
     zeros_like_params,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
@@ -328,12 +324,10 @@ class TestFlatBuffer:
             assert t.base is params.flat
 
     @pytest.mark.parametrize("variant", ["linear", "block"])
-    def test_every_constructor_packs_one_buffer(self, tmp_path, variant):
+    def test_every_constructor_packs_one_buffer(self, variant):
         params = (linear_params(6, 4, identity=False, rng=np.random.default_rng(0))
                   if variant == "linear" else block_params(6))
-        save_checkpoint(params, tmp_path / "ck.bin")
-        made = [params, params.copy(), zeros_like_params(params),
-                load_checkpoint(tmp_path / "ck.bin")]
+        made = [params, params.copy(), zeros_like_params(params)]
         for p in made:
             self._assert_views_of_one_buffer(p)
             assert list(p.tensors)[-1] == "other_logit"
@@ -436,129 +430,6 @@ class TestOnlineUpdate:
             runs.append({k: v.copy() for k, v in params.tensors.items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name])
-
-
-def _checkpoint_bytes(variant_code, d_in, d_out, tensors):
-    """A checkpoint file holding ``tensors``, a list of (name, array), as given."""
-    out = [b"OVCK", struct.pack("<IBIII", 1, variant_code, d_in, d_out, len(tensors))]
-    for name, t in tensors:
-        t = np.asarray(t, dtype="<f4")
-        out += [struct.pack("<H", len(name)), name.encode(), struct.pack("<B", t.ndim),
-                struct.pack(f"<{t.ndim}I", *t.shape), t.tobytes()]
-    return b"".join(out)
-
-
-class TestCheckpoint:
-    @pytest.mark.parametrize("make", [
-        lambda: linear_params(6, 4, identity=False, rng=np.random.default_rng(0)),
-        lambda: block_params(6, rng=np.random.default_rng(1)),
-    ])
-    def test_round_trip(self, tmp_path, make):
-        params = make()
-        path = tmp_path / "ck.bin"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert loaded.variant == params.variant
-        assert loaded.d_in == params.d_in and loaded.d_out == params.d_out
-        for name, t in params.tensors.items():
-            np.testing.assert_array_equal(
-                loaded.tensors[name], t.astype(np.float32).astype(np.float64))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
-
-    def test_truncated(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        save_checkpoint(linear_params(4), path)
-        path.write_bytes(path.read_bytes()[:30])
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
-
-    def test_unknown_variant_code(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        save_checkpoint(linear_params(4), path)
-        data = bytearray(path.read_bytes())
-        data[8] = 7  # the variant byte follows the magic and the u32 version
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="offset 8"):
-            load_checkpoint(path)
-
-    def test_truncated_tensor_payload(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        save_checkpoint(linear_params(4), path)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FormatError, match="offset"):
-            load_checkpoint(path)
-
-    def test_undecodable_tensor_name(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        save_checkpoint(linear_params(4), path)
-        data = bytearray(path.read_bytes())
-        (nlen,) = struct.unpack_from("<H", data, 21)
-        assert nlen > 0
-        data[23] = 0xFF  # first byte of the first tensor name
-        path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="offset 23"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("case,match", [
-        ("missing_bias", "'bias' is missing"),
-        ("transposed_weight", "'weight' is missing or not of shape \\(4, 3\\)"),
-        ("transposed_w1", "'w1' is missing or not of shape \\(4, 16\\)"),
-        ("duplicate", "duplicate tensor 'bias'"),
-        ("block_d_out", "d_in 4 != d_out 5"),
-    ])
-    def test_checkpoint_that_cannot_decode(self, tmp_path, case, match):
-        block = case in ("transposed_w1", "block_d_out")
-        params = block_params(4) if block else linear_params(3, 4)
-        tensors = [(k, np.asarray(v)) for k, v in params.tensors.items()]
-        d_out = params.d_out
-        if case == "missing_bias":
-            tensors = [t for t in tensors if t[0] != "bias"]
-        elif case == "transposed_weight":
-            tensors = [(k, v.T if k == "weight" else v) for k, v in tensors]
-        elif case == "transposed_w1":
-            tensors = [(k, v.reshape(16, 4) if k == "w1" else v) for k, v in tensors]
-        elif case == "duplicate":
-            tensors.append(("bias", np.zeros(4)))
-        else:
-            d_out = 5
-        path = tmp_path / "ck.bin"
-        path.write_bytes(_checkpoint_bytes(int(block), params.d_in, d_out, tensors))
-        with pytest.raises(FormatError, match=match):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("d_in,d_out", [(5, 0), (0, 3), (0, 0)])
-    def test_zero_width_checkpoint(self, tmp_path, d_in, d_out):
-        # Tensors of the shapes the header claims: the file is consistent but
-        # would decode to a 0-wide embedding.
-        tensors = [("weight", np.zeros((d_out, d_in))), ("bias", np.zeros(d_out)),
-                   ("other_logit", np.zeros(()))]
-        path = tmp_path / "ck.bin"
-        path.write_bytes(_checkpoint_bytes(0, d_in, d_out, tensors))
-        with pytest.raises(FormatError, match=f"zero width: d_in {d_in}, d_out {d_out}"):
-            load_checkpoint(path)
-
-    def test_scalar_stored_with_one_dimension_still_loads(self, tmp_path):
-        params = linear_params(3)
-        tensors = [(k, np.asarray(v).reshape(-1) if k == "other_logit" else v)
-                   for k, v in params.tensors.items()]
-        path = tmp_path / "ck.bin"
-        path.write_bytes(_checkpoint_bytes(0, 3, 3, tensors))
-        assert load_checkpoint(path).tensors["other_logit"].shape == ()
-
-    def test_shape_numpy_cannot_hold(self, tmp_path):
-        path = tmp_path / "ck.bin"
-        name = b"bias"
-        path.write_bytes(b"OVCK" + struct.pack("<IBIII", 1, 0, 1, 1, 1)
-                         + struct.pack("<H", len(name)) + name
-                         + struct.pack("<B", 100) + struct.pack("<100I", *[1] * 100)
-                         + b"\x00" * 4)
-        with pytest.raises(FormatError, match="offset"):
-            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +613,6 @@ class TestBatchedMatchesPerSampleReference:
             _assert_rel_close(decode(tokens, params), want.astype(np.float32), rtol=1e-6)
             got, _ = _forward(tokens.astype(np.float64)[None], params)
             _assert_rel_close(got[0], want)
-
-    def test_checkpoint_with_key_bias_still_decodes(self, tmp_path):
-        # Older block checkpoints carry a key bias "bk". It shifts every
-        # attention score of a row equally, which the softmax ignores, so such
-        # a checkpoint decodes as the bias-free reference does.
-        _, params, rng = _instance("block", seed=6)
-        params.tensors["bk"] = rng.standard_normal(8)
-        path = tmp_path / "ck.bin"
-        save_checkpoint(params, path)
-        loaded = load_checkpoint(path)
-        assert "bk" in loaded.tensors
-        tokens = rng.standard_normal((5, 8)).astype(np.float32)
-        want, _ = _ref_forward(tokens, loaded)
-        _assert_rel_close(decode(tokens, loaded), want.astype(np.float32), rtol=1e-6)
 
     def test_bad_token_matrices_rejected(self, rng):
         table, params, _ = _instance("block", seed=5)

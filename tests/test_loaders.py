@@ -1,8 +1,8 @@
 """Every loader rejects truncated or corrupted bytes with FormatError and nothing else.
 
 The fuzz tests cut a valid file short or flip some of its bytes, load it, and
-read every loaded sample back with ``tokens()`` (a decoder checkpoint: decode
-with it); any exception other than FormatError fails them.
+read every loaded sample back with ``tokens()`` (an engine snapshot: train one
+step and evaluate with it); any exception other than FormatError fails them.
 """
 
 import struct
@@ -20,8 +20,9 @@ from ovstream.compression import (
 )
 from ovstream.core import FormatError, LabelEmbeddingTable
 from ovstream.data import Dataset, load, save
-from ovstream.decoder import block_params, decode, linear_params, load_checkpoint, save_checkpoint
-from ovstream.replay import ReplayStore
+from ovstream.protocols import Engine, EngineConfig, EvalSuite
+from ovstream.replay import ReplayStore, SamplerConfig
+from ovstream.weighting import LabelStats
 
 NAN = struct.pack("<f", float("nan"))
 
@@ -43,6 +44,17 @@ def _store():
     for i, payload in enumerate(_payloads()):
         store.insert(i, payload)
     return store
+
+
+def _snapshot_of_every_layout(path):
+    """A snapshot whose store holds ``_dataset()``'s samples: record 0 raw, 1 float
+    PCA, 2 quantized."""
+    ds = _dataset()
+    engine = Engine(ds, EngineConfig())
+    for payload, label in ds.samples:
+        engine.store.insert(label, payload)
+    engine.snapshot(path)
+    return path
 
 
 @st.composite
@@ -98,7 +110,7 @@ class TestDatasetFile:
         except FormatError:
             pass
 
-    def _label_block_patched(self, tmp_path, off: int, raw: bytes):
+    def _patched(self, tmp_path, off: int, raw: bytes):
         path = tmp_path / "data.bin"
         save(_dataset(), path)
         blob = bytearray(path.read_bytes())
@@ -108,39 +120,38 @@ class TestDatasetFile:
 
     def test_nan_label_embedding(self, tmp_path):
         # Label entries start at offset 28: u32 id, then D=3 float32.
-        path = self._label_block_patched(tmp_path, 32, NAN)
+        path = self._patched(tmp_path, 32, NAN)
         with pytest.raises(FormatError, match="label 0"):
             load(path)
 
     def test_duplicate_label_id(self, tmp_path):
-        path = self._label_block_patched(tmp_path, 44, struct.pack("<I", 0))
+        path = self._patched(tmp_path, 44, struct.pack("<I", 0))
         with pytest.raises(FormatError, match="duplicate label id 0"):
+            load(path)
+
+    def test_task_naming_a_sample_out_of_range(self, tmp_path):
+        # Tasks start at offset 60, after two label entries: u32 task id, u32
+        # size, then the sample ids. The dataset has 3 samples.
+        path = self._patched(tmp_path, 68, struct.pack("<I", 99))
+        with pytest.raises(FormatError, match="sample 99 of 3 at offset 68"):
             load(path)
 
 
 class TestReplayStoreFiles:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_corrupt_files_raise_only_format_error(self, tmp_path_factory, data):
-        tmp = tmp_path_factory.mktemp("fuzz")
-        payload, meta = tmp / "store.bin", tmp / "store.csv"
-        _store().save(payload, meta)
-        target = data.draw(st.sampled_from([payload, meta]))
-        target.write_bytes(data.draw(corrupted(target.read_bytes())))
-        try:
-            store = ReplayStore.load(payload, meta)
-            store.tokens(range(len(store)))
-        except FormatError:
-            pass
+    """The store's records as an engine snapshot holds them."""
+
+    @staticmethod
+    def _record_offset(blob: bytes, record: int) -> int:
+        return blob.index(payload_to_bytes(_payloads()[record]))
 
     def test_nan_in_raw_payload(self, tmp_path):
-        payload, meta = tmp_path / "store.bin", tmp_path / "store.csv"
-        _store().save(payload, meta)
-        blob = bytearray(payload.read_bytes())
-        blob[17:21] = NAN  # first token value of the first (raw) record
-        payload.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="offset 8"):
-            ReplayStore.load(payload, meta)
+        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
+        blob = bytearray(path.read_bytes())
+        off = self._record_offset(blob, 0) + 9  # first token value of the raw record
+        blob[off:off + 4] = NAN
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="record 0"):
+            Engine.restore(path, _dataset())
 
     def test_tokens_of_every_layout_equal_each_record(self):
         ids = [2, 0, 1, 2, 1]
@@ -148,57 +159,96 @@ class TestReplayStoreFiles:
         assert _store().tokens(ids).tobytes() == want.tobytes()
 
     def test_record_whose_coefficients_do_not_fit_its_n(self, tmp_path):
-        payload, meta = tmp_path / "store.bin", tmp_path / "store.csv"
-        _store().save(payload, meta)
-        blob = bytearray(payload.read_bytes())
-        off = 8 + len(payload_to_bytes(_payloads()[0]))  # record 1: float PCA, n=2
+        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
+        blob = bytearray(path.read_bytes())
+        off = self._record_offset(blob, 1)  # float PCA, n=2
         blob[off + 9:off + 13] = struct.pack("<I", 1)
-        payload.write_bytes(bytes(blob))
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="record 1"):
-            ReplayStore.load(payload, meta)
+            Engine.restore(path, _dataset())
 
     def test_record_of_another_token_shape(self, tmp_path):
-        payload, meta = tmp_path / "store.bin", tmp_path / "store.csv"
-        _store().save(payload, meta)
-        other = np.ones((5, 3), dtype=np.float32)
-        blob = payload.read_bytes()
-        payload.write_bytes(blob[:4] + struct.pack("<I", 4) + blob[8:] + payload_to_bytes(other))
-        meta.write_text(meta.read_text() + "3,0,0,1.0\n")
-        with pytest.raises(FormatError, match="record 3"):
-            ReplayStore.load(payload, meta)
-
-
-class TestDecoderCheckpoint:
-    @staticmethod
-    def _saved(tmp_path, variant):
-        path = tmp_path / "ck.bin"
-        save_checkpoint(linear_params(3, 2, identity=False) if variant == "linear"
-                        else block_params(3), path)
-        return path
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), variant=st.sampled_from(["linear", "block"]))
-    def test_corrupt_checkpoint_raises_only_format_error(self, tmp_path_factory, data, variant):
-        path = self._saved(tmp_path_factory.mktemp("fuzz"), variant)
-        path.write_bytes(data.draw(corrupted(path.read_bytes())))
-        try:
-            params = load_checkpoint(path)
-            decode(np.ones((2, params.d_in), dtype=np.float32), params)
-        except FormatError:
-            pass
-
-    @pytest.mark.parametrize("variant,name", [("linear", b"weight"), ("block", b"w2")])
-    def test_renamed_tensor_is_missing(self, tmp_path, variant, name):
-        path = self._saved(tmp_path, variant)
+        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(name, name[:-1] + b"x", 1))
-        with pytest.raises(FormatError, match=repr(name.decode())):
-            load_checkpoint(path)
+        # The u32 sample count precedes record 0's (label, batch count, FWS weight).
+        count = self._record_offset(blob, 0) - struct.calcsize("<qqd") - 4
+        other = struct.pack("<qqd", 0, 0, 1.0) + payload_to_bytes(np.ones((5, 3), np.float32))
+        path.write_bytes(blob[:count] + struct.pack("<I", 4) + blob[count + 4:] + other)
+        with pytest.raises(FormatError, match="record 3"):
+            Engine.restore(path, _dataset())
 
-    def test_block_d_out_other_than_d_in(self, tmp_path):
-        path = self._saved(tmp_path, "block")
-        blob = bytearray(path.read_bytes())
-        blob[13:17] = struct.pack("<I", 4)  # d_out: 3 -> 4
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="d_in 3 != d_out 4"):
-            load_checkpoint(path)
+
+# Two engines a stream reaches: block decoder, compressed store and FWS replay;
+# linear decoder, raw store, class-balanced replay and nn-loo weighting.
+SNAPSHOT_CONFIGS = [
+    dict(decoder_variant="block", compression="pca-cls-quant", pca_components=2,
+         sampler=dict(strategy="fws", batch_size=2)),
+    dict(weighting="nn-loo", sampler=dict(batch_size=2)),
+]
+
+
+def _trained_engine(config: dict) -> Engine:
+    sampler = SamplerConfig(**config["sampler"])
+    engine = Engine(_dataset(), EngineConfig(lr=0.01, **{**config, "sampler": sampler}))
+    engine.process(0)
+    engine.process(1)
+    return engine
+
+
+def _set_stats(engine, label, stats):
+    engine.tracker.stats[label] = stats
+
+
+class TestEngineSnapshot:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), config=st.sampled_from(SNAPSHOT_CONFIGS))
+    def test_corrupt_snapshot_raises_only_format_error(self, tmp_path_factory, data, config):
+        path = tmp_path_factory.mktemp("fuzz") / "engine.snap"
+        _trained_engine(config).snapshot(path)
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        ds = _dataset()
+        try:
+            engine = Engine.restore(path, ds)
+        except FormatError:
+            return
+        # A flipped exponent bit can leave a finite parameter near 1e300: a state
+        # a diverging stream reaches too, whose arithmetic overflows. Nothing else
+        # may fail.
+        try:
+            engine.process(2)
+            engine.evaluate_suite(EvalSuite("all", [0, 1, 2], set(ds.labels())))
+        except ValueError as exc:
+            assert "non-finite" in str(exc)
+
+    # Each edit leaves the engine in a state that no stream could reach.
+    @pytest.mark.parametrize("edit, match", [
+        (lambda e: e.params.tensors["other_logit"].fill(np.nan), "non-finite"),
+        (lambda e: e.opt.m.__setitem__(0, np.inf), "non-finite"),
+        (lambda e: e.opt.v.__setitem__(0, -1e-9), "v < 0"),
+        (lambda e: setattr(e.store.sample(1), "batch_count", -1), "record 1.*batch count -1"),
+        (lambda e: setattr(e.store.sample(0), "fws_weight", 0.0), "record 0.*FWS weight 0.0"),
+        (lambda e: setattr(e.store.sample(0), "fws_weight", np.nan), "record 0.*FWS weight nan"),
+        (lambda e: setattr(e.tracker.stats[0], "tuned_acc", 1.5), "tracker entry for label 0"),
+        (lambda e: _set_stats(e, 7, LabelStats(0.5, 0.5, 1)), "tracker entry for label 7"),
+        (lambda e: e.store.insert(7, _payloads()[0]), "record 2.*label 7"),
+        (lambda e: setattr(e.config, "lr", float("inf")), "lr must be finite"),
+        (lambda e: setattr(e.config.sampler, "batch_size", 2.5), "batch_size"),
+    ])
+    @pytest.mark.parametrize("config", SNAPSHOT_CONFIGS, ids=["block", "linear"])
+    def test_state_no_stream_reaches_is_rejected(self, tmp_path, config, edit, match):
+        engine = _trained_engine(config)
+        edit(engine)
+        engine.snapshot(tmp_path / "engine.snap")
+        with pytest.raises(FormatError, match=match):
+            Engine.restore(tmp_path / "engine.snap", _dataset())
+
+    def test_bad_magic_version_and_trailing_bytes(self, tmp_path):
+        path = tmp_path / "engine.snap"
+        _trained_engine(SNAPSHOT_CONFIGS[1]).snapshot(path)
+        blob = path.read_bytes()
+        for bad, match in ((b"OVDS" + blob[4:], "magic"),
+                           (blob[:4] + struct.pack("<I", 2) + blob[8:], "version 2"),
+                           (blob + b"\0", "1 bytes after the last record")):
+            path.write_bytes(bad)
+            with pytest.raises(FormatError, match=match):
+                Engine.restore(path, _dataset())

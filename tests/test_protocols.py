@@ -374,7 +374,9 @@ class TestEngineRun:
         for kw in (dict(weighting="nope"), dict(compression="zip"),
                    dict(decoder_variant="conv"), dict(lr=0.0),
                    dict(ema_decay=0.0), dict(beta=-1.0), dict(weight_decay=-1.0),
-                   dict(pca_components=0)):
+                   dict(pca_components=0), dict(lr=float("nan")), dict(lr=float("inf")),
+                   dict(beta=float("nan")), dict(beta=float("inf")),
+                   dict(weight_decay=float("nan")), dict(weight_decay=float("inf"))):
             with pytest.raises(ValueError):
                 EngineConfig(**kw).validate()
 
@@ -470,6 +472,72 @@ class TestPOtherWeighting:
         logits = augmented_logits(cos_t, engine.params.other_logit)
         want = np.array([[p_other(row)] for row in logits])
         assert discounts[0].shape == want.shape and discounts[0].tobytes() == want.tobytes()
+
+
+# Block decoder with compressed storage and FWS replay; linear decoder with
+# raw storage, class-balanced replay and nn-loo weighting.
+RESUME_CONFIGS = {
+    "block-pcaq-fws": dict(decoder_variant="block", compression="pca-cls-quant",
+                           pca_components=2, sampler=SamplerConfig(strategy="fws", batch_size=4)),
+    "linear-nnloo": dict(weighting="nn-loo"),
+}
+
+
+class TestSnapshot:
+    """A stream that stops, snapshots, restores and goes on reaches the same bits."""
+
+    @staticmethod
+    def _stream_run(ds, config, resume_at=None, path=None):
+        """The engine after a data-incremental stream, its metrics rows and every
+        evaluated distribution; with ``resume_at``, the engine is snapshot after that
+        many samples and the stream finishes on the restored engine."""
+        stream = build_stream(ds, "data_incremental", seed=1, fractions=(20, 50, 100))
+        engine = Engine(ds, config)
+        rows, dists, done = [], [], 0
+        for stage in [None] + stream:  # stage 0: before any training
+            for idx in stage.sample_ids if stage else []:
+                if done == resume_at:
+                    engine.snapshot(path)
+                    engine = Engine.restore(path, ds)
+                engine.process(idx)
+                done += 1
+            for suite in stream[0].suites:
+                acc, dist = engine.evaluate_suite(suite)
+                rows.append((stage.index if stage else 0, suite.name, acc))
+                dists.append(dist)
+        return engine, rows, dists
+
+    @pytest.mark.parametrize("name", sorted(RESUME_CONFIGS))
+    def test_resumed_stream_reaches_the_same_bits(self, tmp_path, name):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=3, noise=0.3)
+        config = _fast_config(seed=2, **RESUME_CONFIGS[name])
+        a, rows_a, dists_a = self._stream_run(ds, config)
+        # Stages hold 6, 9 and 15 samples: sample 10 is in the middle of stage 2.
+        b, rows_b, dists_b = self._stream_run(ds, config, 10, tmp_path / "engine.snap")
+        assert rows_a == rows_b
+        assert dists_a == dists_b
+        assert a.params.buffer().tobytes() == b.params.buffer().tobytes()
+        assert (a.opt.m.tobytes(), a.opt.v.tobytes()) == (b.opt.m.tobytes(), b.opt.v.tobytes())
+        assert a.opt.step == b.opt.step == len(ds.samples)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.tracker.stats == b.tracker.stats
+        ids = range(len(a.store))
+        assert a.store.tokens(ids).tobytes() == b.store.tokens(ids).tobytes()
+        for sid in ids:
+            sa, sb = a.store.sample(sid), b.store.sample(sid)
+            assert (sa.label, sa.batch_count, sa.fws_weight) == (
+                sb.label, sb.batch_count, sb.fws_weight)
+
+    @pytest.mark.parametrize("name", sorted(RESUME_CONFIGS))
+    @pytest.mark.parametrize("steps", [0, 10])
+    def test_snapshot_of_a_restored_engine_is_the_same_file(self, tmp_path, name, steps):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=3, noise=0.3)
+        engine = Engine(ds, _fast_config(seed=2, **RESUME_CONFIGS[name]))
+        for idx in range(steps):
+            engine.process(idx)
+        engine.snapshot(tmp_path / "a.snap")
+        Engine.restore(tmp_path / "a.snap", ds).snapshot(tmp_path / "b.snap")
+        assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
 
 
 class TestMetricsRecord:

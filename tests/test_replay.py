@@ -10,7 +10,6 @@ from ovstream.compression import (
     storage_bytes,
     to_tokens,
 )
-from ovstream.core import FormatError
 from ovstream.replay import STRATEGIES, ReplayStore, SamplerConfig, StoredSample
 
 
@@ -439,36 +438,3 @@ class TestColumnarLayout:
         view.fws_weight = 0.25
         view.batch_count = 3
         assert store.sample(1).fws_weight == 0.25 and store.sample(1).batch_count == 3
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        store = _store_with([4, 4, 6], seed=31)
-        config = SamplerConfig(strategy="fws")
-        store.record_batched([0, 2], config)
-        store.record_batched([0], config)
-        store.save(tmp_path / "store.bin", tmp_path / "store.csv")
-        loaded = ReplayStore.load(tmp_path / "store.bin", tmp_path / "store.csv")
-        assert len(loaded) == 3
-        for sid in range(3):
-            a, b = store.sample(sid), loaded.sample(sid)
-            assert (a.label, a.batch_count) == (b.label, b.batch_count)
-            assert a.fws_weight == b.fws_weight  # repr() round trip is exact
-            np.testing.assert_array_equal(store.tokens([sid]), loaded.tokens([sid]))
-
-    def test_bad_magic(self, tmp_path):
-        payload = tmp_path / "store.bin"
-        meta = tmp_path / "store.csv"
-        _store_with([0]).save(payload, meta)
-        payload.write_bytes(b"XXXX" + payload.read_bytes()[4:])
-        with pytest.raises(FormatError):
-            ReplayStore.load(payload, meta)
-
-    def test_metadata_mismatch(self, tmp_path):
-        payload = tmp_path / "store.bin"
-        meta = tmp_path / "store.csv"
-        _store_with([0, 1]).save(payload, meta)
-        lines = meta.read_text().splitlines()
-        meta.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(FormatError):
-            ReplayStore.load(payload, meta)

@@ -68,19 +68,6 @@ class TestTracker:
         assert tracker.accuracies(1) == (0.0, 0.0)
         assert tracker.seen_labels() == {0, 1}
 
-    def test_csv_round_trip(self, tmp_path):
-        tracker = ClassAccuracyTracker(decay=0.9)
-        gen = np.random.default_rng(8)
-        for _ in range(200):
-            tracker.ema_update(int(gen.integers(0, 5)),
-                               bool(gen.integers(0, 2)), bool(gen.integers(0, 2)))
-        path = tmp_path / "tracker.csv"
-        tracker.save_csv(path)
-        loaded = ClassAccuracyTracker.load_csv(path, decay=0.9)
-        for label in tracker.seen_labels():
-            assert loaded.accuracies(label) == tracker.accuracies(label)
-            assert loaded.stats[label].n_seen == tracker.stats[label].n_seen
-
 
 class TestAlpha:
     def test_unseen_label_is_all_frozen(self):
