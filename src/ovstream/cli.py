@@ -254,13 +254,11 @@ def _time_batch(dataset, payloads, decode, repetitions=100, batch_size=32) -> fl
     params = linear_params(table.dim)
     ids = list(range(min(batch_size, len(payloads))))
     blobs = [compression.payload_to_bytes(payloads[i]) for i in ids]
+    labels = [dataset.samples[i][1] for i in ids]
     start = time.perf_counter()
     for _ in range(repetitions):
-        samples = []
-        for i in ids:
-            payload, _ = compression.payload_from_bytes(blobs[i])
-            samples.append((decode(i, payload), dataset.samples[i][1]))
-        batch = TrainingBatch(samples, set(dataset.labels()))
+        tokens = np.stack([decode(i, compression.payload_from_bytes(blobs[i])[0]) for i in ids])
+        batch = TrainingBatch(tokens, labels, set(dataset.labels()))
         loss_gradients(batch, params, table, beta=0.1)
     return (time.perf_counter() - start) / repetitions * 1000.0
 
@@ -400,12 +398,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FormatError, FileNotFoundError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FloatingPointError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, KeyError, FormatError, FileNotFoundError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,6 +26,10 @@ class FormatError(Exception):
     """Raised when an on-disk artifact is malformed or truncated."""
 
 
+class NumericError(FloatingPointError, ValueError):
+    """Non-finite numbers met at run time, e.g. a diverged decoder's output (exit 3)."""
+
+
 def as_embedding(values) -> np.ndarray:
     """Validate and return a 1-D float32 embedding."""
     v = np.asarray(values, dtype=np.float32)
@@ -159,7 +163,7 @@ def candidate_probabilities(embeddings, label_matrix: np.ndarray):
     if e.ndim != 2:
         e = as_embedding(e)
     elif not np.all(np.isfinite(e)):
-        raise ValueError("embeddings contain non-finite entries")
+        raise NumericError("embeddings contain non-finite entries")
     cos, _, _ = label_cosines(e, label_matrix)
     return softmax(TEMPERATURE * cos), cos
 

@@ -50,15 +50,33 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
+    """Labeled samples of one token ``shape`` (T, D), D the label table's dim (None if
+    empty). Construction rejects a sample of another shape or label outside the table."""
+
     label_table: LabelEmbeddingTable
     samples: list            # of (token matrix or CompressedFeature, label id)
     task_map: dict[int, list[int]] = field(default_factory=dict)  # task -> sample ids
+
+    def __post_init__(self) -> None:
+        self.shape = (self.samples[0][0].shape[0], self.label_table.dim) if self.samples else None
+        for i, (payload, label) in enumerate(self.samples):
+            if problem := _mismatch(payload, label, self.label_table, self.shape):
+                raise ValueError(f"sample {i}: {problem}")
 
     def labels(self) -> list[int]:
         return self.label_table.labels()
 
     def tokens(self, index: int) -> np.ndarray:
         return compression.to_tokens(self.samples[index][0])
+
+
+def _mismatch(payload, label: int, labels, shape: tuple) -> str:
+    """Why a sample does not fit a dataset of ``labels`` and token ``shape``, or ''."""
+    if label not in labels:
+        return f"label {label} is not in the label table"
+    if tuple(payload.shape) != shape:
+        return f"token shape {tuple(payload.shape)} != the dataset's {shape}"
+    return ""
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -118,7 +136,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # Dataset file: magic "OVDS", u32 version, u32 D, u32 T, u32 label count,
 # u32 sample count, u32 task count; label block (u32 id + D float32 each);
 # task block (u32 task id, u32 size, u32 sample indices); sample records
-# (u32 label id + payload record per ovstream.compression). Little-endian.
+# (u32 label id + payload record per ovstream.compression), each of token shape
+# (T, D) and with a label of the label block. Little-endian.
 
 _MAGIC = b"OVDS"
 _VERSION = 1
@@ -129,7 +148,7 @@ def save(dataset: Dataset, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIII", _VERSION, dataset.label_table.dim,
-                             _dataset_tokens(dataset), len(labels),
+                             (dataset.shape or (0,))[0], len(labels),
                              len(dataset.samples), len(dataset.task_map)))
         for label in labels:
             fh.write(struct.pack("<I", label))
@@ -143,12 +162,6 @@ def save(dataset: Dataset, path) -> None:
             fh.write(compression.payload_to_bytes(payload))
 
 
-def _dataset_tokens(dataset: Dataset) -> int:
-    if not dataset.samples:
-        return 0
-    return compression.to_tokens(dataset.samples[0][0]).shape[0]
-
-
 def load(path) -> Dataset:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -156,7 +169,7 @@ def load(path) -> Dataset:
         raise FormatError("bad dataset magic at offset 0")
     off = 4
     try:
-        version, dim, _tokens, n_labels, n_samples, n_tasks = struct.unpack_from(
+        version, dim, tokens, n_labels, n_samples, n_tasks = struct.unpack_from(
             "<IIIIII", data, 4)
         if version != _VERSION:
             raise FormatError(f"unsupported dataset version {version}")
@@ -181,12 +194,13 @@ def load(path) -> Dataset:
                 off += 4
             task_map[task] = list(ids)
         samples = []
-        for _ in range(n_samples):
+        for i in range(n_samples):
             (label,) = struct.unpack_from("<I", data, off)
-            off += 4
-            payload, off = compression.payload_from_bytes(data, off)
+            payload, end = compression.payload_from_bytes(data, off + 4)
+            if problem := _mismatch(payload, label, entries, (tokens, dim)):
+                raise FormatError(f"bad dataset record {i} at offset {off}: {problem}")
             samples.append((payload, label))
-        table = LabelEmbeddingTable(entries)
+            off = end
+        return Dataset(LabelEmbeddingTable(entries), samples, task_map)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"bad dataset file at offset {off}: {exc}") from exc
-    return Dataset(table, samples, task_map)

@@ -15,11 +15,10 @@ Two variants map a token matrix to an output embedding:
   attention-weighted sum without being formed. Keys carry no bias: it would
   shift every score of a row by the same amount, which the softmax ignores.
 
-``decode`` (of one token matrix, or of a list of them) and the loss run one
-forward pass per stacked B x T x D group of equal-shape matrices; padding
-would change the attention. A training step reads its batch from the replay
-store with one ``tokens(ids)`` call; its matrices share one shape, so they
-form one group.
+``decode`` and the loss run one forward pass over a B x T x D token array. A
+stream has one token shape (the dataset and the replay store enforce it), so
+a training step's batch is one ``tokens(ids)`` read from the replay store and
+an evaluation chunk is one stacked array.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
@@ -161,24 +160,19 @@ def _gelu_grad(z, s):
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward over a batch of equal-length token matrices
+# Forward / backward over a B x T x D token array
 
 
-def _stack(token_matrices, d_in: int) -> np.ndarray:
-    """Stack token matrices of one shape as a B x T x D float64 array."""
-    x = np.array(token_matrices, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] < 1:
-        raise ValueError(f"token matrix must be 2-D, got shape {x.shape[1:]}")
-    if x.shape[2] != d_in:
-        raise ValueError(f"token dimension {x.shape[2]} != decoder d_in {d_in}")
-    return x
-
-
-def _forward(x: np.ndarray, params: DecoderParams):
-    """Output embeddings (B x D_out) of a B x T x D batch, plus the backward cache.
+def _forward(tokens, params: DecoderParams):
+    """Output embeddings (B x D_out) of a B x T x D token array, plus the backward cache.
 
     The block attends with the CLS query only (exact; see the module docstring).
     """
+    x = np.asarray(tokens, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise ValueError(f"token matrix must be 2-D, got shape {x.shape[1:]}")
+    if x.shape[2] != params.d_in:
+        raise ValueError(f"token dimension {x.shape[2]} != decoder d_in {params.d_in}")
     t = params.tensors
     if params.variant == "linear":
         cls = x[:, 0]
@@ -249,24 +243,11 @@ def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderPar
     g["ln1_bias"] += ds.sum(axis=1) @ qk + attn_w.sum(axis=1) @ dv_y + dq_y.sum(axis=0)
 
 
-def _forward_groups(token_matrices, params: DecoderParams):
-    """B x D_out outputs of B token matrices, in input order, from one forward pass
-    per group of equal-shape matrices; plus ``(ids, cache)`` per group."""
-    by_shape: dict[tuple, list[int]] = {}
-    for i, tokens in enumerate(token_matrices):
-        by_shape.setdefault(np.shape(tokens), []).append(i)
-    out = np.empty((len(token_matrices), params.d_out))
-    groups = []
-    for ids in by_shape.values():
-        out[ids], cache = _forward(_stack([token_matrices[i] for i in ids], params.d_in), params)
-        groups.append((ids, cache))
-    return out, groups
-
-
 def decode(tokens, params: DecoderParams) -> np.ndarray:
-    """Output embedding (float32) of a token matrix, or B x D_out of a list of B."""
-    e, _ = _forward_groups(tokens if isinstance(tokens, list) else [tokens], params)
-    return (e if isinstance(tokens, list) else e[0]).astype(np.float32)
+    """Output embedding (float32) of a T x D token matrix, or B x D_out of a B x T x D array."""
+    x = np.asarray(tokens)
+    e, _ = _forward(x if x.ndim == 3 else x[None], params)
+    return (e if x.ndim == 3 else e[0]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +256,19 @@ def decode(tokens, params: DecoderParams) -> np.ndarray:
 
 @dataclass
 class TrainingBatch:
-    """Samples plus the candidate label set used by the loss."""
+    """A B x T x D token array, its B true label ids and the candidate label set
+    used by the loss."""
 
-    samples: list  # of (token matrix, true label id)
+    tokens: np.ndarray
+    labels: list
     candidates: set
 
     def validate(self) -> None:
-        if not self.samples:
+        if not len(self.labels):
             raise ValueError("empty training batch")
-        for _, label in self.samples:
+        if len(self.labels) != len(self.tokens):
+            raise ValueError(f"{len(self.labels)} labels for {len(self.tokens)} token matrices")
+        for label in self.labels:
             if label not in self.candidates:
                 raise ValueError(f"true label {label} missing from candidate set")
 
@@ -315,7 +300,8 @@ def loss_gradients(batch: TrainingBatch, params: DecoderParams, table: LabelEmbe
 
 
 def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
-    """Loss, plus gradients added into ``grads`` if given, from one pass per token length.
+    """Loss, plus gradients added into ``grads`` if given, from one forward and one
+    backward pass over the batch.
 
     Term 1: cross-entropy with the true label over candidates + OTHER.
     Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
@@ -325,10 +311,10 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
         raise ValueError("beta must be non-negative")
     batch.validate()
     candidates = sorted(batch.candidates)
-    e, groups = _forward_groups([tokens for tokens, _ in batch.samples], params)
+    e, cache = _forward(batch.tokens, params)
     rows = np.arange(len(e))
     col = {label: j for j, label in enumerate(candidates)}
-    idx = np.array([col[label] for _, label in batch.samples])
+    idx = np.array([col[label] for label in batch.labels])
 
     mat = table.matrix(candidates)
     n = len(candidates)
@@ -354,8 +340,7 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
     # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
     dl = dlogits[:, :n]
     d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
-    for ids, cache in groups:
-        _backward(d_e[ids], params, cache, grads)
+    _backward(d_e, params, cache, grads)
     return total
 
 
@@ -413,8 +398,7 @@ def online_update(new_id: int, store, params: DecoderParams,
     """
     ids = store.compose_batch(new_id, sampler_config, rng)
     store.record_batched(ids, sampler_config)
-    samples = list(zip(store.tokens(ids), store.labels(ids)))
-    batch = TrainingBatch(samples, set(store.seen_labels()))
+    batch = TrainingBatch(store.tokens(ids), store.labels(ids), set(store.seen_labels()))
     state.grads = loss_gradients(batch, params, table, beta, state.grads)
     optimizer_step(params, state.grads, state)
     return ids

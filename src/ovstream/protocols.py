@@ -261,7 +261,7 @@ class Engine:
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
-            tokens, labels = list(self.store.tokens(ids)), self.store.labels(ids)
+            tokens, labels = self.store.tokens(ids), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._nn_cache = (key, (
                 nn_loo_confidence(list(zip(decoded, labels))),
@@ -269,24 +269,23 @@ class Engine:
         return self._nn_cache[1]
 
     def predict(self, tokens, candidates, nn_maps=None):
-        """Combined ``{label: prob}`` distribution of a token matrix under the configured
-        weighting, or a list for a list of matrices, each a row of one (B, C) array."""
+        """Combined ``{label: prob}`` distribution of a T x D token matrix under the configured
+        weighting, or a list for a B x T x D array, each a row of one (B, C) array."""
         labels = sorted(candidates)
-        matrices = tokens if isinstance(tokens, list) else [tokens]
-        probs = self._batch_prediction(matrices, labels, nn_maps)
+        x = np.asarray(tokens)
+        probs = self._batch_prediction(x if x.ndim == 3 else x[None], labels, nn_maps)
         dists = [dict(zip(labels, row)) for row in probs.tolist()]
-        return dists if isinstance(tokens, list) else dists[0]
+        return dists if x.ndim == 3 else dists[0]
 
-    def _batch_prediction(self, matrices, labels, nn_maps) -> np.ndarray:
-        """(B, C) distributions of B token matrices from one frozen and one tuned cosine
-        product; a mixing weighting picks the pairs ``combined_prediction`` mixes by."""
+    def _batch_prediction(self, tokens, labels, nn_maps) -> np.ndarray:
+        """(B, C) distributions of a B x T x D token array from one frozen and one tuned
+        cosine product; a mixing weighting picks the pairs ``combined_prediction`` mixes by."""
         mat = self.table.matrix(labels)
-        cls = np.array([t[0] for t in matrices], dtype=np.float32)
-        p_o, _ = candidate_probabilities(cls, mat)
+        p_o, _ = candidate_probabilities(tokens[:, 0], mat)
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        p_t, cos_t = candidate_probabilities(decode(matrices, self.params), mat)
+        p_t, cos_t = candidate_probabilities(decode(tokens, self.params), mat)
         if strategy == "tuned-only":
             return p_t
         seen = self.tracker.seen_labels()
@@ -314,7 +313,7 @@ class Engine:
         nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None
         predictions = {}
         for ids in self._chunks(suite.sample_ids):
-            tokens = [self.dataset.tokens(idx) for idx in ids]
+            tokens = np.stack([self.dataset.tokens(idx) for idx in ids])
             predictions.update(zip(ids, self.predict(tokens, suite.candidates, nn_maps)))
         # max keeps the first maximum in sorted-label order: ties go to the lowest label id.
         winners = {idx: max(dist, key=dist.get) for idx, dist in predictions.items()}
@@ -405,7 +404,6 @@ class Engine:
                 off += _STATS.size
             (count,) = struct.unpack_from("<I", data, off)
             off += 4
-            shape = dataset.tokens(0).shape if dataset.samples else None
         except (struct.error, ValueError, TypeError, KeyError, OverflowError) as exc:
             raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
         for sid in range(count):
@@ -416,8 +414,9 @@ class Engine:
                 if label not in engine.table or batch_count < 0 or not 0 < weight <= 1:
                     raise ValueError(f"label {label}, batch count {batch_count}, "
                                      f"FWS weight {weight}")
-                if tuple(payload.shape) != shape:
-                    raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's {shape}")
+                if tuple(payload.shape) != dataset.shape:
+                    raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's "
+                                     f"{dataset.shape}")
                 engine.store.insert(label, payload)
             except (FormatError, struct.error, ValueError) as exc:
                 raise FormatError(f"bad snapshot record {sid} at offset {start}: {exc}") from exc

@@ -129,7 +129,8 @@ def test_criterion_4_gradient_suite():
                       else block_params(dim, rng=gen, scale=0.05))
             samples = [(gen.standard_normal((4, dim)).astype(np.float32),
                         int(gen.integers(0, n_classes))) for _ in range(2)]
-            batch = TrainingBatch(samples, set(range(n_classes)))
+            matrices, labels = zip(*samples)
+            batch = TrainingBatch(np.stack(matrices), list(labels), set(range(n_classes)))
             grads = loss_gradients(batch, params, table, 0.1)
             picker = np.random.default_rng(seed + 500)
             for name, tensor in params.tensors.items():

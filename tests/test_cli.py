@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ovstream.cli import RUN_KEYS, _engine_config_from_dict, canonical_json, config_hash, main
@@ -196,6 +197,23 @@ class TestRun:
         assert main(["run", "--config", config, "--out", str(out)]) == 2
         assert word in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ragged_dataset_exits_2_naming_the_record(self, tmp_path, capsys, edited_dataset):
+        path = edited_dataset({3: (np.ones((4, 16)), 1), 5: (np.ones((6, 8)), 2)})
+        config = _write_json(tmp_path / "run.json", {
+            **{k: v for k, v in RUN_CONFIG.items() if k != "synthetic"}, "dataset": str(path)})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "record 3 at offset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_stream_exits_3(self, tmp_path, capsys):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "lr": 1e30})
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", config, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
+        assert not (out / "metrics.csv").exists()
 
     def test_readme_lists_every_run_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 from ovstream.core import (
     LabelEmbeddingTable,
+    NumericError,
     argmax_label,
+    candidate_probabilities,
     label_cosines,
     unit_rows,
     zero_shot_probabilities,
@@ -143,6 +145,14 @@ class TestZeroShotProbabilities:
         probs = zero_shot_probabilities([1.0, 0.0], table, [0, 1])
         assert all(np.isfinite(p) for p in probs.values())
         assert sum(probs.values()) == pytest.approx(1.0)
+
+    def test_non_finite_embeddings_are_a_numeric_error(self, small_table):
+        # A NumericError is both: a ValueError of bad input, and the CLI's exit 3.
+        batch = np.ones((2, small_table.dim), dtype=np.float32)
+        batch[1, 3] = np.inf
+        with pytest.raises(NumericError, match="non-finite") as info:
+            candidate_probabilities(batch, small_table.matrix([0, 1]))
+        assert isinstance(info.value, ValueError) and isinstance(info.value, FloatingPointError)
 
     def test_empty_candidates(self, small_table):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from ovstream.core import FormatError, argmax_label, zero_shot_probabilities
+from ovstream.core import FormatError, LabelEmbeddingTable, argmax_label, zero_shot_probabilities
 from ovstream.data import Dataset, SyntheticSpec, generate, load, save
 
 
@@ -111,6 +111,29 @@ class TestGenerate:
         ds = generate(SyntheticSpec(num_classes=2, samples_per_class=3, seed=4))
         for i in range(6):
             assert np.linalg.norm(ds.tokens(i)[0]) == pytest.approx(1.0, abs=1e-5)
+
+
+class TestDatasetShape:
+    def _table(self):
+        return LabelEmbeddingTable({0: [1.0, 0.0], 1: [0.0, 1.0]})
+
+    def test_every_sample_has_the_dataset_shape(self):
+        ds = generate(SyntheticSpec(num_classes=2, samples_per_class=3, dim=16, tokens=5))
+        assert ds.shape == (5, 16)
+        assert Dataset(self._table(), []).shape is None
+
+    @pytest.mark.parametrize("second, match", [
+        ((np.ones((3, 2)), 1), r"sample 1: token shape \(3, 2\) != the dataset's \(4, 2\)"),
+        ((np.ones((4, 3)), 1), r"sample 1: token shape \(4, 3\) != the dataset's \(4, 2\)"),
+        ((np.ones((4, 2)), 7), "sample 1: label 7 is not in the label table"),
+    ], ids=["short_t", "narrow_d", "label_outside_the_table"])
+    def test_mixed_samples_rejected_in_memory(self, second, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(self._table(), [(np.ones((4, 2)), 0), second])
+
+    def test_token_dimension_is_the_tables(self):
+        with pytest.raises(ValueError, match=r"sample 0: token shape \(4, 3\)"):
+            Dataset(self._table(), [(np.ones((4, 3)), 0)])
 
 
 class TestFileFormat:

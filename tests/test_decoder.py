@@ -46,15 +46,14 @@ class TestDecode:
             decode(rng.standard_normal((4, 5)).astype(np.float32), params)
 
     @pytest.mark.parametrize("variant", ["linear", "block"])
-    def test_ragged_list_matches_each_matrix(self, variant, rng):
+    def test_batch_matches_each_matrix(self, variant, rng):
         _, params, _ = _instance(variant, seed=8)
-        lengths = [3, 5, 3, 2, 5, 5, 4, 3]
-        mats = [rng.standard_normal((t, 8)).astype(np.float32) for t in lengths]
+        mats = rng.standard_normal((8, 5, 8)).astype(np.float32)
         out = decode(mats, params)
         assert out.shape == (len(mats), 8) and out.dtype == np.float32
         for row, tokens in zip(out, mats):
             np.testing.assert_allclose(row, decode(tokens, params), rtol=1e-6, atol=1e-7)
-        assert decode([], params).shape == (0, 8)
+        assert decode(np.zeros((0, 5, 8), np.float32), params).shape == (0, 8)
 
 
 class TestAugmentedLogits:
@@ -99,7 +98,7 @@ def _orthogonal_batch():
     """Single sample whose decoded CLS is orthogonal to the one candidate."""
     table = LabelEmbeddingTable({0: [1.0, 0.0]})
     tokens = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
-    return TrainingBatch([(tokens, 0)], {0}), table
+    return TrainingBatch(tokens[None], [0], {0}), table
 
 
 class TestCombinedLoss:
@@ -114,7 +113,7 @@ class TestCombinedLoss:
     def test_beta_zero_is_plain_ce_with_other(self, rng):
         table = LabelEmbeddingTable({i: rng.standard_normal(4) for i in range(3)})
         tokens = rng.standard_normal((3, 4)).astype(np.float32)
-        batch = TrainingBatch([(tokens, 1)], {0, 1, 2})
+        batch = TrainingBatch(tokens[None], [1], {0, 1, 2})
         params = linear_params(4)
         loss = combined_loss(batch, params, table, beta=0.0)
         # Oracle: -log softmax over the 3 cosine logits plus the 0 OTHER logit.
@@ -133,7 +132,8 @@ class TestCombinedLoss:
         params = linear_params(5, identity=False, rng=np.random.default_rng(2))
         samples = [(rng.standard_normal((3, 5)).astype(np.float32),
                     int(rng.integers(0, 3))) for _ in range(4)]
-        batch = TrainingBatch(samples, {0, 1, 2})
+        matrices, labels = zip(*samples)
+        batch = TrainingBatch(np.stack(matrices), list(labels), {0, 1, 2})
         beta = 0.1
 
         def oracle():
@@ -165,7 +165,7 @@ class TestCombinedLoss:
         table = LabelEmbeddingTable({0: [1, 0], 1: [0, 1]})
         tokens = rng.standard_normal((2, 2)).astype(np.float32)
         with pytest.raises(ValueError):
-            combined_loss(TrainingBatch([(tokens, 2)], {0, 1}),
+            combined_loss(TrainingBatch(tokens[None], [2], {0, 1}),
                           linear_params(2), table, 0.1)
 
     def test_low_other_logit_bounds_plain_ce(self, rng):
@@ -173,7 +173,7 @@ class TestCombinedLoss:
         # without the OTHER option by at most 1e-9.
         table = LabelEmbeddingTable({i: rng.standard_normal(4) for i in range(3)})
         tokens = rng.standard_normal((2, 4)).astype(np.float32)
-        batch = TrainingBatch([(tokens, 0)], {0, 1, 2})
+        batch = TrainingBatch(tokens[None], [0], {0, 1, 2})
         params = linear_params(4)
         params.tensors["other_logit"] = np.array(-50.0)
         with_other = combined_loss(batch, params, table, beta=0.0)
@@ -343,7 +343,7 @@ class TestFlatBuffer:
             sid = store.insert(label, rng.standard_normal((4, 8)).astype(np.float32))
         online_update(sid, store, params, state, table, SamplerConfig(batch_size=4),
                       np.random.default_rng(0))
-        batch = TrainingBatch([(rng.standard_normal((4, 8)), 1)], {0, 1, 2})
+        batch = TrainingBatch(rng.standard_normal((1, 4, 8)), [1], {0, 1, 2})
         first = loss_gradients(batch, params, table, 0.1)
         want = first.flat.copy()
         second = loss_gradients(batch, params, table, 0.1)
@@ -410,7 +410,7 @@ class TestOnlineUpdate:
                     continue
                 ids = store.compose_batch(sid, config, draws)
                 store.record_batched(ids, config)
-                batch = TrainingBatch(list(zip(store.tokens(ids), store.labels(ids))),
+                batch = TrainingBatch(store.tokens(ids), store.labels(ids),
                                       set(store.seen_labels()))
                 optimizer_step(params, loss_gradients(batch, params, table, 0.1), state)
             runs.append(params.flat.copy())
@@ -550,8 +550,8 @@ def _ref_loss_and_grads(batch, params, table, beta):
     candidates = sorted(batch.candidates)
     g = zeros_like_params(params).tensors
     total = 0.0
-    inv_n = 1.0 / len(batch.samples)
-    for tokens, label in batch.samples:
+    inv_n = 1.0 / len(batch.labels)
+    for tokens, label in zip(batch.tokens, batch.labels):
         e, cache = _ref_forward(tokens, params)
         loss, d_e, d_other = _ref_ce_terms(e, label, candidates, table,
                                            params.other_logit, beta)
@@ -582,7 +582,7 @@ def _instance(variant, seed, dim=8, n_classes=5):
 
 
 class TestBatchedMatchesPerSampleReference:
-    CASES = {"mixed_labels": 0, "singleton": 1, "beta_zero": 2, "ragged_t": 3}
+    CASES = {"mixed_labels": 0, "singleton": 1, "beta_zero": 2}
 
     @pytest.mark.parametrize("variant", ["linear", "block"])
     @pytest.mark.parametrize("case", CASES)
@@ -592,12 +592,12 @@ class TestBatchedMatchesPerSampleReference:
         candidates = {2} if case == "singleton" else set(range(5))
         samples = []
         for i in range(9):
-            t = 3 + i % 3 if case == "ragged_t" else 6
             label = 2 if case == "singleton" else int(rng.integers(0, 5))
-            samples.append((rng.standard_normal((t, 8)).astype(np.float32), label))
+            samples.append((rng.standard_normal((6, 8)).astype(np.float32), label))
         if case == "mixed_labels":
             assert len({label for _, label in samples}) > 2
-        batch = TrainingBatch(samples, candidates)
+        matrices, labels = zip(*samples)
+        batch = TrainingBatch(np.stack(matrices), list(labels), candidates)
         want_loss, want_grads = _ref_loss_and_grads(batch, params, table, beta)
         _assert_rel_close(combined_loss(batch, params, table, beta), want_loss)
         grads = loss_gradients(batch, params, table, beta)
@@ -618,9 +618,9 @@ class TestBatchedMatchesPerSampleReference:
         table, params, _ = _instance("block", seed=5)
         for bad in (rng.standard_normal(8), rng.standard_normal((3, 7))):
             with pytest.raises(ValueError):
-                loss_gradients(TrainingBatch([(bad, 0)], {0}), params, table, 0.1)
+                loss_gradients(TrainingBatch(bad[None], [0], {0}), params, table, 0.1)
         with pytest.raises(ValueError):
-            loss_gradients(TrainingBatch([(rng.standard_normal((3, 8)), 0)], {0}),
+            loss_gradients(TrainingBatch(rng.standard_normal((1, 3, 8)), [0], {0}),
                            params, table, -0.1)
 
     def test_zero_norm_decoded_embedding_rejected(self):
@@ -628,4 +628,4 @@ class TestBatchedMatchesPerSampleReference:
         params = linear_params(2)
         tokens = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="zero-norm"):
-            loss_gradients(TrainingBatch([(tokens, 0)], {0}), params, table, 0.1)
+            loss_gradients(TrainingBatch(tokens[None], [0], {0}), params, table, 0.1)

@@ -25,7 +25,8 @@ def _random_instance(seed, variant, dim=6, n_classes=4, batch=2, tokens=4):
         params = block_params(dim, rng=rng, scale=0.05)
     samples = [(rng.standard_normal((tokens, dim)).astype(np.float32),
                 int(rng.integers(0, n_classes))) for _ in range(batch)]
-    return table, params, TrainingBatch(samples, set(range(n_classes)))
+    matrices, labels = zip(*samples)
+    return table, params, TrainingBatch(np.stack(matrices), list(labels), set(range(n_classes)))
 
 
 def _check_gradients(table, params, batch, beta, rng, coords_per_tensor=4):
@@ -68,7 +69,7 @@ def test_other_logit_gradient_is_softmax_ce_identity():
     # beta = 0: d loss / d other_logit = p_OTHER.
     table = LabelEmbeddingTable({0: [1.0, 0.0]})
     tokens = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
-    batch = TrainingBatch([(tokens, 0)], {0})
+    batch = TrainingBatch(tokens[None], [0], {0})
     params = linear_params(2)
     grads = loss_gradients(batch, params, table, beta=0.0)
     # Both logits are 0 -> p_OTHER = 0.5.
@@ -82,7 +83,7 @@ def test_gradient_vanishes_at_constructed_minimum():
     table = LabelEmbeddingTable({0: [1, 0, 0, 0], 1: [0, 1, 0, 0]})
     tokens = np.zeros((2, dim), dtype=np.float32)
     tokens[0, 0] = 1.0  # CLS aligned with label 0
-    batch = TrainingBatch([(tokens, 0)], {0, 1})
+    batch = TrainingBatch(tokens[None], [0], {0, 1})
     params = linear_params(dim)
     params.tensors["other_logit"] = np.array(-50.0)
     grads = loss_gradients(batch, params, table, beta=0.0)

@@ -136,6 +136,25 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match="sample 99 of 3 at offset 68"):
             load(path)
 
+    # Records start at offset 300, after four label entries of D=16; each record of
+    # a 6 x 16 matrix is 397 bytes (u32 label, 9-byte payload header, float32 data).
+    @pytest.mark.parametrize("edits, match", [
+        ({3: (np.ones((4, 16)), 1)},
+         r"record 3 at offset 1491: token shape \(4, 16\) != the dataset's \(6, 16\)"),
+        ({5: (np.ones((6, 8)), 2)},
+         r"record 5 at offset 2285: token shape \(6, 8\) != the dataset's \(6, 16\)"),
+        ({2: (np.ones((6, 16)), 99)}, "record 2 at offset 1094: label 99 is not in the label table"),
+        ({3: (np.ones((4, 16)), 1), 5: (np.ones((6, 8)), 2)}, "record 3 at offset 1491"),
+    ], ids=["short_t", "narrow_d", "label_outside_the_table", "ragged"])
+    def test_record_the_header_does_not_describe(self, edited_dataset, edits, match):
+        with pytest.raises(FormatError, match=match):
+            load(edited_dataset(edits))
+
+    def test_records_the_header_describes_load(self, edited_dataset):
+        ds = load(edited_dataset({3: (np.ones((6, 16)), 3)}))
+        assert ds.shape == (6, 16)
+        np.testing.assert_array_equal(ds.tokens(3), np.ones((6, 16)))
+
 
 class TestReplayStoreFiles:
     """The store's records as an engine snapshot holds them."""

@@ -460,7 +460,7 @@ class TestPOtherWeighting:
     def test_batch_discount_is_each_rows_p_other(self, monkeypatch):
         ds, engine = self._engine(trained_below=3)
         labels = [1, 2, 3, 4]
-        matrices = [ds.tokens(idx) for idx in range(len(ds.samples))]
+        matrices = np.stack([ds.tokens(idx) for idx in range(len(ds.samples))])
         discounts = []
         original = protocols.combined_prediction
         monkeypatch.setattr(protocols, "combined_prediction",
