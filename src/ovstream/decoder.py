@@ -247,7 +247,8 @@ def decode(tokens, params: DecoderParams) -> np.ndarray:
     """Output embedding (float32) of a T x D token matrix, or B x D_out of a B x T x D array."""
     x = np.asarray(tokens)
     e, _ = _forward(x if x.ndim == 3 else x[None], params)
-    return (e if x.ndim == 3 else e[0]).astype(np.float32)
+    with np.errstate(over="ignore"):  # inf from a diverged decoder: the scorer raises on it
+        return (e if x.ndim == 3 else e[0]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -268,18 +269,16 @@ class Engine:
                 nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])))
         return self._nn_cache[1]
 
-    def predict(self, tokens, candidates, nn_maps=None):
-        """Combined ``{label: prob}`` distribution of a T x D token matrix under the configured
-        weighting, or a list for a B x T x D array, each a row of one (B, C) array."""
-        labels = sorted(candidates)
+    def predict(self, tokens, candidates, nn_maps=None) -> np.ndarray:
+        """Combined distribution of a T x D token matrix under the configured weighting:
+        a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array."""
         x = np.asarray(tokens)
-        probs = self._batch_prediction(x if x.ndim == 3 else x[None], labels, nn_maps)
-        dists = [dict(zip(labels, row)) for row in probs.tolist()]
-        return dists if x.ndim == 3 else dists[0]
+        probs = self._batch_prediction(x if x.ndim == 3 else x[None], sorted(candidates), nn_maps)
+        return probs if x.ndim == 3 else probs[0]
 
     def _batch_prediction(self, tokens, labels, nn_maps) -> np.ndarray:
-        """(B, C) distributions of a B x T x D token array from one frozen and one tuned
-        cosine product; a mixing weighting picks the pairs ``combined_prediction`` mixes by."""
+        """(B, C) distributions over ``labels`` of a B x T x D token array, as ``predict`` returns
+        them: one frozen and one tuned cosine product, mixed by the weighting's confidence pairs."""
         mat = self.table.matrix(labels)
         p_o, _ = candidate_probabilities(tokens[:, 0], mat)
         strategy = self.config.weighting
@@ -308,18 +307,17 @@ class Engine:
                                     eps=self.tracker.eps, p_other_value=pov)
         return np.array(list(mixed.values())).T
 
-    def evaluate_suite(self, suite: EvalSuite) -> tuple[float, dict[int, dict]]:
-        """Accuracy and per-sample distributions, one ``predict`` per ``batch_size`` chunk."""
+    def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
+        """Accuracy and the suite's distributions, one ``predict`` per ``batch_size`` chunk."""
         nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None
-        predictions = {}
-        for ids in self._chunks(suite.sample_ids):
-            tokens = np.stack([self.dataset.tokens(idx) for idx in ids])
-            predictions.update(zip(ids, self.predict(tokens, suite.candidates, nn_maps)))
-        # max keeps the first maximum in sorted-label order: ties go to the lowest label id.
-        winners = {idx: max(dist, key=dist.get) for idx, dist in predictions.items()}
-        hits = sum(winners[idx] == self.dataset.samples[idx][1] for idx in suite.sample_ids)
-        accuracy = hits / len(suite.sample_ids) if suite.sample_ids else 0.0
-        return accuracy, predictions
+        labels = sorted(suite.candidates)
+        chunks = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
+                               suite.candidates, nn_maps)
+                  for ids in self._chunks(suite.sample_ids)]
+        result = SuitePredictions(suite.sample_ids, labels,
+                                  np.concatenate([np.empty((0, len(labels)))] + chunks))
+        truth = [self.dataset.samples[idx][1] for idx in suite.sample_ids]
+        return float(np.mean(result.winners == truth)) if truth else 0.0, result
 
     def run(self, stream: list[StreamStage]) -> MetricsRecord:
         record = MetricsRecord()
@@ -425,6 +423,26 @@ class Engine:
         if off != len(data):
             raise FormatError(f"{len(data) - off} bytes after the last record at offset {off}")
         return engine
+
+
+class SuitePredictions(Mapping):
+    """A suite's ``probs`` (N, C) over the sorted ``labels`` in suite order, and each row's
+    ``winners`` label; maps a sample id to its last row's ``{label: prob}``, built on access."""
+
+    def __init__(self, sample_ids, labels: list[int], probs: np.ndarray):
+        self.labels, self.probs = labels, probs
+        # argmax keeps the first maximum in sorted-label order: ties go to the lowest label id.
+        self.winners = np.array(labels, np.int64)[probs.argmax(axis=1) if probs.size else []]
+        self._rows = dict(zip(sample_ids, range(len(probs))))
+
+    def __getitem__(self, idx) -> dict[int, float]:
+        return dict(zip(self.labels, self.probs[self._rows[idx]].tolist()))
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def run_stream(dataset: Dataset, stream: list[StreamStage],

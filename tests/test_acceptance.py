@@ -102,14 +102,15 @@ def test_criterion_3_zero_forgetting_on_unseen_labels():
     engine = Engine(ds, EngineConfig(weighting="ocw", lr=0.01,
                                      sampler=SamplerConfig(batch_size=8),
                                      seed=20))
-    frozen = [engine.frozen_probabilities(ds.tokens(i), held_candidates)
-              for i in held_ids]
+    frozen = np.array([list(engine.frozen_probabilities(ds.tokens(i), held_candidates).values())
+                       for i in held_ids])
     for stage in stream:
         for idx in stage.sample_ids:
             engine.process(idx)
-        combined = [engine.predict(ds.tokens(i), held_candidates)
-                    for i in held_ids]
-        assert combined == frozen  # bit-identical, not approximately equal
+        combined = np.array([engine.predict(ds.tokens(i), held_candidates)
+                             for i in held_ids])
+        # bit-identical, not approximately equal
+        assert combined.shape == frozen.shape and combined.tobytes() == frozen.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """End-to-end command-line tests driven through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +217,19 @@ class TestRun:
             assert main(["run", "--config", config, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numeric error:")
         assert not (out / "metrics.csv").exists()
+
+    def test_diverging_stream_prints_only_the_error(self, tmp_path):
+        # Its own interpreter, so numpy warns as it does for a user: nothing may precede
+        # the error line.
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "lr": 1e30})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "ovstream.cli", "run", "--config", config,
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numeric error:"), proc.stderr
 
     def test_readme_lists_every_run_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

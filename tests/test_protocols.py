@@ -157,9 +157,9 @@ class TestEngineRun:
             engine = Engine(ds, _fast_config(weighting=weighting, seed=4))
             for idx in range(4):
                 engine.process(idx)
-            dist = engine.predict(ds.tokens(0), {0, 1, 2})
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-            assert set(dist) == {0, 1, 2}
+            probs = engine.predict(ds.tokens(0), {0, 1, 2})
+            assert probs.shape == (3,) and probs.dtype == np.float64
+            assert sum(probs.tolist()) == pytest.approx(1.0, abs=1e-9)
 
     def test_unseen_candidates_fall_back_to_frozen_bit_exact(self):
         # With no training on labels 3 and 4, predictions over those
@@ -172,7 +172,7 @@ class TestEngineRun:
         tokens = ds.tokens(0)
         got = engine.predict(tokens, {3, 4})
         frozen = engine.frozen_probabilities(tokens, {3, 4})
-        assert got == frozen
+        assert np.array_equal(got, list(frozen.values()))
 
     def test_all_seen_candidates_use_tuned_bit_exact(self):
         ds = _dataset(num_classes=3, samples_per_class=4, seed=12)
@@ -183,7 +183,7 @@ class TestEngineRun:
         tokens = ds.tokens(1)
         got = engine.predict(tokens, {0, 1, 2})
         tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
-        assert got == tuned
+        assert np.array_equal(got, list(tuned.values()))
 
     @pytest.mark.parametrize("weighting", ["nn-loo", "aim"])
     def test_never_trained_candidates_give_frozen_bit_exact(self, weighting):
@@ -195,7 +195,8 @@ class TestEngineRun:
         unseen = {3, 4, 5}
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            assert engine.predict(tokens, unseen) == engine.frozen_probabilities(tokens, unseen)
+            frozen = engine.frozen_probabilities(tokens, unseen)
+            assert np.array_equal(engine.predict(tokens, unseen), list(frozen.values()))
 
     def test_nn_loo_all_seen_candidates_use_tuned_bit_exact(self):
         ds = _dataset(num_classes=3, samples_per_class=4, seed=12)
@@ -204,8 +205,8 @@ class TestEngineRun:
             engine.process(idx)
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            assert (engine.predict(tokens, {0, 1, 2})
-                    == engine.tuned_probabilities(tokens, {0, 1, 2}))
+            tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
+            assert np.array_equal(engine.predict(tokens, {0, 1, 2}), list(tuned.values()))
 
     @pytest.mark.parametrize("weighting, p_other_weighting",
                              [(w, False) for w in protocols.WEIGHTINGS] + [("ocw", True)])
@@ -224,16 +225,20 @@ class TestEngineRun:
                   EvalSuite("unseen", unseen, {3, 4, 5})]
         for suite in suites:
             accuracy, predictions = engine.evaluate_suite(suite)
+            labels = sorted(suite.candidates)
+            assert predictions.labels == labels
             hits = 0
-            for idx in suite.sample_ids:
+            for row, idx in enumerate(suite.sample_ids):
                 tokens = ds.tokens(idx)
-                got, alone = predictions[idx], engine.predict(tokens, suite.candidates)
-                assert list(got) == list(alone) == sorted(suite.candidates)
-                assert max(abs(got[y] - alone[y]) for y in got) <= 1e-12
-                assert argmax_label(got) == argmax_label(alone)
+                got, alone = predictions.probs[row], engine.predict(tokens, suite.candidates)
+                assert got.shape == alone.shape == (len(labels),)
+                assert np.abs(got - alone).max() <= 1e-12
+                winner = argmax_label(dict(zip(labels, alone.tolist())))
+                assert predictions.winners[row] == argmax_label(predictions[idx]) == winner
                 if suite.name == "unseen" and weighting != "tuned-only":
-                    assert got == engine.frozen_probabilities(tokens, suite.candidates)
-                hits += argmax_label(got) == ds.samples[idx][1]
+                    frozen = engine.frozen_probabilities(tokens, suite.candidates)
+                    assert np.array_equal(got, list(frozen.values()))
+                hits += winner == ds.samples[idx][1]
             assert accuracy == hits / len(suite.sample_ids)
 
     def test_suite_scored_in_batch_size_chunks(self, monkeypatch):
@@ -411,14 +416,16 @@ class TestPOtherWeighting:
         unseen = {3, 4, 5}
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            assert engine.predict(tokens, unseen) == engine.frozen_probabilities(tokens, unseen)
+            frozen = engine.frozen_probabilities(tokens, unseen)
+            assert np.array_equal(engine.predict(tokens, unseen), list(frozen.values()))
 
     def test_all_trained_candidates_give_tuned_bit_exact(self):
         ds, engine = self._engine(trained_below=6)
         labels = set(range(6))
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            assert engine.predict(tokens, labels) == engine.tuned_probabilities(tokens, labels)
+            tuned = engine.tuned_probabilities(tokens, labels)
+            assert np.array_equal(engine.predict(tokens, labels), list(tuned.values()))
 
     def test_mixed_suite_matches_reference(self, monkeypatch):
         ds, engine = self._engine(trained_below=3)
@@ -445,9 +452,9 @@ class TestPOtherWeighting:
                 raw[y] = a * p_t[y] + (1.0 - a) * p_o[y]
             total = sum(raw.values())
             got = engine.predict(tokens, candidates)
-            assert got == pytest.approx({y: v / total for y, v in raw.items()}, rel=1e-12)
+            assert got == pytest.approx(np.array([raw[y] / total for y in labels]), rel=1e-12)
             engine.config.p_other_weighting = False
-            discounted += got != engine.predict(tokens, candidates)
+            discounted += not np.array_equal(got, engine.predict(tokens, candidates))
             engine.config.p_other_weighting = True
         assert discounted > 0
 
@@ -472,6 +479,76 @@ class TestPOtherWeighting:
         logits = augmented_logits(cos_t, engine.params.other_logit)
         want = np.array([[p_other(row)] for row in logits])
         assert discounts[0].shape == want.shape and discounts[0].tobytes() == want.tobytes()
+
+
+class TestSuitePredictions:
+    """``evaluate_suite``'s result: one (N, C) array, argmax winners, dicts on access."""
+
+    @staticmethod
+    def _tied_engine():
+        # Labels 0 and 1 share one embedding, so over {0, 1} every frozen row ties exactly.
+        ds = _tied_dataset(seed=22)
+        return ds, Engine(ds, _fast_config(weighting="frozen-only", seed=22))
+
+    @staticmethod
+    def _trained_engine():
+        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=19))  # batch_size 4
+        for idx in range(10):
+            engine.process(idx)
+        return engine
+
+    def test_tie_goes_to_the_lowest_label(self):
+        ds, engine = self._tied_engine()
+        ids = [i for i, (_, label) in enumerate(ds.samples) if label in (0, 1)]
+        accuracy, result = engine.evaluate_suite(EvalSuite("tied", ids, {0, 1}))
+        assert np.array_equal(result.probs[:, 0], result.probs[:, 1])
+        assert result.winners.tolist() == [0] * len(ids)
+        assert accuracy == 0.5  # four samples of label 0 hit, four of label 1 miss
+
+    def test_duplicated_id_counts_twice_and_holds_one_entry(self):
+        ds, engine = self._tied_engine()
+        labels = [label for _, label in ds.samples]
+        i, j = labels.index(0), labels.index(1)
+        accuracy, result = engine.evaluate_suite(EvalSuite("dup", [i, j, i], {0, 1}))
+        assert accuracy == 2 / 3
+        assert result.probs.shape == (3, 2) and result.winners.tolist() == [0, 0, 0]
+        assert list(result) == [i, j] and len(result) == 2
+
+    def test_empty_suite(self):
+        _, engine = self._tied_engine()
+        accuracy, result = engine.evaluate_suite(EvalSuite("none", [], {0, 1}))
+        assert accuracy == 0.0
+        assert len(result) == 0 and result == {} and result.probs.shape == (0, 2)
+
+    def test_entry_is_its_row_as_a_dict(self):
+        engine = self._trained_engine()
+        suite = EvalSuite("some", [3, 17, 8, 21, 0], {4, 0, 2})
+        _, result = engine.evaluate_suite(suite)
+        assert result.labels == [0, 2, 4]
+        for row, idx in enumerate(suite.sample_ids):
+            assert list(result[idx]) == sorted(suite.candidates)
+            assert result[idx] == dict(zip(result.labels, result.probs[row].tolist()))
+
+    def test_probs_are_the_chunks_predict_returned(self, monkeypatch):
+        engine = self._trained_engine()
+        outputs = []
+        original = Engine.predict
+        monkeypatch.setattr(Engine, "predict", lambda self, *a, **kw:
+                            outputs.append(original(self, *a, **kw)) or outputs[-1])
+        _, result = engine.evaluate_suite(EvalSuite("all", list(range(25)), set(range(5))))
+        assert [len(chunk) for chunk in outputs] == [4, 4, 4, 4, 4, 4, 1]
+        assert result.probs.dtype == np.float64 and result.probs.shape == (25, 5)
+        assert result.probs.tobytes() == np.concatenate(outputs).tobytes()
+
+    def test_evaluations_of_one_state_compare_equal(self):
+        engine = self._trained_engine()
+        suite = EvalSuite("all", list(range(25)), set(range(5)))
+        first = engine.evaluate_suite(suite)
+        assert engine.evaluate_suite(suite) == first
+        assert first[1] == dict(first[1])
+        engine.process(10)
+        assert engine.evaluate_suite(suite)[1] != first[1]
 
 
 # Block decoder with compressed storage and FWS replay; linear decoder with
@@ -594,4 +671,4 @@ class TestZeroForgetting:
             if label < 4:
                 engine.process(i)
         after = [engine.predict(ds.tokens(i), held_candidates) for i in held_ids]
-        assert before == after
+        assert np.array_equal(before, after)
