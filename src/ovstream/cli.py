@@ -59,42 +59,25 @@ def _spec_from_dict(raw: dict) -> data.SyntheticSpec:
 # Every key a run config may hold (the README lists the same keys): the
 # engine's, then where the data comes from and how the stream is cut.
 RUN_KEYS = ("decoder", "weighting", "sampler", "beta", "ema_decay", "lr", "weight_decay",
-            "compression", "pca_components", "p_other_weighting", "seed",
+            "compression", "pca_components", "seed",
             "dataset", "synthetic", "protocol", "fractions", "class_groups", "suites")
 
 
 def _sampler_from_dict(raw: dict) -> SamplerConfig:
     _reject_unknown(raw, SamplerConfig.__dataclass_fields__, "sampler")
-    d = SamplerConfig()
-    cfg = SamplerConfig(
-        strategy=raw.get("strategy", d.strategy),
-        batch_size=int(raw.get("batch_size", d.batch_size)),
-        decay=float(raw.get("decay", d.decay)),
-        weight_floor=float(raw.get("weight_floor", d.weight_floor)),
-    )
+    cfg = protocols._typed(SamplerConfig, raw)
     cfg.validate()
     return cfg
 
 
 def _engine_config_from_dict(raw: dict) -> protocols.EngineConfig:
     _reject_unknown(raw, RUN_KEYS, "run config")
-    d = protocols.EngineConfig()
-    p_other_weighting = raw.get("p_other_weighting", d.p_other_weighting)
-    if not isinstance(p_other_weighting, bool):
-        raise ValueError(f"p_other_weighting must be true or false, got {p_other_weighting!r}")
-    cfg = protocols.EngineConfig(
-        decoder_variant=raw.get("decoder", d.decoder_variant),
-        weighting=raw.get("weighting", d.weighting),
-        sampler=_sampler_from_dict(raw.get("sampler", {})),
-        beta=float(raw.get("beta", d.beta)),
-        ema_decay=float(raw.get("ema_decay", d.ema_decay)),
-        lr=float(raw.get("lr", d.lr)),
-        weight_decay=float(raw.get("weight_decay", d.weight_decay)),
-        compression=raw.get("compression", d.compression),
-        pca_components=int(raw.get("pca_components", d.pca_components)),
-        p_other_weighting=p_other_weighting,
-        seed=int(raw.get("seed", d.seed)),
-    )
+    fields = {name: raw[name] for name in protocols.EngineConfig.__dataclass_fields__
+              if name in raw}
+    if "decoder" in raw:
+        fields["decoder_variant"] = raw["decoder"]
+    fields["sampler"] = _sampler_from_dict(raw.get("sampler", {}))
+    cfg = protocols._typed(protocols.EngineConfig, fields)
     cfg.validate()
     return cfg
 

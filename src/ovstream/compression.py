@@ -150,15 +150,16 @@ def per_instance_pca(tokens, n: int) -> CompressedFeature:
     )
 
 
+# (bit width, per-row envelopes) of the quantized mean, coefficients and components.
+QUANTIZED_BLOCKS = ((8, True), (16, False), (8, True))
+
+
 def quantize_feature(cf: CompressedFeature) -> CompressedFeature:
     """Quantize the blocks: components and mean to 8 bits, coefficients to 16."""
-    return CompressedFeature(
-        shape=cf.shape,
-        n=cf.n,
-        mean=quantize(_block_array(cf.mean), 8, per_row=True),
-        coefficients=quantize(_block_array(cf.coefficients), 16, per_row=False),
-        components=quantize(_block_array(cf.components), 8, per_row=True),
-    )
+    blocks = (cf.mean, cf.coefficients, cf.components)
+    return CompressedFeature(cf.shape, cf.n, *(
+        quantize(_block_array(block), bits, per_row)
+        for block, (bits, per_row) in zip(blocks, QUANTIZED_BLOCKS)))
 
 
 def compress(tokens, n: int, quantized: bool = False, cls_weight: bool = False,
@@ -180,16 +181,19 @@ def reconstruct(cf: CompressedFeature) -> np.ndarray:
     the result is then a (B, T, D) stack, each matrix bit-equal to its
     record's own reconstruction.
     """
-    mean = _block_array(cf.mean).astype(np.float64)
-    coeff = _block_array(cf.coefficients).astype(np.float64)
-    comp = _block_array(cf.components).astype(np.float64)
-    if not coeff.shape[-1] == comp.shape[-2] == cf.n or mean.shape[-1] != comp.shape[-1]:
-        raise FormatError(f"inconsistent block shapes {coeff.shape} / {comp.shape} / "
-                          f"{mean.shape} for {cf.n} components")
-    out = coeff @ comp + mean
-    if out.shape[-2:] != cf.shape:
-        raise FormatError(f"reconstructed shape {out.shape} != recorded {cf.shape}")
-    return out.astype(np.float32)
+    # A corrupted record can hold non-finite or huge blocks, whose result overflows
+    # or is NaN without numpy's warnings: the loaders reject the non-finite tokens.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _block_array(cf.mean).astype(np.float64)
+        coeff = _block_array(cf.coefficients).astype(np.float64)
+        comp = _block_array(cf.components).astype(np.float64)
+        if not coeff.shape[-1] == comp.shape[-2] == cf.n or mean.shape[-1] != comp.shape[-1]:
+            raise FormatError(f"inconsistent block shapes {coeff.shape} / {comp.shape} / "
+                              f"{mean.shape} for {cf.n} components")
+        out = coeff @ comp + mean
+        if out.shape[-2:] != cf.shape:
+            raise FormatError(f"reconstructed shape {out.shape} != recorded {cf.shape}")
+        return out.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,18 @@ def encode(tokens, mode: str, n: int, norm_gain=None, norm_bias=None):
     return compress(tokens, n, quantized=(mode == "pca-cls-quant"),
                     cls_weight=(mode in ("pca-cls", "pca-cls-quant")),
                     norm_gain=norm_gain, norm_bias=norm_bias)
+
+
+def fits_mode(payload, mode: str, n: int) -> bool:
+    """Whether ``encode(tokens, mode, n)`` stores records of ``payload``'s layout: a raw
+    matrix under ``"none"``; else ``n`` components, in float32 blocks or, under
+    ``"pca-cls-quant"``, in blocks quantized as ``quantize_feature`` quantizes them."""
+    if not isinstance(payload, CompressedFeature):
+        return mode == "none"
+    kinds = [(b.bit_width, b.per_row) if isinstance(b, QuantizedBlock) else None
+             for b in (payload.mean, payload.coefficients, payload.components)]
+    want = list(QUANTIZED_BLOCKS) if mode == "pca-cls-quant" else [None] * 3
+    return mode != "none" and payload.n == n and kinds == want
 
 
 def to_tokens(payload) -> np.ndarray:

@@ -157,22 +157,22 @@ def label_cosines(embeddings, label_matrix: np.ndarray):
 
 
 def candidate_probabilities(embeddings, label_matrix: np.ndarray):
-    """Softmax over temperature-scaled cosines with the rows of ``label_matrix``, plus
-    the cosines: (C,) arrays for a D vector, (B, C) arrays for a B x D matrix."""
+    """Softmax over temperature-scaled cosines with the rows of ``label_matrix``: a (C,)
+    array for a D vector, (B, C) for a B x D matrix."""
     e = np.asarray(embeddings, dtype=np.float32)
     if e.ndim != 2:
         e = as_embedding(e)
     elif not np.all(np.isfinite(e)):
         raise NumericError("embeddings contain non-finite entries")
     cos, _, _ = label_cosines(e, label_matrix)
-    return softmax(TEMPERATURE * cos), cos
+    return softmax(TEMPERATURE * cos)
 
 
 def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict:
     """Softmax over temperature-scaled cosine similarities for each candidate:
     ``{label: float}`` for a D vector, ``{label: (B,) column}`` for a B x D matrix."""
     labels = sorted(candidates)
-    probs, _ = candidate_probabilities(e_x, table.matrix(labels))
+    probs = candidate_probabilities(e_x, table.matrix(labels))
     return dict(zip(labels, probs.tolist() if probs.ndim == 1 else probs.T))
 
 

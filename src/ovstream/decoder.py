@@ -22,9 +22,8 @@ an evaluation chunk is one stacked array.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
-after the candidates' cosine logits, for the loss and for the "other"
-probability of ``weighting.p_other``. Parameters live in one float64 vector,
-which ``DecoderParams.tensors`` views by name.
+after the candidates' cosine logits for the loss. Parameters live in one
+float64 vector, which ``DecoderParams.tensors`` views by name.
 """
 
 from __future__ import annotations

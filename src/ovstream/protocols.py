@@ -26,7 +26,6 @@ from .core import FormatError, candidate_probabilities, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
-    augmented_logits,
     block_params,
     decode,
     linear_params,
@@ -40,7 +39,6 @@ from .weighting import (
     combined_prediction,
     mix_predictions,
     nn_loo_confidence,
-    p_other,
 )
 
 DEFAULT_FRACTIONS = (2, 4, 8, 16, 32, 64, 100)
@@ -148,7 +146,6 @@ class EngineConfig:
     weight_decay: float = 0.05
     compression: str = "none"          # a storage mode from compression.MODES
     pca_components: int = 5
-    p_other_weighting: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -169,8 +166,6 @@ class EngineConfig:
         if (self.beta < 0 or not 0 < self.ema_decay <= 1 or self.lr <= 0
                 or self.weight_decay < 0 or self.pca_components < 1):
             raise ValueError("hyperparameters out of range")
-        if self.p_other_weighting and self.weighting != "ocw":
-            raise ValueError(f"p_other_weighting applies to 'ocw' only, not {self.weighting!r}")
         self.sampler.validate()
 
 
@@ -183,19 +178,22 @@ class EngineConfig:
 # Little-endian.
 
 _SNAPSHOT_MAGIC = b"OVSN"
-_SNAPSHOT_VERSION = 1
+_SNAPSHOT_VERSION = 2
 _STATS = struct.Struct("<qddQ")
 _SAMPLE = struct.Struct("<qqd")
 
 
 def _typed(cls, raw: dict):
-    """``cls(**raw)``, every field of its default's type (an int may stand for a float)."""
+    """``cls(**raw)``, every field of its default's type; an int given for a float
+    field becomes that float, and anything else of another type raises ``TypeError``."""
     obj = cls(**raw)
     for name, default in vars(cls()).items():
         value = getattr(obj, name)
-        if type(value) is not type(default) and not (type(default) is float
-                                                     and type(value) is int):
-            raise TypeError(f"{cls.__name__}.{name} is {value!r}")
+        if type(default) is float and type(value) is int:
+            setattr(obj, name, float(value))
+        elif type(value) is not type(default):
+            raise TypeError(f"{cls.__name__}.{name} must be {type(default).__name__}, "
+                            f"not {value!r}")
     return obj
 
 
@@ -280,23 +278,18 @@ class Engine:
         """(B, C) distributions over ``labels`` of a B x T x D token array, as ``predict`` returns
         them: one frozen and one tuned cosine product, mixed by the weighting's confidence pairs."""
         mat = self.table.matrix(labels)
-        p_o, _ = candidate_probabilities(tokens[:, 0], mat)
+        p_o = candidate_probabilities(tokens[:, 0], mat)
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        p_t, cos_t = candidate_probabilities(decode(tokens, self.params), mat)
+        p_t = candidate_probabilities(decode(tokens, self.params), mat)
         if strategy == "tuned-only":
             return p_t
         seen = self.tracker.seen_labels()
         if strategy == "aim":
             return mix_predictions(p_t, p_o, aim_alpha(p_o, labels, seen))
-
-        pov = None
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
-            if self.config.p_other_weighting:
-                logits = augmented_logits(cos_t, self.params.other_logit)
-                pov = p_other(logits)[:, None]
         elif strategy == "nn-loo":
             conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
             confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
@@ -304,7 +297,7 @@ class Engine:
             confidence = {}
         mixed = combined_prediction(p_t, p_o, confidence, labels,
                                     all_candidates_seen=set(labels) <= seen,
-                                    eps=self.tracker.eps, p_other_value=pov)
+                                    eps=self.tracker.eps)
         return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
@@ -363,7 +356,8 @@ class Engine:
         ``FormatError``: for malformed bytes, and for a state no engine on ``dataset``
         holds (a config ``validate`` rejects, non-finite parameters or moments,
         ``v < 0``, labels outside the table, batch counts < 0, FWS weights outside
-        (0, 1], tracker accuracies outside [0, 1], another token shape). Stored
+        (0, 1], tracker accuracies outside [0, 1], another token shape, a record
+        that the config's compression and component count do not store). Stored
         samples go back in through ``ReplayStore.insert`` and its checks."""
         data = Path(path).read_bytes()
         if data[:4] != _SNAPSHOT_MAGIC:
@@ -415,6 +409,10 @@ class Engine:
                 if tuple(payload.shape) != dataset.shape:
                     raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's "
                                      f"{dataset.shape}")
+                mode, components = engine.config.compression, engine.config.pca_components
+                if not compression.fits_mode(payload, mode, components):
+                    raise ValueError(f"compression {mode!r} with {components} components "
+                                     "stores no record of this layout")
                 engine.store.insert(label, payload)
             except (FormatError, struct.error, ValueError) as exc:
                 raise FormatError(f"bad snapshot record {sid} at offset {start}: {exc}") from exc

@@ -2,14 +2,14 @@
 
 Payloads are whatever :func:`ovstream.compression.encode` stored (raw token
 matrices or compressed records), kept columnar: their arrays are stacked on a
-leading sample axis in one group per payload layout. Labels, batch counts and
+leading sample axis, and a sample's id is its row. Labels, batch counts and
 FWS weights stay in Python lists, with one id list per class. The first insert
-fixes the token shape (T, D); an insert of another shape, or of a record whose
-blocks do not fit it, raises.
-``tokens(ids)`` gathers a group's rows with one index array and reads them
-back with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``),
-so a training step decodes its batch at once. Decoded matrices are never
-cached.
+fixes the token shape (T, D) and the payload layout (raw, or the record's
+component count and block kinds), as an engine's storage mode does; an insert
+of another shape or layout, or of a record whose blocks do not fit it, raises.
+``tokens(ids)`` gathers the rows with one index array and reads them back
+with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``), so a
+training step decodes its batch at once. Decoded matrices are never cached.
 
 Four sampling strategies are supported: FIFO, Uniform, ClassBalanced, and
 frequency-weighted sampling (FWS) whose per-sample weight decays by a
@@ -119,7 +119,7 @@ class StoredSample:
 
     @property
     def payload(self):
-        return self._store._payloads(*self._store._slots.values[self.id])
+        return self._store._payloads(self.id)
 
 
 # ``Generator.choice(n, size=count, replace=n < count)`` without the call:
@@ -173,9 +173,8 @@ class ReplayStore:
         self._counts: list[int] = []
         self._weights: list[float] = []
         self._by_class: dict[int, list[int]] = {}
-        self._slots = _Column(np.zeros(2, np.int64))  # (payload group, row in it)
-        self._layouts: list[tuple] = []        # layout key per payload group
-        self._columns: list[list[_Column]] = []  # payload arrays per group
+        self._layout = None                    # payload layout key, fixed by the first insert
+        self._columns: list[_Column] = []      # payload arrays, row = sample id
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -189,15 +188,14 @@ class ReplayStore:
         if self._shape is not None and shape != self._shape:
             raise ValueError(f"token shape {shape} != the store's {self._shape}")
         key, arrays = _split(payload)
-        self._shape = shape
-        if key not in self._layouts:
-            self._layouts.append(key)
-            self._columns.append([_Column(a) for a in arrays])
-        group = self._layouts.index(key)
-        for column, a in zip(self._columns[group], arrays):
+        if self._layout is None:
+            self._shape, self._layout = shape, key
+            self._columns = [_Column(a) for a in arrays]
+        elif key != self._layout:
+            raise ValueError(f"payload layout {key} != the store's {self._layout}")
+        for column, a in zip(self._columns, arrays):
             column.append(a)
         sid = len(self)
-        self._slots.append((group, self._columns[group][0].size - 1))
         self._labels.append(label)
         self._counts.append(0)
         self._weights.append(1.0)
@@ -224,21 +222,17 @@ class ReplayStore:
     def sample(self, sid: int) -> StoredSample:
         return StoredSample(self, self._check(sid))
 
-    def _payloads(self, group: int, rows):
-        """The payload at a row of a group, or the stacked payloads at an index array."""
-        return _join(self._layouts[group], self._shape,
-                     [column.values[rows] for column in self._columns[group]])
+    def _payloads(self, rows):
+        """The payload of one sample id, or the stacked payloads of an id array."""
+        return _join(self._layout, self._shape, [column.values[rows] for column in self._columns])
 
     def tokens(self, ids) -> np.ndarray:
         """(B, T, D) float32 token matrices of ``ids``, in order: one gather and one
-        ``to_tokens`` (one ``reconstruct`` for compressed records) per payload group."""
-        slots = self._slots.values[self._ids(ids)]
-        out = np.empty((len(slots),) + (self._shape or (0, 0)), np.float32)
-        for group in range(len(self._layouts)):
-            mine = slots[:, 0] == group
-            if mine.any():
-                out[mine] = compression.to_tokens(self._payloads(group, slots[mine, 1]))
-        return out
+        ``to_tokens`` (one ``reconstruct`` for compressed records)."""
+        ids = self._ids(ids)
+        if self._layout is None:  # an empty store, so ``ids`` is empty too
+            return np.empty((0, 0, 0), np.float32)
+        return compression.to_tokens(self._payloads(ids))
 
     def seen_labels(self) -> list[int]:
         return sorted(self._by_class)

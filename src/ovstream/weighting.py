@@ -5,9 +5,9 @@ rule, ``alpha = c_t / (c_t + c_o + eps)`` (:func:`alpha`). Weightings differ onl
 in the source of the ``(c_t, c_o)`` pairs: the tracker's EMA accuracies
 (OCW, updated once per training sample before the parameter update),
 leave-one-out nearest-neighbour accuracy (:func:`nn_loo_confidence`), or
-none (binary). :func:`p_other` optionally discounts ``c_t``; the zero-shot
-seen-mass baseline (:func:`aim_alpha`) is one alpha per sample. Every sum
-across labels adds in label order (:func:`label_sum`), as Python's ``sum``.
+none (binary). The zero-shot seen-mass baseline (:func:`aim_alpha`) is one
+alpha per sample. Every sum across labels adds in label order
+(:func:`label_sum`), as Python's ``sum``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_embedding, label_cosines, softmax, unit_rows
+from .core import as_embedding, label_cosines, unit_rows
 
 
 @dataclass
@@ -65,28 +65,23 @@ class ClassAccuracyTracker:
 
 
 def alpha(confidence: dict[int, tuple[float, float]], labels,
-          all_candidates_seen: bool = False, eps: float = 1e-8,
-          p_other_value=None) -> np.ndarray:
+          all_candidates_seen: bool = False, eps: float = 1e-8) -> np.ndarray:
     """Tuned-model weight of each of the sorted ``labels``, a (C,) array: 1 when every
     candidate has been trained, 0 without a ``(c_t, c_o)`` pair in ``confidence``, else
-    ``c_t / (c_t + c_o + eps)``. A (B, 1) ``p_other_value`` first discounts each
-    sample's ``c_t`` by its OTHER probability, giving (B, C)."""
+    ``c_t / (c_t + c_o + eps)``."""
     if all_candidates_seen:
         return np.ones(len(labels))
     # A label without a pair scores (0, 1), whose weight is exactly 0.
     c_t, c_o = np.array([confidence.get(y, (0.0, 1.0)) for y in labels], float).reshape(-1, 2).T
-    if p_other_value is not None:
-        c_t = (1.0 - p_other_value) * c_t
     return c_t / (c_t + c_o + eps)
 
 
 def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray,
                         confidence: dict[int, tuple[float, float]], labels,
-                        all_candidates_seen: bool = False, eps: float = 1e-8,
-                        p_other_value=None) -> dict:
+                        all_candidates_seen: bool = False, eps: float = 1e-8) -> dict:
     """Mix of two (B, C) distributions over the sorted ``labels`` by :func:`alpha`,
     renormalized, as ``{label: (B,) column}`` views of the one (B, C) result."""
-    alphas = alpha(confidence, labels, all_candidates_seen, eps, p_other_value)
+    alphas = alpha(confidence, labels, all_candidates_seen, eps)
     return dict(zip(labels, mix_predictions(p_tuned, p_frozen, alphas).T))
 
 
@@ -147,14 +142,3 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
                    if labels[j] == labels[i])
     return {label: hits[label] / counts[label]
             for label in sorted(counts) if counts[label] >= 2}
-
-
-def p_other(logits):
-    """Softmax mass of the none-of-the-above option: the last entry of
-    (..., C+1) augmented logits (``decoder.augmented_logits``). A 1-D row gives
-    a float; a batch gives one value per row, from one row-wise softmax."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim < 1 or logits.shape[-1] < 2:
-        raise ValueError(f"expected candidate logits plus OTHER, got shape {logits.shape}")
-    column = softmax(logits)[..., -1]
-    return float(column) if logits.ndim == 1 else column

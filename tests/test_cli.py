@@ -161,6 +161,7 @@ class TestRun:
         ({"compresion": "pca-cls-quant"}, "compresion"),
         ({"dataset_pca_components": 4}, "dataset_pca_components"),
         ({"sampler": {"batch_size": 4, "stratgy": "fws"}}, "stratgy"),
+        ({"p_other_weighting": False}, "p_other_weighting"),  # a retired key
     ])
     def test_unknown_key_exits_2(self, tmp_path, capsys, extra, key):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
@@ -169,14 +170,27 @@ class TestRun:
         assert repr(key) in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("value", ["false", 1, None])
-    def test_p_other_weighting_must_be_boolean(self, tmp_path, capsys, value):
-        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "p_other_weighting": value})
-        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
-        assert "p_other_weighting" in capsys.readouterr().err
+    @pytest.mark.parametrize("extra, field", [
+        ({"seed": 1.5}, "EngineConfig.seed"),
+        ({"sampler": {"batch_size": 4.9}}, "SamplerConfig.batch_size"),
+        ({"pca_components": 2.7}, "EngineConfig.pca_components"),
+        ({"lr": "0.01"}, "EngineConfig.lr"),
+        ({"lr": True}, "EngineConfig.lr"),
+    ])
+    def test_mistyped_field_exits_2(self, tmp_path, capsys, extra, field):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_in_a_float_field_is_that_float(self):
+        config = _engine_config_from_dict({"lr": 1, "beta": 0, "sampler": {"decay": 1}})
+        assert config == _engine_config_from_dict(
+            {"lr": 1.0, "beta": 0.0, "sampler": {"decay": 1.0}})
+        assert [type(v) for v in (config.lr, config.beta, config.sampler.decay)] == [float] * 3
 
     @pytest.mark.parametrize("extra, word", [
-        ({"weighting": "nn-loo", "p_other_weighting": True}, "p_other_weighting"),
         ({"weight_decay": -1.0}, "hyperparameters"),
         ({"pca_components": 0, "compression": "pca-cls-quant"}, "hyperparameters"),
         ({"lr": float("nan")}, "lr must be finite"),

@@ -5,17 +5,21 @@ read every loaded sample back with ``tokens()`` (an engine snapshot: train one
 step and evaluate with it); any exception other than FormatError fails them.
 """
 
+import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovstream.compression import (
+    CompressedFeature,
     compress,
     payload_from_bytes,
     payload_to_bytes,
     per_instance_pca,
+    quantize,
     to_tokens,
 )
 from ovstream.core import FormatError, LabelEmbeddingTable
@@ -27,9 +31,9 @@ from ovstream.weighting import LabelStats
 NAN = struct.pack("<f", float("nan"))
 
 
-def _payloads():
+def _payloads(seed=3):
     """A raw token matrix, a float PCA record and a quantized record (T=4, D=3)."""
-    tokens = np.random.default_rng(3).standard_normal((4, 3)).astype(np.float32)
+    tokens = np.random.default_rng(seed).standard_normal((4, 3)).astype(np.float32)
     return [tokens, per_instance_pca(tokens, 2), compress(tokens, 2, quantized=True)]
 
 
@@ -39,20 +43,24 @@ def _dataset():
     return Dataset(table, samples, {0: [0, 1], 1: [2]})
 
 
-def _store():
+# The storage mode that stores each of ``_payloads()``'s layouts, at 2 components.
+LAYOUT_MODES = ("none", "pca", "pca-cls-quant")
+
+
+def _store(layout: int):
+    """A store of three records of one of ``_payloads()``'s layouts (seeds 3, 4, 5),
+    labelled 0, 5, 0."""
     store = ReplayStore()
-    for i, payload in enumerate(_payloads()):
-        store.insert(i, payload)
+    for label, seed in ((0, 3), (5, 4), (0, 5)):
+        store.insert(label, _payloads(seed)[layout])
     return store
 
 
-def _snapshot_of_every_layout(path):
-    """A snapshot whose store holds ``_dataset()``'s samples: record 0 raw, 1 float
-    PCA, 2 quantized."""
-    ds = _dataset()
-    engine = Engine(ds, EngineConfig())
-    for payload, label in ds.samples:
-        engine.store.insert(label, payload)
+def _snapshot(path, layout: int):
+    """A snapshot of an engine whose storage mode stores ``_payloads()[layout]``,
+    holding ``_store(layout)``'s records."""
+    engine = Engine(_dataset(), EngineConfig(compression=LAYOUT_MODES[layout], pca_components=2))
+    engine.store = _store(layout)
     engine.snapshot(path)
     return path
 
@@ -88,6 +96,22 @@ class TestPayloadRecord:
         blob = struct.pack("<BIII", 1, 4, 3, 2) + struct.pack("<BII", 0, 0xFFFFFFFF, 0xFFFFFFFF)
         with pytest.raises(FormatError, match="offset 13"):
             payload_from_bytes(blob)
+
+    @pytest.mark.parametrize("edit", [
+        dict(mean=3e38, coefficients=3e38),               # beyond float32 range
+        dict(mean=np.inf, coefficients=-np.inf, components=1.0),  # inf - inf
+        dict(coefficients=np.inf, components=0.0),        # inf * 0
+    ], ids=["overflow", "inf_minus_inf", "inf_times_zero"])
+    def test_non_finite_reconstruction_raises_format_error_without_warning(self, edit):
+        pca = _payloads()[1]
+        blocks = {name: np.full_like(getattr(pca, name), value) for name, value in edit.items()}
+        blob = payload_to_bytes(CompressedFeature(pca.shape, pca.n, **{
+            "mean": pca.mean, "coefficients": pca.coefficients,
+            "components": pca.components, **blocks}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite"):
+                payload_from_bytes(blob)
 
     def test_blocks_that_do_not_fit_the_record(self):
         blob = bytearray(payload_to_bytes(_payloads()[1]))
@@ -160,11 +184,12 @@ class TestReplayStoreFiles:
     """The store's records as an engine snapshot holds them."""
 
     @staticmethod
-    def _record_offset(blob: bytes, record: int) -> int:
-        return blob.index(payload_to_bytes(_payloads()[record]))
+    def _record_offset(blob: bytes, layout: int) -> int:
+        """Offset of record 0 of a ``_snapshot(path, layout)``."""
+        return blob.index(payload_to_bytes(_payloads()[layout]))
 
     def test_nan_in_raw_payload(self, tmp_path):
-        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
+        path = _snapshot(tmp_path / "engine.snap", 0)
         blob = bytearray(path.read_bytes())
         off = self._record_offset(blob, 0) + 9  # first token value of the raw record
         blob[off:off + 4] = NAN
@@ -172,22 +197,25 @@ class TestReplayStoreFiles:
         with pytest.raises(FormatError, match="record 0"):
             Engine.restore(path, _dataset())
 
-    def test_tokens_of_every_layout_equal_each_record(self):
+    @pytest.mark.parametrize("layout", [0, 1, 2], ids=LAYOUT_MODES)
+    def test_tokens_of_each_layout_equal_each_record(self, tmp_path, layout):
         ids = [2, 0, 1, 2, 1]
-        want = np.stack([to_tokens(_payloads()[i]) for i in ids])
-        assert _store().tokens(ids).tobytes() == want.tobytes()
+        want = np.stack([to_tokens(_payloads(3 + i)[layout]) for i in ids])
+        assert _store(layout).tokens(ids).tobytes() == want.tobytes()
+        engine = Engine.restore(_snapshot(tmp_path / "engine.snap", layout), _dataset())
+        assert engine.store.tokens(ids).tobytes() == want.tobytes()
 
     def test_record_whose_coefficients_do_not_fit_its_n(self, tmp_path):
-        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
+        path = _snapshot(tmp_path / "engine.snap", 1)
         blob = bytearray(path.read_bytes())
         off = self._record_offset(blob, 1)  # float PCA, n=2
         blob[off + 9:off + 13] = struct.pack("<I", 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="record 1"):
+        with pytest.raises(FormatError, match="record 0"):
             Engine.restore(path, _dataset())
 
     def test_record_of_another_token_shape(self, tmp_path):
-        path = _snapshot_of_every_layout(tmp_path / "engine.snap")
+        path = _snapshot(tmp_path / "engine.snap", 0)
         blob = path.read_bytes()
         # The u32 sample count precedes record 0's (label, batch count, FWS weight).
         count = self._record_offset(blob, 0) - struct.calcsize("<qqd") - 4
@@ -249,7 +277,7 @@ class TestEngineSnapshot:
         (lambda e: setattr(e.store.sample(0), "fws_weight", np.nan), "record 0.*FWS weight nan"),
         (lambda e: setattr(e.tracker.stats[0], "tuned_acc", 1.5), "tracker entry for label 0"),
         (lambda e: _set_stats(e, 7, LabelStats(0.5, 0.5, 1)), "tracker entry for label 7"),
-        (lambda e: e.store.insert(7, _payloads()[0]), "record 2.*label 7"),
+        (lambda e: e.store.insert(7, e.store.sample(0).payload), "record 2.*label 7"),
         (lambda e: setattr(e.config, "lr", float("inf")), "lr must be finite"),
         (lambda e: setattr(e.config.sampler, "batch_size", 2.5), "batch_size"),
     ])
@@ -266,8 +294,52 @@ class TestEngineSnapshot:
         _trained_engine(SNAPSHOT_CONFIGS[1]).snapshot(path)
         blob = path.read_bytes()
         for bad, match in ((b"OVDS" + blob[4:], "magic"),
-                           (blob[:4] + struct.pack("<I", 2) + blob[8:], "version 2"),
+                           (blob[:4] + struct.pack("<I", 3) + blob[8:], "version 3"),
                            (blob + b"\0", "1 bytes after the last record")):
             path.write_bytes(bad)
             with pytest.raises(FormatError, match=match):
                 Engine.restore(path, _dataset())
+
+    def test_version_1_snapshot_rejected(self, tmp_path):
+        # A version-1 header's config carries the retired "p_other_weighting" field.
+        path = tmp_path / "engine.snap"
+        _trained_engine(SNAPSHOT_CONFIGS[1]).snapshot(path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + size])
+        header["config"]["p_other_weighting"] = False
+        old = json.dumps(header, sort_keys=True).encode()
+        for version, match in ((1, "unsupported snapshot version 1"), (2, "p_other_weighting")):
+            path.write_bytes(blob[:4] + struct.pack("<II", version, len(old)) + old
+                             + blob[12 + size:])
+            with pytest.raises(FormatError, match=match):
+                Engine.restore(path, _dataset())
+
+    @pytest.mark.parametrize("mode, n, layout", [
+        ("pca", 2, "raw"),
+        ("pca-cls-quant", 2, "raw"),
+        ("none", 2, "float"),
+        ("none", 2, "quantized"),
+        ("pca-cls-quant", 2, "float"),
+        ("pca-cls-quant", 2, "quantized mean only"),
+        ("pca-cls-quant", 2, "8-bit coefficients"),
+        ("pca", 2, "quantized"),
+        ("pca-cls", 2, "quantized"),
+        ("pca", 3, "float"),
+        ("pca-cls-quant", 1, "quantized"),
+    ])
+    def test_record_the_engine_would_not_store(self, tmp_path, mode, n, layout):
+        raw, pca, quant = _payloads()
+        payload = {
+            "raw": raw, "float": pca, "quantized": quant,
+            "quantized mean only": CompressedFeature(
+                pca.shape, 2, quant.mean, pca.coefficients, pca.components),
+            "8-bit coefficients": CompressedFeature(
+                pca.shape, 2, quant.mean, quantize(pca.coefficients, 8, per_row=False),
+                quant.components),
+        }[layout]
+        engine = Engine(_dataset(), EngineConfig(compression=mode, pca_components=n))
+        engine.store.insert(0, payload)
+        engine.snapshot(tmp_path / "engine.snap")
+        with pytest.raises(FormatError, match=f"record 0 .*compression '{mode}' with {n} "):
+            Engine.restore(tmp_path / "engine.snap", _dataset())

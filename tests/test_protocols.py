@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ovstream import compression, core, protocols
-from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label, candidate_probabilities
+from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label
 from ovstream.data import Dataset, SyntheticSpec, generate
-from ovstream.decoder import augmented_logits, decode
+from ovstream.decoder import decode
 from ovstream.protocols import (
     Engine,
     EngineConfig,
@@ -19,7 +19,6 @@ from ovstream.protocols import (
     run_stream,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
-from ovstream.weighting import p_other
 
 
 def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
@@ -185,6 +184,37 @@ class TestEngineRun:
         tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
         assert np.array_equal(got, list(tuned.values()))
 
+    def test_ocw_mix_matches_reference(self, monkeypatch):
+        # Trained labels 1 and 2 mix by c_t / (c_t + c_o + eps); untrained 3 and 4 take 0.
+        ds = _dataset(num_classes=6, samples_per_class=4, seed=16)
+        engine = Engine(ds, _fast_config(seed=16))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3:
+                engine.process(idx)
+        labels = [1, 2, 3, 4]
+        mat = np.stack([ds.label_table.embedding(y).astype(np.float64) for y in labels])
+        for idx in range(len(ds.samples)):
+            tokens = ds.tokens(idx)
+            probs = []
+            for x in (tokens[0], decode(tokens, engine.params)):
+                x = x.astype(np.float64)
+                q = np.exp(TEMPERATURE * np.clip(mat @ x / np.linalg.norm(x), -1, 1))
+                probs.append(q / q.sum())
+            p_o, p_t = probs
+            a = np.zeros(len(labels))
+            for j, y in enumerate(labels[:2]):
+                c_t, c_o = engine.tracker.accuracies(y)
+                a[j] = c_t / (c_t + c_o + engine.tracker.eps)
+            mixed = a * p_t + (1.0 - a) * p_o
+            got = engine.predict(tokens, set(labels))
+            assert got == pytest.approx(mixed / mixed.sum(), rel=1e-12)
+        assert 0 < a[0] < 1 and 0 < a[1] < 1
+
+        calls = []
+        monkeypatch.setattr(protocols, "decode", lambda *a: calls.append(1) or decode(*a))
+        engine.predict(ds.tokens(0), set(labels))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("weighting", ["nn-loo", "aim"])
     def test_never_trained_candidates_give_frozen_bit_exact(self, weighting):
         ds = _dataset(num_classes=6, samples_per_class=4, seed=10)
@@ -208,17 +238,13 @@ class TestEngineRun:
             tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
             assert np.array_equal(engine.predict(tokens, {0, 1, 2}), list(tuned.values()))
 
-    @pytest.mark.parametrize("weighting, p_other_weighting",
-                             [(w, False) for w in protocols.WEIGHTINGS] + [("ocw", True)])
-    def test_suite_scores_as_per_sample_predict(self, weighting, p_other_weighting):
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_suite_scores_as_per_sample_predict(self, weighting):
         ds = _dataset(num_classes=6, samples_per_class=5, seed=18)
-        engine = Engine(ds, _fast_config(weighting=weighting, seed=18,
-                                         p_other_weighting=p_other_weighting))
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=18))
         for idx, (_, label) in enumerate(ds.samples):
             if label < 3 and idx % 5:
                 engine.process(idx)
-        if p_other_weighting:
-            engine.params.tensors["other_logit"] = np.array(0.5 * TEMPERATURE)
         unseen = [i for i, (_, label) in enumerate(ds.samples) if label >= 3]
         suites = [EvalSuite("all", list(range(len(ds.samples))), set(range(6))),  # 30 = 7 * 4 + 2
                   EvalSuite("one", [7], {1, 2, 4}),
@@ -385,100 +411,9 @@ class TestEngineRun:
             with pytest.raises(ValueError):
                 EngineConfig(**kw).validate()
 
-    @pytest.mark.parametrize("weighting", ["ocw-binary", "aim", "nn-loo",
-                                           "frozen-only", "tuned-only"])
-    def test_p_other_weighting_outside_ocw_rejected(self, weighting):
-        with pytest.raises(ValueError, match="p_other_weighting"):
-            EngineConfig(weighting=weighting, p_other_weighting=True).validate()
-        EngineConfig(weighting="ocw", p_other_weighting=True).validate()
-
     def test_dataset_pca_rejected_as_stream_mode(self):
         with pytest.raises(ValueError, match="ovstream compress"):
             EngineConfig(compression="dataset-pca").validate()
-
-
-class TestPOtherWeighting:
-    """OCW with the tuned accuracy discounted by the decoded sample's p(OTHER)."""
-
-    def _engine(self, trained_below: int):
-        ds = _dataset(num_classes=6, samples_per_class=4, seed=16)
-        engine = Engine(ds, _fast_config(p_other_weighting=True, seed=16))
-        for idx, (_, label) in enumerate(ds.samples):
-            if label < trained_below:
-                engine.process(idx)
-        # An OTHER logit on the scale of the cosine logits, so p(OTHER) is
-        # far from 0 and 1 and the discount shows.
-        engine.params.tensors["other_logit"] = np.array(0.5 * TEMPERATURE)
-        return ds, engine
-
-    def test_never_trained_candidates_give_frozen_bit_exact(self):
-        ds, engine = self._engine(trained_below=3)
-        unseen = {3, 4, 5}
-        for idx in range(len(ds.samples)):
-            tokens = ds.tokens(idx)
-            frozen = engine.frozen_probabilities(tokens, unseen)
-            assert np.array_equal(engine.predict(tokens, unseen), list(frozen.values()))
-
-    def test_all_trained_candidates_give_tuned_bit_exact(self):
-        ds, engine = self._engine(trained_below=6)
-        labels = set(range(6))
-        for idx in range(len(ds.samples)):
-            tokens = ds.tokens(idx)
-            tuned = engine.tuned_probabilities(tokens, labels)
-            assert np.array_equal(engine.predict(tokens, labels), list(tuned.values()))
-
-    def test_mixed_suite_matches_reference(self, monkeypatch):
-        ds, engine = self._engine(trained_below=3)
-        candidates = {1, 2, 3, 4}
-        labels = sorted(candidates)
-        mat = np.stack([ds.label_table.embedding(y).astype(np.float64) for y in labels])
-        discounted = 0
-        for idx in range(len(ds.samples)):
-            tokens = ds.tokens(idx)
-            e = decode(tokens, engine.params).astype(np.float64)
-            z = np.append(TEMPERATURE * np.clip(mat @ e / np.linalg.norm(e), -1, 1),
-                          engine.params.other_logit)
-            q = np.exp(z - z.max())
-            pov = q[-1] / q.sum()
-            p_t = engine.tuned_probabilities(tokens, candidates)
-            p_o = engine.frozen_probabilities(tokens, candidates)
-            raw = {}
-            for y in labels:
-                a = 0.0
-                if y in engine.tracker.seen_labels():
-                    c_t, c_o = engine.tracker.accuracies(y)
-                    c_t *= 1.0 - pov
-                    a = c_t / (c_t + c_o + engine.tracker.eps)
-                raw[y] = a * p_t[y] + (1.0 - a) * p_o[y]
-            total = sum(raw.values())
-            got = engine.predict(tokens, candidates)
-            assert got == pytest.approx(np.array([raw[y] / total for y in labels]), rel=1e-12)
-            engine.config.p_other_weighting = False
-            discounted += not np.array_equal(got, engine.predict(tokens, candidates))
-            engine.config.p_other_weighting = True
-        assert discounted > 0
-
-        calls = []
-        monkeypatch.setattr(protocols, "decode",
-                            lambda *a: calls.append(1) or decode(*a))
-        engine.predict(ds.tokens(0), candidates)
-        assert len(calls) == 1
-
-    def test_batch_discount_is_each_rows_p_other(self, monkeypatch):
-        ds, engine = self._engine(trained_below=3)
-        labels = [1, 2, 3, 4]
-        matrices = np.stack([ds.tokens(idx) for idx in range(len(ds.samples))])
-        discounts = []
-        original = protocols.combined_prediction
-        monkeypatch.setattr(protocols, "combined_prediction",
-                            lambda *a, **kw: discounts.append(kw["p_other_value"])
-                            or original(*a, **kw))
-        engine.predict(matrices, set(labels))
-        _, cos_t = candidate_probabilities(decode(matrices, engine.params),
-                                           engine.table.matrix(labels))
-        logits = augmented_logits(cos_t, engine.params.other_logit)
-        want = np.array([[p_other(row)] for row in logits])
-        assert discounts[0].shape == want.shape and discounts[0].tobytes() == want.tobytes()
 
 
 class TestSuitePredictions:

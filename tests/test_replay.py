@@ -399,7 +399,8 @@ class TestColumnarLayout:
         assert len(store) == 0
         store.insert(0, self._payloads(t=11)[0])  # the failed insert fixed no shape
         before = store.tokens([0])
-        for label, bad in ((1, raw), (1, wrong_n), ("x", self._payloads(t=11)[1])):
+        for label, bad in ((1, raw), (1, wrong_n), (1, self._payloads(t=11)[1]),
+                           ("x", self._payloads(t=11)[1])):
             with pytest.raises(ValueError):
                 store.insert(label, bad)
         assert len(store) == 1 and store.seen_labels() == [0]
@@ -408,19 +409,36 @@ class TestColumnarLayout:
         assert store.label(sid) == 2**63 and store.labels([sid, 0]) == [2**63, 0]
         assert store.tokens([sid]).tobytes() == self._payloads(t=11, seed=1)[0].tobytes()
 
-    def test_stored_bytes_are_the_inserted_records(self):
+    @pytest.mark.parametrize("first", [0, 1, 2])
+    def test_second_layout_rejected(self, first):
+        # Raw, float PCA and quantized records of one (T, D), and a float PCA
+        # record of another component count: each is a layout of its own.
+        layouts = self._payloads() + [per_instance_pca(self._payloads()[0], 4)]
         store = ReplayStore()
-        payloads = self._payloads() * 3
+        store.insert(0, layouts[first])
+        before = store.tokens([0])
+        for other in layouts[:first] + layouts[first + 1:]:
+            with pytest.raises(ValueError, match="payload layout"):
+                store.insert(1, other)
+        assert len(store) == 1 and store.seen_labels() == [0]
+        assert store.tokens([0]).tobytes() == before.tobytes()
+        store.insert(1, self._payloads(seed=1)[first])
+        assert store.labels([0, 1]) == [0, 1]
+
+    @pytest.mark.parametrize("layout, size", [(0, 2560), (1, 1736), (2, 540)])
+    def test_stored_bytes_are_the_inserted_records(self, layout, size):
+        store = ReplayStore()
+        payloads = [self._payloads(seed=s)[layout] for s in range(3)]
         for i, payload in enumerate(payloads):
             store.insert(i % 2, payload)
         for sid, payload in enumerate(payloads):
-            assert storage_bytes(store.sample(sid).payload) == storage_bytes(payload)
-        assert [storage_bytes(p) for p in payloads[:3:2]] == [2560, 540]
+            assert storage_bytes(store.sample(sid).payload) == storage_bytes(payload) == size
 
-    @pytest.mark.parametrize("layouts", [(0,), (2,), (0, 1, 2)])
-    def test_tokens_gather_in_order_with_repeats(self, layouts):
+    @pytest.mark.parametrize("layout", [0, 1, 2])
+    def test_tokens_gather_in_order_with_repeats(self, layout):
         store = ReplayStore()
-        payloads = [self._payloads(seed=s)[layouts[s % len(layouts)]] for s in range(9)]
+        assert store.tokens([]).shape == (0, 0, 0)
+        payloads = [self._payloads(seed=s)[layout] for s in range(9)]
         for i, payload in enumerate(payloads):
             store.insert(i, payload)
         ids = [4, 0, 8, 4, 1, 3]

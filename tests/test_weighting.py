@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ovstream.core import LabelEmbeddingTable, as_embedding, zero_shot_probabilities
-from ovstream.decoder import augmented_logits
 from ovstream.weighting import (
     ClassAccuracyTracker,
     aim_alpha,
@@ -14,7 +13,6 @@ from ovstream.weighting import (
     label_sum,
     mix_predictions,
     nn_loo_confidence,
-    p_other,
 )
 
 
@@ -82,15 +80,6 @@ class TestAlpha:
         a_t = alpha({0: (0.8, 0.2)}, [0])[0]
         assert a_t == 0.8 / (0.8 + 0.2 + 1e-8)
         assert alpha({0: (0.8, 0.2)}, [0], eps=0.5)[0] == 0.8 / 1.5
-
-    def test_p_other_discounts_tuned(self):
-        # A (B, 1) p_other column gives each sample its own row of alphas.
-        a_plain = alpha({0: (0.8, 0.2)}, [0, 1])
-        a_disc = alpha({0: (0.8, 0.2)}, [0, 1], p_other_value=np.array([[0.5], [0.0]]))
-        assert a_disc.shape == (2, 2)
-        assert a_disc[0, 0] == pytest.approx(0.4 / (0.6 + 1e-8), rel=1e-9)
-        assert a_disc[0, 0] < a_plain[0]
-        assert a_disc[1].tolist() == a_plain.tolist() == [a_plain[0], 0.0]
 
     def test_both_zero_accuracy(self):
         assert alpha({0: (0.0, 0.0)}, [0]).tolist() == [0.0]
@@ -348,39 +337,6 @@ class TestNnLooConfidence:
 
     def test_fewer_than_two_items(self):
         assert nn_loo_confidence([(np.array([1.0, 0.0]), 0)]) == {}
-
-
-class TestPOther:
-    def test_hand_computed(self):
-        # logits (2, 1, OTHER=0): p_OTHER = e^0 / (e^2 + e^1 + e^0).
-        expect = 1.0 / (np.exp(2.0) + np.exp(1.0) + 1.0)
-        assert p_other(np.array([2.0, 1.0, 0.0])) == pytest.approx(expect, rel=1e-12)
-        assert p_other(augmented_logits([0.02, 0.01], 0.0)) == pytest.approx(expect, rel=1e-12)
-        assert expect == pytest.approx(0.0900306, abs=1e-6)
-
-    def test_row_gives_a_float(self):
-        assert type(p_other(np.array([2.0, 1.0, 0.0]))) is float
-        assert type(p_other([[2.0, 1.0, 0.0]])) is np.ndarray
-
-    def test_shift_invariant(self):
-        logits = np.array([3.0, -1.0, 0.5])
-        assert p_other(logits + 123.0) == pytest.approx(p_other(logits), rel=1e-12)
-
-    def test_batch_column_equals_each_row(self):
-        gen = np.random.default_rng(11)
-        for _ in range(300):
-            b, c = gen.integers(1, 40), gen.integers(1, 120)
-            logits = augmented_logits(gen.uniform(-1.0, 1.0, (b, c)), gen.normal(0.0, 30.0))
-            column = p_other(logits)
-            assert column.shape == (b,)
-            assert column.tobytes() == np.array([p_other(row) for row in logits]).tobytes()
-
-    def test_missing_other(self):
-        # OTHER is the last entry, so a vector (or each row of a batch) needs at
-        # least one candidate before it, and a scalar is no vector.
-        for bad in (1.0, [1.0], np.zeros((2, 1))):
-            with pytest.raises(ValueError):
-                p_other(bad)
 
 
 def test_zero_shot_scale_invariance_through_pipeline(rng):
