@@ -23,7 +23,6 @@ import numpy as np
 from . import compression, data, protocols
 from .core import FormatError
 from .decoder import TrainingBatch, loss_gradients
-from .replay import SamplerConfig
 
 
 def canonical_json(obj) -> str:
@@ -43,19 +42,6 @@ def _load_json(path):
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _reject_unknown(raw: dict, known, what: str) -> None:
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {what} field(s): {sorted(unknown)}")
-
-
-def _spec_from_dict(raw: dict) -> data.SyntheticSpec:
-    _reject_unknown(raw, data.SyntheticSpec.__dataclass_fields__, "synthetic spec")
-    spec = data.SyntheticSpec(**raw)
-    spec.validate()
-    return spec
-
-
 # Every key a run config may hold (the README lists the same keys): the
 # engine's, then where the data comes from and how the stream is cut.
 RUN_KEYS = ("decoder", "weighting", "sampler", "beta", "ema_decay", "lr", "weight_decay",
@@ -63,30 +49,20 @@ RUN_KEYS = ("decoder", "weighting", "sampler", "beta", "ema_decay", "lr", "weigh
             "dataset", "synthetic", "protocol", "fractions", "class_groups", "suites")
 
 
-def _sampler_from_dict(raw: dict) -> SamplerConfig:
-    _reject_unknown(raw, SamplerConfig.__dataclass_fields__, "sampler")
-    cfg = protocols._typed(SamplerConfig, raw)
-    cfg.validate()
-    return cfg
-
-
 def _engine_config_from_dict(raw: dict) -> protocols.EngineConfig:
-    _reject_unknown(raw, RUN_KEYS, "run config")
+    protocols._reject_unknown(raw, RUN_KEYS, "run config")
     fields = {name: raw[name] for name in protocols.EngineConfig.__dataclass_fields__
               if name in raw}
     if "decoder" in raw:
         fields["decoder_variant"] = raw["decoder"]
-    fields["sampler"] = _sampler_from_dict(raw.get("sampler", {}))
-    cfg = protocols._typed(protocols.EngineConfig, fields)
-    cfg.validate()
-    return cfg
+    return protocols._typed(protocols.EngineConfig, fields)
 
 
 def _dataset_from_config(raw: dict) -> data.Dataset:
     if "dataset" in raw:
         return data.load(raw["dataset"])
     if "synthetic" in raw:
-        return data.generate(_spec_from_dict(raw["synthetic"]))
+        return data.generate(protocols._typed(data.SyntheticSpec, raw["synthetic"]))
     raise ValueError("config needs either a 'dataset' path or a 'synthetic' spec")
 
 
@@ -95,6 +71,9 @@ def _suites_from_config(raw: dict, dataset: data.Dataset):
         return None
     suites, n = [], len(dataset.samples)
     for entry in raw["suites"]:
+        if type(entry) is not dict or type(entry.get("name")) is not str:
+            raise TypeError(f"a suite must be an object with a string 'name', not {entry!r}")
+        protocols._reject_unknown(entry, ("name", "samples", "candidates"), "suite")
         ids = entry.get("samples", "all")
         if ids == "all":
             ids = list(range(n))
@@ -119,7 +98,7 @@ def cmd_gen(args) -> int:
     raw = _load_json(args.spec)
     if args.seed is not None:
         raw["seed"] = args.seed
-    spec = _spec_from_dict(raw)
+    spec = protocols._typed(data.SyntheticSpec, raw)
     dataset = data.generate(spec)
     data.save(dataset, args.out)
     print(f"wrote {args.out}: {len(dataset.samples)} samples, "
@@ -137,7 +116,7 @@ def cmd_run(args) -> int:
     stream = protocols.build_stream(
         dataset, raw.get("protocol", "data_incremental"), seed=config.seed,
         fractions=raw.get("fractions", protocols.DEFAULT_FRACTIONS),
-        class_groups=int(raw.get("class_groups", 5)), suites=suites)
+        class_groups=raw.get("class_groups", 5), suites=suites)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,13 +93,17 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
     labels = [label for _, label in dataset.samples]
     if not labels:
         raise ValueError("dataset has no samples")
+    if type(class_groups) is not int or class_groups < 1:
+        raise ValueError(f"class_groups must be an int >= 1, not {class_groups!r}")
+    if any(type(f) is not int for f in fractions):
+        raise ValueError(f"fractions must be ints, not {list(fractions)!r}")
     if suites is None:
         suites = [EvalSuite("all", list(range(len(labels))), set(dataset.labels()))]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
     if protocol in ("data_incremental", "union_data_incremental"):
         fr = list(fractions)
-        if fr != sorted(set(fr)) or fr[-1] != 100 or fr[0] <= 0:
+        if fr != sorted(set(fr)) or fr[-1:] != [100] or fr[0] <= 0:
             raise ValueError(f"fractions must be strictly increasing and end at 100: {fr}")
         order = list(rng.permutation(len(labels)))
         cuts = [int(round(f / 100 * len(order))) for f in fr]
@@ -172,28 +177,46 @@ class EngineConfig:
 # Snapshot file: magic "OVSN", u32 version, u32 header length, a UTF-8 JSON
 # header {"config": EngineConfig fields, "rng": the engine RNG's bit-generator
 # state}; u32 n, n float64 parameters (DecoderParams.flat), u64 optimizer step,
-# n float64 m, n float64 v; u32 tracker count, per label (i64 label, f64 c_t,
-# f64 c_o, u64 n_seen); u32 sample count, per stored sample (i64 label, i64
-# batch count, f64 FWS weight) then its payload record per ovstream.compression.
-# Little-endian.
+# n float64 m, n float64 v; u32 sample count, per stored sample (i64 label, i64
+# batch count) then its payload record per ovstream.compression; per stored
+# label in ascending order, the tracker's (f64 c_t, f64 c_o). Little-endian.
+# The store implies the rest: each FWS weight is SamplerConfig.fws_weight of its
+# batch count, and each label's n_seen is its number of stored samples.
 
 _SNAPSHOT_MAGIC = b"OVSN"
-_SNAPSHOT_VERSION = 2
-_STATS = struct.Struct("<qddQ")
-_SAMPLE = struct.Struct("<qqd")
+_SNAPSHOT_VERSION = 3
+_STATS = struct.Struct("<dd")
+_SAMPLE = struct.Struct("<qq")
+
+
+def _reject_unknown(raw: dict, known, what: str) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} field(s): {sorted(unknown)}")
 
 
 def _typed(cls, raw: dict):
-    """``cls(**raw)``, every field of its default's type; an int given for a float
-    field becomes that float, and anything else of another type raises ``TypeError``."""
-    obj = cls(**raw)
-    for name, default in vars(cls()).items():
-        value = getattr(obj, name)
-        if type(default) is float and type(value) is int:
-            setattr(obj, name, float(value))
-        elif type(value) is not type(default):
+    """The validated ``cls(**raw)`` of a dataclass whose fields all have defaults.
+    ``raw`` names only fields of ``cls`` (else ``ValueError``), each value of its
+    default's type (else ``TypeError``): an int given for a float field becomes that
+    float, and a dataclass-typed field is read from its own dict by the same rule."""
+    if type(raw) is not dict:
+        raise TypeError(f"{cls.__name__} must be an object, not {raw!r}")
+    _reject_unknown(raw, cls.__dataclass_fields__, cls.__name__)
+    defaults = cls()
+    values = {}
+    for name, value in raw.items():
+        default = getattr(defaults, name)
+        if is_dataclass(default) and type(value) is dict:
+            value = _typed(type(default), value)
+        elif type(default) is float and type(value) is int:
+            value = float(value)
+        if type(value) is not type(default):
             raise TypeError(f"{cls.__name__}.{name} must be {type(default).__name__}, "
                             f"not {value!r}")
+        values[name] = value
+    obj = cls(**values)
+    obj.validate()
     return obj
 
 
@@ -267,14 +290,14 @@ class Engine:
                 nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])))
         return self._nn_cache[1]
 
-    def predict(self, tokens, candidates, nn_maps=None) -> np.ndarray:
+    def predict(self, tokens, candidates) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
         a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array."""
         x = np.asarray(tokens)
-        probs = self._batch_prediction(x if x.ndim == 3 else x[None], sorted(candidates), nn_maps)
+        probs = self._batch_prediction(x if x.ndim == 3 else x[None], sorted(candidates))
         return probs if x.ndim == 3 else probs[0]
 
-    def _batch_prediction(self, tokens, labels, nn_maps) -> np.ndarray:
+    def _batch_prediction(self, tokens, labels) -> np.ndarray:
         """(B, C) distributions over ``labels`` of a B x T x D token array, as ``predict`` returns
         them: one frozen and one tuned cosine product, mixed by the weighting's confidence pairs."""
         mat = self.table.matrix(labels)
@@ -285,13 +308,13 @@ class Engine:
         p_t = candidate_probabilities(decode(tokens, self.params), mat)
         if strategy == "tuned-only":
             return p_t
-        seen = self.tracker.seen_labels()
+        seen = set(self.store.seen_labels())  # the labels the decoder has trained on
         if strategy == "aim":
             return mix_predictions(p_t, p_o, aim_alpha(p_o, labels, seen))
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
         elif strategy == "nn-loo":
-            conf_t, conf_o = nn_maps if nn_maps is not None else self._nn_loo_maps()
+            conf_t, conf_o = self._nn_loo_maps()
             confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
         else:  # ocw-binary: the tuned model once every candidate is trained
             confidence = {}
@@ -302,10 +325,9 @@ class Engine:
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
         """Accuracy and the suite's distributions, one ``predict`` per ``batch_size`` chunk."""
-        nn_maps = self._nn_loo_maps() if self.config.weighting == "nn-loo" else None
         labels = sorted(suite.candidates)
         chunks = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
-                               suite.candidates, nn_maps)
+                               suite.candidates)
                   for ids in self._chunks(suite.sample_ids)]
         result = SuitePredictions(suite.sample_ids, labels,
                                   np.concatenate([np.empty((0, len(labels)))] + chunks))
@@ -341,13 +363,11 @@ class Engine:
         parts = [_SNAPSHOT_MAGIC, struct.pack("<II", _SNAPSHOT_VERSION, len(header)), header,
                  struct.pack("<I", theta.size), theta.astype("<f8").tobytes(),
                  struct.pack("<Q", self.opt.step), m.astype("<f8").tobytes(),
-                 v.astype("<f8").tobytes(), struct.pack("<I", len(self.tracker.stats))]
-        parts += [_STATS.pack(label, s.tuned_acc, s.frozen_acc, s.n_seen)
-                  for label, s in self.tracker.stats.items()]
-        parts.append(struct.pack("<I", len(self.store)))
+                 v.astype("<f8").tobytes(), struct.pack("<I", len(self.store))]
         for s in map(self.store.sample, range(len(self.store))):
-            parts += [_SAMPLE.pack(s.label, s.batch_count, s.fws_weight),
-                      compression.payload_to_bytes(s.payload)]
+            parts += [_SAMPLE.pack(s.label, s.batch_count), compression.payload_to_bytes(s.payload)]
+        parts += [_STATS.pack(*self.tracker.accuracies(label))
+                  for label in self.store.seen_labels()]
         Path(path).write_bytes(b"".join(parts))
 
     @classmethod
@@ -355,10 +375,11 @@ class Engine:
         """The engine a ``snapshot`` file holds, on ``dataset``. Raises only
         ``FormatError``: for malformed bytes, and for a state no engine on ``dataset``
         holds (a config ``validate`` rejects, non-finite parameters or moments,
-        ``v < 0``, labels outside the table, batch counts < 0, FWS weights outside
-        (0, 1], tracker accuracies outside [0, 1], another token shape, a record
-        that the config's compression and component count do not store). Stored
-        samples go back in through ``ReplayStore.insert`` and its checks."""
+        ``v < 0``, labels outside the table, batch counts < 0, tracker accuracies
+        outside [0, 1], another token shape, a record that the config's compression
+        and component count do not store). Stored samples go back in through
+        ``ReplayStore.insert`` and its checks; FWS weights and ``n_seen`` are derived
+        from them, as a stream derives them."""
         data = Path(path).read_bytes()
         if data[:4] != _SNAPSHOT_MAGIC:
             raise FormatError("bad snapshot magic at offset 0")
@@ -369,9 +390,7 @@ class Engine:
                 raise FormatError(f"unsupported snapshot version {version}")
             off = 12
             header = json.loads(data[off:off + size])
-            raw = header["config"]
-            engine = cls(dataset, _typed(EngineConfig, {
-                **raw, "sampler": _typed(SamplerConfig, raw["sampler"])}))
+            engine = cls(dataset, _typed(EngineConfig, header["config"]))
             engine.rng.bit_generator.state = header["rng"]
             off += size
             theta = engine.params.buffer()
@@ -388,24 +407,16 @@ class Engine:
             off += 12 + 24 * n
             (count,) = struct.unpack_from("<I", data, off)
             off += 4
-            for _ in range(count):
-                label, c_t, c_o, n_seen = _STATS.unpack_from(data, off)
-                if label not in engine.table or not (0 <= c_t <= 1 and 0 <= c_o <= 1):
-                    raise FormatError(f"bad tracker entry for label {label} at offset {off}")
-                engine.tracker.stats[label] = LabelStats(c_t, c_o, n_seen)
-                off += _STATS.size
-            (count,) = struct.unpack_from("<I", data, off)
-            off += 4
         except (struct.error, ValueError, TypeError, KeyError, OverflowError) as exc:
             raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
+        sampler = engine.config.sampler
         for sid in range(count):
             start = off
             try:
-                label, batch_count, weight = _SAMPLE.unpack_from(data, off)
+                label, batch_count = _SAMPLE.unpack_from(data, off)
                 payload, off = compression.payload_from_bytes(data, off + _SAMPLE.size)
-                if label not in engine.table or batch_count < 0 or not 0 < weight <= 1:
-                    raise ValueError(f"label {label}, batch count {batch_count}, "
-                                     f"FWS weight {weight}")
+                if label not in engine.table or batch_count < 0:
+                    raise ValueError(f"label {label}, batch count {batch_count}")
                 if tuple(payload.shape) != dataset.shape:
                     raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's "
                                      f"{dataset.shape}")
@@ -417,7 +428,16 @@ class Engine:
             except (FormatError, struct.error, ValueError) as exc:
                 raise FormatError(f"bad snapshot record {sid} at offset {start}: {exc}") from exc
             sample = engine.store.sample(sid)
-            sample.batch_count, sample.fws_weight = batch_count, weight
+            sample.batch_count, sample.fws_weight = batch_count, sampler.fws_weight(batch_count)
+        for label, n_seen in sorted(Counter(engine.store.labels(range(count))).items()):
+            try:
+                c_t, c_o = _STATS.unpack_from(data, off)
+            except struct.error as exc:
+                raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
+            if not (0 <= c_t <= 1 and 0 <= c_o <= 1):
+                raise FormatError(f"bad tracker entry for label {label} at offset {off}")
+            engine.tracker.stats[label] = LabelStats(c_t, c_o, n_seen)
+            off += _STATS.size
         if off != len(data):
             raise FormatError(f"{len(data) - off} bytes after the last record at offset {off}")
         return engine

@@ -48,6 +48,10 @@ class SamplerConfig:
         if not 0.0 < self.weight_floor <= 1.0:
             raise ValueError("weight floor must be in (0, 1]")
 
+    def fws_weight(self, batch_count: int) -> float:
+        """A sample's FWS weight after ``batch_count`` batch inclusions."""
+        return max(self.decay ** batch_count, self.weight_floor)
+
 
 class _Column:
     """A growing array with a leading sample axis; ``values`` is the filled part."""
@@ -305,6 +309,5 @@ class ReplayStore:
         for sid in ids:
             sid = self._check(sid)
             self._counts[sid] += 1
-            # Recomputed from the count so the weight is exactly
-            # max(decay**batch_count, floor), free of accumulation error.
-            self._weights[sid] = max(config.decay ** self._counts[sid], config.weight_floor)
+            # Recomputed from the count, free of accumulation error.
+            self._weights[sid] = config.fws_weight(self._counts[sid])

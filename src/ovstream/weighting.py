@@ -39,9 +39,6 @@ class ClassAccuracyTracker:
     def _cold_start_steps(self) -> int:
         return int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
 
-    def seen_labels(self) -> set[int]:
-        return {label for label, s in self.stats.items() if s.n_seen > 0}
-
     def accuracies(self, label: int) -> tuple[float, float]:
         s = self.stats.get(label)
         return (s.tuned_acc, s.frozen_acc) if s else (0.0, 0.0)

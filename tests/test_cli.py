@@ -67,10 +67,15 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
-    def test_invalid_spec_exits_2(self, tmp_path, capsys):
-        spec = _write_json(tmp_path / "spec.json", {**SPEC, "noise": -1.0})
+    @pytest.mark.parametrize("raw, word", [
+        ({**SPEC, "noise": -1.0}, "noise"),
+        ({**SPEC, "tokens": 4.0}, "SyntheticSpec.tokens"),
+        ([SPEC], "SyntheticSpec must be an object"),
+    ])
+    def test_invalid_spec_exits_2(self, tmp_path, capsys, raw, word):
+        spec = _write_json(tmp_path / "spec.json", raw)
         assert main(["gen", "--spec", spec, "--out", str(tmp_path / "x.bin")]) == 2
-        assert "noise" in capsys.readouterr().err
+        assert word in capsys.readouterr().err
 
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         spec = _write_json(tmp_path / "spec.json", {**SPEC, "sigma": 1.0})
@@ -162,6 +167,7 @@ class TestRun:
         ({"dataset_pca_components": 4}, "dataset_pca_components"),
         ({"sampler": {"batch_size": 4, "stratgy": "fws"}}, "stratgy"),
         ({"p_other_weighting": False}, "p_other_weighting"),  # a retired key
+        ({"suites": [{"name": "pair", "samples": [0, 1], "candidate": [0, 1]}]}, "candidate"),
     ])
     def test_unknown_key_exits_2(self, tmp_path, capsys, extra, key):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
@@ -176,6 +182,13 @@ class TestRun:
         ({"pca_components": 2.7}, "EngineConfig.pca_components"),
         ({"lr": "0.01"}, "EngineConfig.lr"),
         ({"lr": True}, "EngineConfig.lr"),
+        ({"synthetic": {**SPEC, "samples_per_class": 4.5}}, "SyntheticSpec.samples_per_class"),
+        ({"synthetic": {**SPEC, "dim": True}}, "SyntheticSpec.dim"),
+        ({"synthetic": {**SPEC, "noise": "0.1"}}, "SyntheticSpec.noise"),
+        ({"protocol": "class_incremental", "class_groups": 2.7}, "class_groups"),
+        ({"protocol": "class_incremental", "class_groups": "2"}, "class_groups"),
+        ({"fractions": [50.5, 100]}, "fractions"),
+        ({"fractions": [True, 100]}, "fractions"),
     ])
     def test_mistyped_field_exits_2(self, tmp_path, capsys, extra, field):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
@@ -194,6 +207,7 @@ class TestRun:
         ({"weight_decay": -1.0}, "hyperparameters"),
         ({"pca_components": 0, "compression": "pca-cls-quant"}, "hyperparameters"),
         ({"lr": float("nan")}, "lr must be finite"),
+        ({"class_groups": 0}, "class_groups must be an int >= 1"),
     ])
     def test_config_rejected_before_any_output(self, tmp_path, capsys, extra, word):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, **extra})
@@ -207,6 +221,8 @@ class TestRun:
         ({"name": "negative", "samples": [-1, 0]}, "sample ids [-1]"),
         ({"name": "fraction", "samples": [1.0]}, "sample ids [1.0]"),
         ({"name": "alien", "candidates": [0, 7]}, "candidates [7] not in the label table"),
+        ({"name": 3}, "string 'name'"),
+        ({"samples": [0, 1]}, "string 'name'"),
     ])
     def test_suite_outside_the_dataset_exits_2(self, tmp_path, capsys, suite, word):
         config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "suites": [suite]})

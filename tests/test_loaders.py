@@ -26,7 +26,6 @@ from ovstream.core import FormatError, LabelEmbeddingTable
 from ovstream.data import Dataset, load, save
 from ovstream.protocols import Engine, EngineConfig, EvalSuite
 from ovstream.replay import ReplayStore, SamplerConfig
-from ovstream.weighting import LabelStats
 
 NAN = struct.pack("<f", float("nan"))
 
@@ -217,10 +216,13 @@ class TestReplayStoreFiles:
     def test_record_of_another_token_shape(self, tmp_path):
         path = _snapshot(tmp_path / "engine.snap", 0)
         blob = path.read_bytes()
-        # The u32 sample count precedes record 0's (label, batch count, FWS weight).
-        count = self._record_offset(blob, 0) - struct.calcsize("<qqd") - 4
-        other = struct.pack("<qqd", 0, 0, 1.0) + payload_to_bytes(np.ones((5, 3), np.float32))
-        path.write_bytes(blob[:count] + struct.pack("<I", 4) + blob[count + 4:] + other)
+        # The u32 sample count precedes record 0's (label, batch count); the last
+        # record is followed by the tracker's (c_t, c_o) of stored labels 0 and 5.
+        count = self._record_offset(blob, 0) - struct.calcsize("<qq") - 4
+        end = len(blob) - 2 * struct.calcsize("<dd")
+        other = struct.pack("<qq", 0, 0) + payload_to_bytes(np.ones((5, 3), np.float32))
+        path.write_bytes(blob[:count] + struct.pack("<I", 4) + blob[count + 4:end] + other
+                         + blob[end:])
         with pytest.raises(FormatError, match="record 3"):
             Engine.restore(path, _dataset())
 
@@ -240,10 +242,6 @@ def _trained_engine(config: dict) -> Engine:
     engine.process(0)
     engine.process(1)
     return engine
-
-
-def _set_stats(engine, label, stats):
-    engine.tracker.stats[label] = stats
 
 
 class TestEngineSnapshot:
@@ -273,10 +271,7 @@ class TestEngineSnapshot:
         (lambda e: e.opt.m.__setitem__(0, np.inf), "non-finite"),
         (lambda e: e.opt.v.__setitem__(0, -1e-9), "v < 0"),
         (lambda e: setattr(e.store.sample(1), "batch_count", -1), "record 1.*batch count -1"),
-        (lambda e: setattr(e.store.sample(0), "fws_weight", 0.0), "record 0.*FWS weight 0.0"),
-        (lambda e: setattr(e.store.sample(0), "fws_weight", np.nan), "record 0.*FWS weight nan"),
         (lambda e: setattr(e.tracker.stats[0], "tuned_acc", 1.5), "tracker entry for label 0"),
-        (lambda e: _set_stats(e, 7, LabelStats(0.5, 0.5, 1)), "tracker entry for label 7"),
         (lambda e: e.store.insert(7, e.store.sample(0).payload), "record 2.*label 7"),
         (lambda e: setattr(e.config, "lr", float("inf")), "lr must be finite"),
         (lambda e: setattr(e.config.sampler, "batch_size", 2.5), "batch_size"),
@@ -294,11 +289,32 @@ class TestEngineSnapshot:
         _trained_engine(SNAPSHOT_CONFIGS[1]).snapshot(path)
         blob = path.read_bytes()
         for bad, match in ((b"OVDS" + blob[4:], "magic"),
-                           (blob[:4] + struct.pack("<I", 3) + blob[8:], "version 3"),
+                           (blob[:4] + struct.pack("<I", 4) + blob[8:], "version 4"),
                            (blob + b"\0", "1 bytes after the last record")):
             path.write_bytes(bad)
             with pytest.raises(FormatError, match=match):
                 Engine.restore(path, _dataset())
+
+    def test_version_2_snapshot_rejected(self, tmp_path):
+        # Version 2 also wrote what version 3 derives from the store: the tracker's
+        # label ids, entry count and n_seen, and every stored sample's FWS weight.
+        engine = _trained_engine(SNAPSHOT_CONFIGS[0])
+        path = tmp_path / "engine.snap"
+        engine.snapshot(path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 8)
+        (n,) = struct.unpack_from("<I", blob, 12 + size)
+        stats = engine.tracker.stats.items()
+        samples = [engine.store.sample(sid) for sid in range(len(engine.store))]
+        path.write_bytes(b"".join([
+            blob[:4], struct.pack("<I", 2), blob[8:24 + size + 24 * n],  # through moment v
+            struct.pack("<I", len(stats)),
+            *(struct.pack("<qddQ", y, s.tuned_acc, s.frozen_acc, s.n_seen) for y, s in stats),
+            struct.pack("<I", len(samples)),
+            *(struct.pack("<qqd", s.label, s.batch_count, s.fws_weight)
+              + payload_to_bytes(s.payload) for s in samples)]))
+        with pytest.raises(FormatError, match="unsupported snapshot version 2"):
+            Engine.restore(path, _dataset())
 
     def test_version_1_snapshot_rejected(self, tmp_path):
         # A version-1 header's config carries the retired "p_other_weighting" field.
@@ -309,7 +325,7 @@ class TestEngineSnapshot:
         header = json.loads(blob[12:12 + size])
         header["config"]["p_other_weighting"] = False
         old = json.dumps(header, sort_keys=True).encode()
-        for version, match in ((1, "unsupported snapshot version 1"), (2, "p_other_weighting")):
+        for version, match in ((1, "unsupported snapshot version 1"), (3, "p_other_weighting")):
             path.write_bytes(blob[:4] + struct.pack("<II", version, len(old)) + old
                              + blob[12 + size:])
             with pytest.raises(FormatError, match=match):

@@ -104,7 +104,7 @@ class TestBuildStream:
 
     def test_bad_fractions(self):
         ds = _dataset()
-        for fr in ((2, 4, 50), (10, 10, 100), (0, 100), (100, 50)):
+        for fr in ((2, 4, 50), (10, 10, 100), (0, 100), (100, 50), ()):
             with pytest.raises(ValueError):
                 build_stream(ds, "data_incremental", fractions=fr)
 
@@ -178,7 +178,7 @@ class TestEngineRun:
         engine = Engine(ds, _fast_config(seed=12))
         for idx in range(len(ds.samples)):
             engine.process(idx)
-        assert engine.tracker.seen_labels() == {0, 1, 2}
+        assert engine.store.seen_labels() == [0, 1, 2]
         tokens = ds.tokens(1)
         got = engine.predict(tokens, {0, 1, 2})
         tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
@@ -282,8 +282,9 @@ class TestEngineRun:
                             or original(self, tokens, *a, **kw))
         engine.evaluate_suite(EvalSuite("all", list(range(25)), set(range(5))))
         assert predicts == [4, 4, 4, 4, 4, 4, 1]
-        # The ten stored samples for the nn-loo maps, then one per predict.
-        assert decodes == [4, 4, 2] + predicts
+        # One per predict; the first predict also decodes the ten stored samples
+        # for the nn-loo maps, after its own chunk.
+        assert decodes == predicts[:1] + [4, 4, 2] + predicts[1:]
 
     def test_nn_loo_maps_rebuilt_when_store_or_decoder_changes(self):
         ds = _dataset(num_classes=5, samples_per_class=4, seed=20)
@@ -539,6 +540,53 @@ class TestSnapshot:
             sa, sb = a.store.sample(sid), b.store.sample(sid)
             assert (sa.label, sa.batch_count, sa.fws_weight) == (
                 sb.label, sb.batch_count, sb.fws_weight)
+
+    # Each edit gives the engine a second record of a fact its store holds, one that
+    # disagrees with the store; the snapshot holds each fact once, the store's.
+    MISMATCHES = {
+        "fws-weight": lambda e: setattr(e.store.sample(0), "fws_weight", 0.5),
+        "never-stored-label": lambda e: e.tracker.ema_update(4, True, False),
+        "n-seen": lambda e: setattr(e.tracker.stats[e.store.label(0)], "n_seen", 99),
+        "no-tracker-entry": lambda e: e.tracker.stats.pop(e.store.label(0)),
+    }
+
+    @staticmethod
+    def _restored(tmp_path, ds, config, edit):
+        """An engine trained on labels 0-2 and edited, restored from its snapshot."""
+        engine = Engine(ds, config)
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3:
+                engine.process(idx)
+        edit(engine)
+        engine.snapshot(tmp_path / "engine.snap")
+        return Engine.restore(tmp_path / "engine.snap", ds)
+
+    @pytest.mark.parametrize("mismatch", sorted(MISMATCHES))
+    @pytest.mark.parametrize("name", sorted(RESUME_CONFIGS))
+    def test_restore_gives_the_engine_the_store_implies(self, tmp_path, name, mismatch):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=3, noise=0.3)
+        config = _fast_config(seed=2, **RESUME_CONFIGS[name])
+        engine = self._restored(tmp_path, ds, config, self.MISMATCHES[mismatch])
+        store, counts = engine.store, {}
+        for sid in range(len(store)):
+            sample = store.sample(sid)
+            counts[sample.label] = counts.get(sample.label, 0) + 1
+            assert sample.fws_weight == config.sampler.fws_weight(sample.batch_count)
+        assert any(store.sample(sid).batch_count for sid in range(len(store)))
+        assert sorted(engine.tracker.stats) == store.seen_labels() == [0, 1, 2]
+        assert {y: s.n_seen for y, s in engine.tracker.stats.items()} == counts
+
+    @pytest.mark.parametrize("weighting", ["ocw", "aim"])
+    def test_tracker_entry_of_a_never_stored_label_keeps_the_frozen_output(self, tmp_path,
+                                                                          weighting):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=3, noise=0.3)
+        engine = self._restored(tmp_path, ds, _fast_config(seed=2, weighting=weighting),
+                                self.MISMATCHES["never-stored-label"])
+        unseen = [i for i, (_, label) in enumerate(ds.samples) if label >= 3]
+        _, predictions = engine.evaluate_suite(EvalSuite("unseen", unseen, {3, 4, 5}))
+        for row, idx in enumerate(unseen):
+            frozen = engine.frozen_probabilities(ds.tokens(idx), {3, 4, 5})
+            assert np.array_equal(predictions.probs[row], list(frozen.values()))
 
     @pytest.mark.parametrize("name", sorted(RESUME_CONFIGS))
     @pytest.mark.parametrize("steps", [0, 10])

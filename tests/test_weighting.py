@@ -64,7 +64,7 @@ class TestTracker:
         tracker.ema_update(1, False, False)
         assert tracker.accuracies(0) == (1.0, 1.0)
         assert tracker.accuracies(1) == (0.0, 0.0)
-        assert tracker.seen_labels() == {0, 1}
+        assert sorted(tracker.stats) == [0, 1]
 
 
 class TestAlpha:
@@ -118,11 +118,11 @@ class TestCombinedPrediction:
         assert out[1][0] == pytest.approx(raw1 / (raw0 + raw1), rel=1e-9)
 
     def test_tracker_accuracies_as_confidence(self):
-        # The OCW source: the tracker's (c_t, c_o) for its seen labels.
+        # The OCW source: the tracker's (c_t, c_o) for the trained labels.
         tracker = ClassAccuracyTracker()
         tracker.ema_update(0, True, False)
         tracker.ema_update(1, False, True)
-        confidence = {y: tracker.accuracies(y) for y in tracker.seen_labels()}
+        confidence = {y: tracker.accuracies(y) for y in (0, 1)}
         p_t = np.array([[0.6, 0.3, 0.1]])
         p_f = np.array([[0.2, 0.5, 0.3]])
         out = combined_prediction(p_t, p_f, confidence, [0, 1, 2], eps=tracker.eps)
