@@ -118,32 +118,22 @@ def cmd_run(args) -> int:
         fractions=raw.get("fractions", protocols.DEFAULT_FRACTIONS),
         class_groups=raw.get("class_groups", 5), suites=suites)
 
+    record = protocols.run_stream(dataset, stream, config)
+    chash = config_hash(raw)
+    summary = {
+        "config_hash": chash,
+        "seed": config.seed,
+        "stages": len(stream),
+        "suites": sorted({name for _, name, _ in record.rows}),
+        "final": {name: acc for stage, name, acc in record.rows
+                  if stage == stream[-1].index},
+    }
+    # Only a finished stream makes the output directory, so a rejected run leaves none.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        record = protocols.run_stream(dataset, stream, config)
-        chash = config_hash(raw)
-        metrics_path = out / "metrics.csv"
-        _write_metrics_csv(record, metrics_path, chash, config.seed)
-        written.append(metrics_path)
-        last_stage = stream[-1].index
-        summary = {
-            "config_hash": chash,
-            "seed": config.seed,
-            "stages": len(stream),
-            "suites": sorted({name for _, name, _ in record.rows}),
-            "final": {name: acc for stage, name, acc in record.rows
-                      if stage == last_stage},
-        }
-        summary_path = out / "summary.json"
-        summary_path.write_text(canonical_json(summary) + "\n")
-        written.append(summary_path)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    print(f"wrote {out}/metrics.csv and summary.json (config {config_hash(raw)})")
+    _write_metrics_csv(record, out / "metrics.csv", chash, config.seed)
+    (out / "summary.json").write_text(canonical_json(summary) + "\n")
+    print(f"wrote {out}/metrics.csv and summary.json (config {chash})")
     return 0
 
 

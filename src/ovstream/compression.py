@@ -293,8 +293,8 @@ class DatasetPcaCodec:
     """Chunked dataset-level PCA over the feature dimension.
 
     Samples are grouped into consecutive chunks; each chunk gets its own
-    token mean and component matrix. Every encoded sample belongs to
-    exactly one chunk.
+    token mean and component matrix. Sample ``i`` of the fitted range
+    belongs to chunk ``i // chunk_size``.
     """
 
     def __init__(self, chunk_size: int, n_components: int):
@@ -306,7 +306,7 @@ class DatasetPcaCodec:
         self.n_components = n_components
         self._means: list[np.ndarray] = []
         self._components: list[np.ndarray] = []
-        self._membership: dict[int, int] = {}
+        self._size = 0  # samples fitted
 
     @classmethod
     def fit(cls, token_matrices, chunk_size: int = 5000,
@@ -315,8 +315,8 @@ class DatasetPcaCodec:
         mats = [as_token_matrix(m).astype(np.float64) for m in token_matrices]
         if not mats:
             raise ValueError("cannot fit codec on an empty dataset")
+        codec._size = len(mats)
         for start in range(0, len(mats), chunk_size):
-            chunk_idx = len(codec._means)
             chunk = mats[start:start + chunk_size]
             stacked = np.concatenate(chunk, axis=0)
             n = min(n_components, *stacked.shape)
@@ -324,15 +324,12 @@ class DatasetPcaCodec:
             _, _, vt = np.linalg.svd(stacked - mu, full_matrices=False)
             codec._means.append(mu)
             codec._components.append(vt[:n])
-            for offset in range(len(chunk)):
-                codec._membership[start + offset] = chunk_idx
         return codec
 
     def _chunk_of(self, sample_id: int) -> int:
-        try:
-            return self._membership[sample_id]
-        except KeyError:
-            raise KeyError(f"sample {sample_id} is not assigned to any chunk") from None
+        if not 0 <= sample_id < self._size:
+            raise KeyError(f"sample {sample_id} is not assigned to any chunk")
+        return sample_id // self.chunk_size
 
     def encode(self, sample_id: int, tokens) -> np.ndarray:
         chunk = self._chunk_of(sample_id)

@@ -46,6 +46,8 @@ DEFAULT_FRACTIONS = (2, 4, 8, 16, 32, 64, 100)
 
 WEIGHTINGS = ("ocw", "ocw-binary", "aim", "nn-loo", "frozen-only", "tuned-only")
 
+PROTOCOLS = ("data_incremental", "class_incremental", "task_incremental")
+
 
 @dataclass
 class EvalSuite:
@@ -87,9 +89,10 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
     ``data_incremental`` shuffles once and cuts at cumulative fractions;
     ``class_incremental`` sorts classes by id into ``class_groups`` groups;
     ``task_incremental`` follows the dataset's task partition in task-id
-    order; ``union_data_incremental`` ignores the task partition and runs
-    the data-incremental schedule over everything.
+    order.
     """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     labels = [label for _, label in dataset.samples]
     if not labels:
         raise ValueError("dataset has no samples")
@@ -101,7 +104,7 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
         suites = [EvalSuite("all", list(range(len(labels))), set(dataset.labels()))]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
-    if protocol in ("data_incremental", "union_data_incremental"):
+    if protocol == "data_incremental":
         fr = list(fractions)
         if fr != sorted(set(fr)) or fr[-1:] != [100] or fr[0] <= 0:
             raise ValueError(f"fractions must be strictly increasing and end at 100: {fr}")
@@ -125,15 +128,11 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
             stages.append(StreamStage(i + 1, ids, suites))
         return stages
 
-    if protocol == "task_incremental":
-        if not dataset.task_map:
-            raise ValueError("task_incremental requires a dataset task partition")
-        stages = []
-        for i, task in enumerate(sorted(dataset.task_map)):
-            stages.append(StreamStage(i + 1, list(dataset.task_map[task]), suites))
-        return stages
-
-    raise ValueError(f"unknown protocol {protocol!r}")
+    # task_incremental
+    if not dataset.task_map:
+        raise ValueError("task_incremental requires a dataset task partition")
+    return [StreamStage(i + 1, list(dataset.task_map[task]), suites)
+            for i, task in enumerate(sorted(dataset.task_map))]
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +249,6 @@ class Engine:
         return compression.encode(tokens, self.config.compression,
                                   self.config.pca_components, gain, bias)
 
-    def tuned_probabilities(self, tokens, candidates) -> dict[int, float]:
-        return zero_shot_probabilities(decode(tokens, self.params), self.table, candidates)
-
     def frozen_probabilities(self, tokens, candidates) -> dict[int, float]:
         return zero_shot_probabilities(np.asarray(tokens)[0], self.table, candidates)
 
@@ -277,35 +273,35 @@ class Engine:
         size = self.config.sampler.batch_size  # the size that bounds a training step
         return [items[i:i + size] for i in range(0, len(items), size)]
 
-    def _nn_loo_maps(self):
-        """The nn-loo (tuned, frozen) confidence maps of the stored samples, built once
-        per store and decoder state: every ``process`` inserts a sample and steps."""
+    def _nn_loo_maps(self) -> dict[int, tuple[float, float]]:
+        """The nn-loo ``{label: (c_t, c_o)}`` confidence pairs of the stored samples, built
+        once per store and decoder state: every ``process`` inserts a sample and steps.
+        Both maps hold the labels stored at least twice, so they share their keys."""
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
             tokens, labels = self.store.tokens(ids), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
-            self._nn_cache = (key, (
-                nn_loo_confidence(list(zip(decoded, labels))),
-                nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])))
+            conf_o = nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])
+            self._nn_cache = (key, {y: (c_t, conf_o[y]) for y, c_t in
+                                    nn_loo_confidence(list(zip(decoded, labels))).items()})
         return self._nn_cache[1]
 
     def predict(self, tokens, candidates) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
-        a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array."""
+        a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array.
+        A batch takes one frozen and one tuned cosine product, mixed by the weighting's
+        confidence pairs."""
         x = np.asarray(tokens)
-        probs = self._batch_prediction(x if x.ndim == 3 else x[None], sorted(candidates))
-        return probs if x.ndim == 3 else probs[0]
-
-    def _batch_prediction(self, tokens, labels) -> np.ndarray:
-        """(B, C) distributions over ``labels`` of a B x T x D token array, as ``predict`` returns
-        them: one frozen and one tuned cosine product, mixed by the weighting's confidence pairs."""
+        if x.ndim == 2:
+            return self.predict(x[None], candidates)[0]
+        labels = sorted(candidates)
         mat = self.table.matrix(labels)
-        p_o = candidate_probabilities(tokens[:, 0], mat)
+        p_o = candidate_probabilities(x[:, 0], mat)
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        p_t = candidate_probabilities(decode(tokens, self.params), mat)
+        p_t = candidate_probabilities(decode(x, self.params), mat)
         if strategy == "tuned-only":
             return p_t
         seen = set(self.store.seen_labels())  # the labels the decoder has trained on
@@ -314,34 +310,41 @@ class Engine:
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
         elif strategy == "nn-loo":
-            conf_t, conf_o = self._nn_loo_maps()
-            confidence = {y: (conf_t[y], conf_o[y]) for y in conf_t if y in conf_o}
+            confidence = self._nn_loo_maps()
         else:  # ocw-binary: the tuned model once every candidate is trained
             confidence = {}
         mixed = combined_prediction(p_t, p_o, confidence, labels,
-                                    all_candidates_seen=set(labels) <= seen,
-                                    eps=self.tracker.eps)
+                                    all_candidates_seen=set(labels) <= seen)
         return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
-        """Accuracy and the suite's distributions, one ``predict`` per ``batch_size`` chunk."""
-        labels = sorted(suite.candidates)
+        """Accuracy and the suite's distributions, one ``predict`` per ``batch_size`` chunk.
+        A suite without samples has no accuracy, so it raises ``ValueError``."""
+        if not suite.sample_ids:
+            raise ValueError(f"suite {suite.name!r} has no samples")
         chunks = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
                                suite.candidates)
                   for ids in self._chunks(suite.sample_ids)]
-        result = SuitePredictions(suite.sample_ids, labels,
-                                  np.concatenate([np.empty((0, len(labels)))] + chunks))
+        result = SuitePredictions(suite.sample_ids, sorted(suite.candidates),
+                                  np.concatenate(chunks))
         truth = [self.dataset.samples[idx][1] for idx in suite.sample_ids]
-        return float(np.mean(result.winners == truth)) if truth else 0.0, result
+        return float(np.mean(result.winners == truth)), result
 
     def run(self, stream: list[StreamStage]) -> MetricsRecord:
-        record = MetricsRecord()
-        seen_suites = []
+        """Evaluate every suite once before training, then train each stage and evaluate
+        its suites. A metrics row names its suite, so before any work this raises
+        ``ValueError`` when one name denotes two unequal suites or a stage lists a suite
+        twice."""
+        suites: dict[str, EvalSuite] = {}
         for stage in stream:
             for suite in stage.suites:
-                if all(s.name != suite.name for s in seen_suites):
-                    seen_suites.append(suite)
-        for suite in seen_suites:
+                if suites.setdefault(suite.name, suite) != suite:
+                    raise ValueError(f"two different suites are named {suite.name!r}")
+            names = [suite.name for suite in stage.suites]
+            if len(set(names)) < len(names):
+                raise ValueError(f"stage {stage.index} lists a suite twice: {names}")
+        record = MetricsRecord()
+        for suite in suites.values():
             acc, _ = self.evaluate_suite(suite)
             record.add(0, suite.name, acc)
         for stage in stream:
@@ -450,7 +453,7 @@ class SuitePredictions(Mapping):
     def __init__(self, sample_ids, labels: list[int], probs: np.ndarray):
         self.labels, self.probs = labels, probs
         # argmax keeps the first maximum in sorted-label order: ties go to the lowest label id.
-        self.winners = np.array(labels, np.int64)[probs.argmax(axis=1) if probs.size else []]
+        self.winners = np.array(labels, np.int64)[probs.argmax(axis=1)]
         self._rows = dict(zip(sample_ids, range(len(probs))))
 
     def __getitem__(self, idx) -> dict[int, float]:

@@ -1,13 +1,13 @@
 """Per-class accuracy tracking and model-vote weighting.
 
 The two models' (B, C) candidate distributions are mixed per label by one
-rule, ``alpha = c_t / (c_t + c_o + eps)`` (:func:`alpha`). Weightings differ only
+rule, ``alpha = c_t / (c_t + c_o + EPS)`` (:func:`alpha`). Weightings differ only
 in the source of the ``(c_t, c_o)`` pairs: the tracker's EMA accuracies
 (OCW, updated once per training sample before the parameter update),
 leave-one-out nearest-neighbour accuracy (:func:`nn_loo_confidence`), or
 none (binary). The zero-shot seen-mass baseline (:func:`aim_alpha`) is one
-alpha per sample. Every sum across labels adds in label order
-(:func:`label_sum`), as Python's ``sum``.
+alpha per sample. A sum across labels is one ``ndarray.sum`` over a row, so a
+row's sum does not depend on the batch it sits in.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_embedding, label_cosines, unit_rows
+
+# Keeps alpha finite for a label whose two accuracies are both 0.
+EPS = 1e-8
 
 
 @dataclass
@@ -33,7 +36,6 @@ class ClassAccuracyTracker:
     """EMA accuracy estimates c_t / c_o per label, with a running-mean cold start."""
 
     decay: float = 0.99
-    eps: float = 1e-8
     stats: dict[int, LabelStats] = field(default_factory=dict)
 
     def _cold_start_steps(self) -> int:
@@ -62,30 +64,24 @@ class ClassAccuracyTracker:
 
 
 def alpha(confidence: dict[int, tuple[float, float]], labels,
-          all_candidates_seen: bool = False, eps: float = 1e-8) -> np.ndarray:
+          all_candidates_seen: bool = False) -> np.ndarray:
     """Tuned-model weight of each of the sorted ``labels``, a (C,) array: 1 when every
     candidate has been trained, 0 without a ``(c_t, c_o)`` pair in ``confidence``, else
-    ``c_t / (c_t + c_o + eps)``."""
+    ``c_t / (c_t + c_o + EPS)``."""
     if all_candidates_seen:
         return np.ones(len(labels))
     # A label without a pair scores (0, 1), whose weight is exactly 0.
     c_t, c_o = np.array([confidence.get(y, (0.0, 1.0)) for y in labels], float).reshape(-1, 2).T
-    return c_t / (c_t + c_o + eps)
+    return c_t / (c_t + c_o + EPS)
 
 
 def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray,
                         confidence: dict[int, tuple[float, float]], labels,
-                        all_candidates_seen: bool = False, eps: float = 1e-8) -> dict:
+                        all_candidates_seen: bool = False) -> dict:
     """Mix of two (B, C) distributions over the sorted ``labels`` by :func:`alpha`,
     renormalized, as ``{label: (B,) column}`` views of the one (B, C) result."""
-    alphas = alpha(confidence, labels, all_candidates_seen, eps)
+    alphas = alpha(confidence, labels, all_candidates_seen)
     return dict(zip(labels, mix_predictions(p_tuned, p_frozen, alphas).T))
-
-
-def label_sum(values: np.ndarray) -> np.ndarray:
-    """Sums over the last (label) axis, kept as a length-1 axis, added left to right
-    as Python's ``sum`` adds; ``ndarray.sum`` adds in pairs and can round differently."""
-    return np.cumsum(values, axis=-1)[..., -1:]
 
 
 def mix_predictions(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas) -> np.ndarray:
@@ -106,7 +102,7 @@ def mix_predictions(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas) -> np.nda
         return p_tuned
     mixed = a * p_tuned + (1.0 - a) * p_frozen
     # A corner row's mix is its input (0 * p + 1 * q == q), so it is divided by 1.
-    total = np.where((frozen | tuned)[..., None], 1.0, label_sum(mixed))
+    total = np.where((frozen | tuned)[..., None], 1.0, mixed.sum(axis=-1, keepdims=True))
     if not total.all():
         raise ZeroDivisionError("mixed distribution has zero mass")
     return mixed / total
@@ -115,7 +111,7 @@ def mix_predictions(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas) -> np.nda
 def aim_alpha(p_frozen: np.ndarray, labels, seen_set) -> np.ndarray:
     """Zero-shot probability mass on already-trained labels, one alpha per sample:
     (B, 1) for (B, C) distributions over the sorted ``labels``."""
-    return label_sum(np.where([y in seen_set for y in labels], p_frozen, 0.0))
+    return np.where([y in seen_set for y in labels], p_frozen, 0.0).sum(axis=-1, keepdims=True)
 
 
 def nn_loo_confidence(exemplars) -> dict[int, float]:

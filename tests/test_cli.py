@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ovstream import compression, protocols, replay
 from ovstream.cli import RUN_KEYS, _engine_config_from_dict, canonical_json, config_hash, main
 from ovstream.protocols import EngineConfig
 
@@ -30,6 +31,12 @@ RUN_CONFIG = {
 def _write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _readme_run_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme[readme.index("### Run a stream experiment"):
+                  readme.index("### Compression benchmark")]
 
 
 @pytest.fixture
@@ -231,6 +238,21 @@ class TestRun:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suites, word", [
+        ([{"name": "a", "samples": [0]}, {"name": "a", "samples": [1, 2]}],
+         "two different suites are named 'a'"),
+        ([{"name": "a"}, {"name": "a"}], "lists a suite twice"),
+        ([{"name": "none", "samples": []}], "suite 'none' has no samples"),
+    ])
+    def test_suites_without_one_accuracy_row_each_exit_2(self, tmp_path, capsys, suites, word):
+        # Duplicate names would write several rows under one name, and an empty suite
+        # an accuracy that no prediction backs.
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "suites": suites})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_dataset_exits_2_naming_the_record(self, tmp_path, capsys, edited_dataset):
         path = edited_dataset({3: (np.ones((4, 16)), 1), 5: (np.ones((6, 8)), 2)})
         config = _write_json(tmp_path / "run.json", {
@@ -262,11 +284,16 @@ class TestRun:
         assert proc.stderr.startswith("numeric error:"), proc.stderr
 
     def test_readme_lists_every_run_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme[readme.index("### Run a stream experiment"):
-                         readme.index("### Compression benchmark")]
+        section = _readme_run_section()
         for key in RUN_KEYS:
             assert f"`{key}`" in section, key
+
+    def test_readme_names_every_accepted_run_value(self):
+        section = _readme_run_section()
+        for value in (*protocols.PROTOCOLS, *protocols.WEIGHTINGS, *compression.MODES,
+                      *replay.STRATEGIES):
+            assert f"`{value}`" in section, value
+        assert "union_data_incremental" not in section
 
 
 class TestCompress:

@@ -205,7 +205,7 @@ class TestDatasetPcaCodec:
         mats = [_tokens(rng, t=4, d=8) for _ in range(10)]
         codec = DatasetPcaCodec.fit(mats, chunk_size=5, n_components=4)
         assert len(codec._means) == 2
-        assert codec._membership[0] == 0 and codec._membership[9] == 1
+        assert [codec._chunk_of(i) for i in (0, 4, 5, 9)] == [0, 0, 1, 1]
 
     def test_deterministic(self, rng):
         mats = [_tokens(rng, t=6, d=10) for _ in range(8)]
@@ -217,8 +217,9 @@ class TestDatasetPcaCodec:
     def test_unknown_sample(self, rng):
         codec = DatasetPcaCodec.fit([_tokens(rng, t=4, d=6)],
                                     chunk_size=4, n_components=3)
-        with pytest.raises(KeyError):
-            codec.encode(5, _tokens(rng, t=4, d=6))
+        for sample_id in (1, 5, -1):
+            with pytest.raises(KeyError):
+                codec.encode(sample_id, _tokens(rng, t=4, d=6))
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

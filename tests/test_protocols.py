@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from ovstream import compression, core, protocols
-from ovstream.core import TEMPERATURE, LabelEmbeddingTable, argmax_label
+from ovstream.core import (
+    TEMPERATURE,
+    LabelEmbeddingTable,
+    argmax_label,
+    zero_shot_probabilities,
+)
 from ovstream.data import Dataset, SyntheticSpec, generate
 from ovstream.decoder import decode
 from ovstream.protocols import (
@@ -14,11 +19,13 @@ from ovstream.protocols import (
     EngineConfig,
     EvalSuite,
     MetricsRecord,
+    StreamStage,
     build_stream,
     mtil_metrics,
     run_stream,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
+from ovstream.weighting import EPS
 
 
 def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
@@ -87,13 +94,6 @@ class TestBuildStream:
         with pytest.raises(ValueError):
             build_stream(_dataset(), "task_incremental")
 
-    def test_union_matches_data_incremental(self):
-        ds = _dataset(num_classes=4, samples_per_class=5)
-        ds.task_map = {0: list(range(10)), 1: list(range(10, 20))}
-        a = build_stream(ds, "data_incremental", seed=9)
-        b = build_stream(ds, "union_data_incremental", seed=9)
-        assert [s.sample_ids for s in a] == [s.sample_ids for s in b]
-
     def test_deterministic_per_seed(self):
         ds = _dataset()
         a = build_stream(ds, "data_incremental", seed=5)
@@ -109,8 +109,9 @@ class TestBuildStream:
                 build_stream(ds, "data_incremental", fractions=fr)
 
     def test_unknown_protocol(self):
-        with pytest.raises(ValueError):
-            build_stream(_dataset(), "magic")
+        for protocol in ("magic", "union_data_incremental"):
+            with pytest.raises(ValueError, match="unknown protocol"):
+                build_stream(_dataset(), protocol)
 
     def test_default_suite_covers_everything(self):
         ds = _dataset(num_classes=3, samples_per_class=2)
@@ -130,6 +131,25 @@ class TestEngineRun:
         assert stages == [0, 1, 2, 3]  # stage 0 is the pre-training baseline
         for s in stages:
             assert 0.0 <= record.accuracy(s, "all") <= 1.0
+
+    def test_suite_names_must_denote_one_suite(self, monkeypatch):
+        # A metrics row names its suite: one name for two suites, or one suite twice
+        # in a stage, is rejected before any sample is trained or scored.
+        ds = _dataset(num_classes=3, samples_per_class=2)
+        a0, a12 = EvalSuite("a", [0], {0, 1, 2}), EvalSuite("a", [1, 2], {0, 1, 2})
+        engine = Engine(ds, _fast_config())
+        monkeypatch.setattr(engine, "process", lambda idx: pytest.fail("trained"))
+        monkeypatch.setattr(engine, "evaluate_suite", lambda suite: pytest.fail("scored"))
+        for stages, message in (
+                ([StreamStage(1, [0], [a0]), StreamStage(2, [1], [a0, a12])], "two different"),
+                ([StreamStage(1, [0], [a0]), StreamStage(2, [1], [a12])], "two different"),
+                ([StreamStage(1, [0], [a0, a0])], "stage 1 lists a suite twice")):
+            with pytest.raises(ValueError, match=message):
+                engine.run(stages)
+        # Equal suites under one name, one per stage, are one suite.
+        stages = [StreamStage(k, [k], [EvalSuite("a", [0, 3], {0, 1, 2})]) for k in (1, 2)]
+        record = Engine(ds, _fast_config()).run(stages)
+        assert [(stage, name) for stage, name, _ in record.rows] == [(0, "a"), (1, "a"), (2, "a")]
 
     def test_frozen_only_constant_across_stages(self):
         # Training never touches the frozen path, so every stage scores the
@@ -181,7 +201,7 @@ class TestEngineRun:
         assert engine.store.seen_labels() == [0, 1, 2]
         tokens = ds.tokens(1)
         got = engine.predict(tokens, {0, 1, 2})
-        tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
+        tuned = zero_shot_probabilities(decode(tokens, engine.params), engine.table, {0, 1, 2})
         assert np.array_equal(got, list(tuned.values()))
 
     def test_ocw_mix_matches_reference(self, monkeypatch):
@@ -204,7 +224,7 @@ class TestEngineRun:
             a = np.zeros(len(labels))
             for j, y in enumerate(labels[:2]):
                 c_t, c_o = engine.tracker.accuracies(y)
-                a[j] = c_t / (c_t + c_o + engine.tracker.eps)
+                a[j] = c_t / (c_t + c_o + EPS)
             mixed = a * p_t + (1.0 - a) * p_o
             got = engine.predict(tokens, set(labels))
             assert got == pytest.approx(mixed / mixed.sum(), rel=1e-12)
@@ -235,7 +255,8 @@ class TestEngineRun:
             engine.process(idx)
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            tuned = engine.tuned_probabilities(tokens, {0, 1, 2})
+            tuned = zero_shot_probabilities(decode(tokens, engine.params), engine.table,
+                                            {0, 1, 2})
             assert np.array_equal(engine.predict(tokens, {0, 1, 2}), list(tuned.values()))
 
     @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
@@ -347,7 +368,8 @@ class TestEngineRun:
             outcomes = set()
             for idx, (tokens, label) in enumerate(ds.samples):
                 candidates = set(engine.store.seen_labels()) | {label}
-                tuned = argmax_label(engine.tuned_probabilities(ds.tokens(idx), candidates))
+                tuned = argmax_label(zero_shot_probabilities(
+                    decode(ds.tokens(idx), engine.params), engine.table, candidates))
                 frozen = argmax_label(engine.frozen_probabilities(ds.tokens(idx), candidates))
                 ref.ema_update(label, tuned == label, frozen == label)
                 outcomes.add((tuned == label, frozen == label))
@@ -452,10 +474,10 @@ class TestSuitePredictions:
         assert list(result) == [i, j] and len(result) == 2
 
     def test_empty_suite(self):
+        # No prediction backs an accuracy for a suite without samples.
         _, engine = self._tied_engine()
-        accuracy, result = engine.evaluate_suite(EvalSuite("none", [], {0, 1}))
-        assert accuracy == 0.0
-        assert len(result) == 0 and result == {} and result.probs.shape == (0, 2)
+        with pytest.raises(ValueError, match="suite 'none' has no samples"):
+            engine.evaluate_suite(EvalSuite("none", [], {0, 1}))
 
     def test_entry_is_its_row_as_a_dict(self):
         engine = self._trained_engine()

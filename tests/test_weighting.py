@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from ovstream.core import LabelEmbeddingTable, as_embedding, zero_shot_probabilities
 from ovstream.weighting import (
+    EPS,
     ClassAccuracyTracker,
     aim_alpha,
     alpha,
     combined_prediction,
-    label_sum,
     mix_predictions,
     nn_loo_confidence,
 )
@@ -79,7 +79,6 @@ class TestAlpha:
     def test_ratio_formula(self):
         a_t = alpha({0: (0.8, 0.2)}, [0])[0]
         assert a_t == 0.8 / (0.8 + 0.2 + 1e-8)
-        assert alpha({0: (0.8, 0.2)}, [0], eps=0.5)[0] == 0.8 / 1.5
 
     def test_both_zero_accuracy(self):
         assert alpha({0: (0.0, 0.0)}, [0]).tolist() == [0.0]
@@ -125,8 +124,8 @@ class TestCombinedPrediction:
         confidence = {y: tracker.accuracies(y) for y in (0, 1)}
         p_t = np.array([[0.6, 0.3, 0.1]])
         p_f = np.array([[0.2, 0.5, 0.3]])
-        out = combined_prediction(p_t, p_f, confidence, [0, 1, 2], eps=tracker.eps)
-        a0 = 1.0 / (1.0 + tracker.eps)
+        out = combined_prediction(p_t, p_f, confidence, [0, 1, 2])
+        a0 = 1.0 / (1.0 + EPS)
         raw = {0: a0 * 0.6 + (1 - a0) * 0.2, 1: 0.5, 2: 0.3}
         total = sum(raw.values())
         assert {y: float(v[0]) for y, v in out.items()} == {y: v / total for y, v in raw.items()}
@@ -172,6 +171,22 @@ class TestCombinedPrediction:
         out = mix_predictions(p_t, p_f, np.array([[0.0], [0.5], [0.0], [0.5]]))
         assert out[0].tolist() == p_f[0].tolist() and out[2].tolist() == p_f[2].tolist()
 
+    def test_row_sums_do_not_depend_on_the_batch(self):
+        # From 8 labels up ndarray.sum adds in pairs; each row still adds in one
+        # order, so a row mixes and sums to the same bits alone as in any batch.
+        gen = np.random.default_rng(4)
+        for c in (3, 9, 100, 150):
+            b = int(gen.integers(2, 40))
+            p_t, p_f = (gen.dirichlet(np.full(c, 0.3), size=b) for _ in range(2))
+            alphas = gen.uniform(size=c)
+            seen = set(range(0, c, 3))
+            out = mix_predictions(p_t, p_f, alphas)
+            mass = aim_alpha(p_f, list(range(c)), seen)
+            for i in range(b):
+                alone = mix_predictions(p_t[i:i + 1], p_f[i:i + 1], alphas)
+                assert out[i].tobytes() == alone[0].tobytes()
+                assert mass[i].tobytes() == aim_alpha(p_f[i:i + 1], list(range(c)), seen)[0].tobytes()
+
     def test_alpha_monotone_in_tuned_accuracy(self):
         # Fixing c_o, the tuned weight grows with c_t across a grid.
         prev = -1.0
@@ -179,15 +194,6 @@ class TestCombinedPrediction:
             a_t = alpha({0: (float(c_t), 0.4)}, [0])[0]
             assert a_t >= prev
             prev = a_t
-
-    def test_label_sum_adds_in_python_order(self):
-        # Bit for bit Python's sum over labels, for one row and for many;
-        # ndarray.sum adds in pairs and differs on some of these.
-        gen = np.random.default_rng(4)
-        for _ in range(200):
-            b, c = int(gen.integers(1, 40)), int(gen.integers(1, 150))
-            values = gen.dirichlet(np.full(c, 0.3), size=b)
-            assert label_sum(values)[:, 0].tolist() == [sum(row) for row in values.tolist()]
 
 
 class TestAimAlpha:
