@@ -107,6 +107,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
+    out = Path(args.out)
+    # The output directory is made after the stream, so a path that cannot become one
+    # is rejected before any work.
+    if bad := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
+        raise ValueError(f"--out {out}: {bad} exists and is not a directory")
     raw = _load_json(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -129,7 +134,6 @@ def cmd_run(args) -> int:
                   if stage == stream[-1].index},
     }
     # Only a finished stream makes the output directory, so a rejected run leaves none.
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics_csv(record, out / "metrics.csv", chash, config.seed)
     (out / "summary.json").write_text(canonical_json(summary) + "\n")

@@ -125,8 +125,10 @@ class LabelEmbeddingTable:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis, in float64."""
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def unit_rows(embeddings):
@@ -153,7 +155,8 @@ def label_cosines(embeddings, label_matrix: np.ndarray):
     if e.shape[-1] != label_matrix.shape[1]:
         raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
     unit, norms = unit_rows(e)
-    return np.clip(np.einsum("...d,cd->...c", unit, label_matrix), -1.0, 1.0), unit, norms
+    cos = np.einsum("...d,cd->...c", unit, label_matrix)
+    return np.clip(cos, -1.0, 1.0, out=cos), unit, norms
 
 
 def candidate_probabilities(embeddings, label_matrix: np.ndarray):
@@ -165,7 +168,8 @@ def candidate_probabilities(embeddings, label_matrix: np.ndarray):
     elif not np.all(np.isfinite(e)):
         raise NumericError("embeddings contain non-finite entries")
     cos, _, _ = label_cosines(e, label_matrix)
-    return softmax(TEMPERATURE * cos)
+    cos *= TEMPERATURE
+    return softmax(cos)
 
 
 def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict:

@@ -17,8 +17,9 @@ Two variants map a token matrix to an output embedding:
 
 ``decode`` and the loss run one forward pass over a B x T x D token array. A
 stream has one token shape (the dataset and the replay store enforce it), so
-a training step's batch is one ``tokens(ids)`` read from the replay store and
-an evaluation chunk is one stacked array.
+a training step's batch is one ``tokens(ids)`` read from the replay store.
+Evaluation decodes a suite slice in ``batch_size`` row groups, so a decode
+never holds more float64 working set than a training step's forward.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
@@ -167,18 +168,19 @@ def _forward(tokens, params: DecoderParams):
 
     The block attends with the CLS query only (exact; see the module docstring).
     """
-    x = np.asarray(tokens, dtype=np.float64)
+    x = np.asarray(tokens)
     if x.ndim != 3 or x.shape[1] < 1:
         raise ValueError(f"token matrix must be 2-D, got shape {x.shape[1:]}")
     if x.shape[2] != params.d_in:
         raise ValueError(f"token dimension {x.shape[2]} != decoder d_in {params.d_in}")
     t = params.tensors
-    if params.variant == "linear":
-        cls = x[:, 0]
+    if params.variant == "linear":  # reads the CLS rows alone, so converts only those
+        cls = np.asarray(x[:, 0], dtype=np.float64)
         return cls @ t["weight"].T + t["bias"], (cls,)
     if params.variant != "block":
         raise ValueError(f"unknown decoder variant {params.variant!r}")
 
+    x = np.asarray(x, dtype=np.float64)
     y1, xhat1, inv1 = layer_norm(x, t["ln1_gain"], t["ln1_bias"])
     q = y1[:, 0] @ t["wq"] + t["bq"]
     qk = q @ t["wk"].T  # score_t = y1_t . (wk q)

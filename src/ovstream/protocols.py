@@ -48,6 +48,10 @@ WEIGHTINGS = ("ocw", "ocw-binary", "aim", "nn-loo", "frozen-only", "tuned-only")
 
 PROTOCOLS = ("data_incremental", "class_incremental", "task_incremental")
 
+# ``evaluate_suite`` hands ``predict`` slices of at most this many bytes of gathered
+# float32 tokens, in whole ``batch_size`` batches and at least one batch.
+EVAL_SLICE_BYTES = 1 << 18
+
 
 @dataclass
 class EvalSuite:
@@ -269,8 +273,8 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _chunks(self, items):
-        size = self.config.sampler.batch_size  # the size that bounds a training step
+    def _chunks(self, items, batches: int = 1):
+        size = batches * self.config.sampler.batch_size  # batch_size bounds a training step
         return [items[i:i + size] for i in range(0, len(items), size)]
 
     def _nn_loo_maps(self) -> dict[int, tuple[float, float]]:
@@ -290,8 +294,10 @@ class Engine:
     def predict(self, tokens, candidates) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
         a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array.
-        A batch takes one frozen and one tuned cosine product, mixed by the weighting's
-        confidence pairs."""
+        ``decode`` runs over ``batch_size`` row groups, as a training step does; the
+        frozen and tuned cosine products, the confidence pairs and the mix run once for
+        the whole array. Each of those works one row or one label at a time, so a row
+        gets the same bits in any array whose groups are whole batches."""
         x = np.asarray(tokens)
         if x.ndim == 2:
             return self.predict(x[None], candidates)[0]
@@ -301,7 +307,9 @@ class Engine:
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        p_t = candidate_probabilities(decode(x, self.params), mat)
+        groups = self._chunks(x) or [x]  # an empty array is one empty group
+        p_t = candidate_probabilities(np.concatenate([decode(g, self.params) for g in groups]),
+                                      mat)
         if strategy == "tuned-only":
             return p_t
         seen = set(self.store.seen_labels())  # the labels the decoder has trained on
@@ -318,15 +326,20 @@ class Engine:
         return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
-        """Accuracy and the suite's distributions, one ``predict`` per ``batch_size`` chunk.
-        A suite without samples has no accuracy, so it raises ``ValueError``."""
+        """Accuracy and the suite's distributions, one ``predict`` per slice of the suite.
+        A slice is as many whole ``batch_size`` batches as fit ``EVAL_SLICE_BYTES`` of
+        float32 tokens, at least one, so its rows score the bits they would in
+        ``batch_size`` chunks. A suite without samples has no accuracy, so it raises
+        ``ValueError``."""
         if not suite.sample_ids:
             raise ValueError(f"suite {suite.name!r} has no samples")
-        chunks = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
+        batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
+        slices = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
                                suite.candidates)
-                  for ids in self._chunks(suite.sample_ids)]
+                  for ids in self._chunks(suite.sample_ids,
+                                          max(1, EVAL_SLICE_BYTES // batch_bytes))]
         result = SuitePredictions(suite.sample_ids, sorted(suite.candidates),
-                                  np.concatenate(chunks))
+                                  np.concatenate(slices))
         truth = [self.dataset.samples[idx][1] for idx in suite.sample_ids]
         return float(np.mean(result.winners == truth)), result
 

@@ -128,7 +128,12 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
     queries = [i for i, label in enumerate(labels) if counts[label] >= 2]
     if not queries:
         return {}
-    embs = np.stack([as_embedding(e) for e, _ in items])
+    try:  # validated once, on the stack; a bad exemplar raises as_embedding's error
+        embs = np.array([e for e, _ in items], np.float32)
+    except ValueError:  # ragged
+        embs = None
+    if embs is None or embs.ndim != 2 or not embs.shape[1] or not np.isfinite(embs).all():
+        embs = np.stack([as_embedding(e) for e, _ in items])
     sims, _, _ = label_cosines(embs[queries], unit_rows(embs)[0])
     sims[np.arange(len(queries)), queries] = -np.inf
     hits = Counter(labels[i] for i, j in zip(queries, sims.argmax(axis=1))

@@ -253,6 +253,20 @@ class TestRun:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["taken", "taken/out"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the stream ran")
+
+        monkeypatch.setattr(protocols, "run_stream", refuse)
+        config = _write_json(tmp_path / "run.json", RUN_CONFIG)
+        (tmp_path / "taken").write_text("kept\n")
+        assert main(["run", "--config", config, "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken exists and is not a directory" in err
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_ragged_dataset_exits_2_naming_the_record(self, tmp_path, capsys, edited_dataset):
         path = edited_dataset({3: (np.ones((4, 16)), 1), 5: (np.ones((6, 8)), 2)})
         config = _write_json(tmp_path / "run.json", {

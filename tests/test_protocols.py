@@ -288,24 +288,68 @@ class TestEngineRun:
                 hits += winner == ds.samples[idx][1]
             assert accuracy == hits / len(suite.sample_ids)
 
-    def test_suite_scored_in_batch_size_chunks(self, monkeypatch):
-        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)
+    @pytest.mark.parametrize("slice_bytes, predicts", [
+        (protocols.EVAL_SLICE_BYTES, [25]),
+        (2 * 4 * 256, [8, 8, 8, 1]),  # two batches of four 256-byte rows
+        (1, [4, 4, 4, 4, 4, 4, 1]),  # never less than one batch
+    ], ids=["one-slice", "two-batch-slices", "one-batch-floor"])
+    def test_suite_scored_one_predict_per_slice(self, monkeypatch, slice_bytes, predicts):
+        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)  # T=4, D=16: 256 bytes a row
         engine = Engine(ds, _fast_config(weighting="nn-loo", seed=19))  # batch_size 4
         for idx in range(10):
             engine.process(idx)
-        predicts, decodes = [], []
+        monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", slice_bytes)
+        calls, decoded = [], []
         monkeypatch.setattr(protocols, "decode",
-                            lambda tokens, params: decodes.append(len(tokens))
+                            lambda tokens, params: decoded.append(tokens)
                             or decode(tokens, params))
         original = Engine.predict
         monkeypatch.setattr(Engine, "predict",
-                            lambda self, tokens, *a, **kw: predicts.append(len(tokens))
+                            lambda self, tokens, *a, **kw: calls.append(len(tokens))
                             or original(self, tokens, *a, **kw))
-        engine.evaluate_suite(EvalSuite("all", list(range(25)), set(range(5))))
-        assert predicts == [4, 4, 4, 4, 4, 4, 1]
-        # One per predict; the first predict also decodes the ten stored samples
-        # for the nn-loo maps, after its own chunk.
-        assert decodes == predicts[:1] + [4, 4, 2] + predicts[1:]
+        suite = EvalSuite("all", list(range(24, -1, -1)), set(range(5)))
+        engine.evaluate_suite(suite)
+        assert calls == predicts
+        # The first predict decodes its own batches, then the ten stored samples for
+        # the nn-loo maps; every later decode is one batch of the suite, in suite order.
+        first = -(-predicts[0] // 4)
+        stored = decoded[first:first + 3]
+        groups = decoded[:first] + decoded[first + 3:]
+        assert [len(t) for t in stored] == [4, 4, 2]
+        assert np.array_equal(np.concatenate(stored), engine.store.tokens(range(10)))
+        assert [len(t) for t in groups] == [4, 4, 4, 4, 4, 4, 1]
+        assert np.array_equal(np.concatenate(groups),
+                              np.stack([ds.tokens(idx) for idx in suite.sample_ids]))
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_empty_array_predicts_no_rows(self, weighting):
+        ds = _dataset(num_classes=3, samples_per_class=2, seed=27)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=27))
+        for tokens in (np.zeros((0, 4, 16), np.float32), ds.tokens(0)[None]):
+            assert engine.predict(tokens, {0, 2}).shape == (len(tokens), 2)
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    @pytest.mark.parametrize("engine_kw", [
+        dict(),
+        dict(decoder_variant="block", compression="pca-cls-quant", pca_components=2),
+    ], ids=["linear-raw", "block-pcaq"])
+    def test_slices_score_the_bits_of_batch_size_chunks(self, monkeypatch, weighting,
+                                                        engine_kw):
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=26)  # T=4, D=16
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=26, **engine_kw))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 4 and idx % 3:
+                engine.process(idx)
+        ids = [int(i) for i in np.random.default_rng(26).permutation(30)] + [5]
+        for candidates in (set(range(6)), {1, 3, 4, 5}):
+            batches = [engine.predict(np.stack([ds.tokens(idx) for idx in ids[i:i + 4]]),
+                                      candidates) for i in range(0, len(ids), 4)]
+            expected = np.concatenate(batches).tobytes()
+            # One slice; 12, 12 and 7 rows (a budget of 14.4 rows); eight of one batch or less.
+            for slice_bytes in (protocols.EVAL_SLICE_BYTES, 3 * 4 * 256 + 700, 1):
+                monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", slice_bytes)
+                _, result = engine.evaluate_suite(EvalSuite("s", ids, candidates))
+                assert result.probs.tobytes() == expected
 
     def test_nn_loo_maps_rebuilt_when_store_or_decoder_changes(self):
         ds = _dataset(num_classes=5, samples_per_class=4, seed=20)
@@ -488,14 +532,15 @@ class TestSuitePredictions:
             assert list(result[idx]) == sorted(suite.candidates)
             assert result[idx] == dict(zip(result.labels, result.probs[row].tolist()))
 
-    def test_probs_are_the_chunks_predict_returned(self, monkeypatch):
+    def test_probs_are_the_slices_predict_returned(self, monkeypatch):
         engine = self._trained_engine()
+        monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", 2 * 4 * 256)  # two batches of four
         outputs = []
         original = Engine.predict
         monkeypatch.setattr(Engine, "predict", lambda self, *a, **kw:
                             outputs.append(original(self, *a, **kw)) or outputs[-1])
         _, result = engine.evaluate_suite(EvalSuite("all", list(range(25)), set(range(5))))
-        assert [len(chunk) for chunk in outputs] == [4, 4, 4, 4, 4, 4, 1]
+        assert [len(chunk) for chunk in outputs] == [8, 8, 8, 1]
         assert result.probs.dtype == np.float64 and result.probs.shape == (25, 5)
         assert result.probs.tobytes() == np.concatenate(outputs).tobytes()
 

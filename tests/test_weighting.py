@@ -309,6 +309,20 @@ class TestNnLooConfidence:
             with pytest.raises(ValueError):
                 nn_loo_confidence(good + bad)
 
+    @pytest.mark.parametrize("bad", [np.zeros(0), np.zeros((2, 2)), np.array([np.nan, 1.0]),
+                                     np.array([1.0, np.inf])],
+                             ids=["empty", "2-D", "nan", "inf"])
+    def test_bad_exemplar_raises_as_embedding_error(self, bad):
+        # The stack is validated once; a bad exemplar still gets as_embedding's message,
+        # wherever it sits and whether or not the others share its shape.
+        with pytest.raises(ValueError) as expected:
+            as_embedding(bad)
+        good = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 0)]
+        for items in (good + [(bad, 1)], [(bad, 0)] + good, [(bad, 1), (bad.copy(), 1)]):
+            with pytest.raises(ValueError) as got:
+                nn_loo_confidence(items)
+            assert str(got.value) == str(expected.value)
+
     def test_all_singletons_are_not_compared(self):
         # No class has two exemplars, so no cosine is taken, as in the loop.
         items = [(np.array([0.0, 0.0]), 0), (np.array([1.0, 0.0]), 1)]
