@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import unicodedata
 from dataclasses import asdict
 from pathlib import Path
 
@@ -66,6 +67,16 @@ def _dataset_from_config(raw: dict) -> data.Dataset:
     raise ValueError("config needs either a 'dataset' path or a 'synthetic' spec")
 
 
+def _check_suite_name(name: str) -> None:
+    """A suite name is a ``metrics.csv`` field and the stem of a ``report`` chart file,
+    so it is not empty and holds no ``,``, ``/``, ``\\`` or control character (line
+    separators included); else ``ValueError``."""
+    if not name or any(ch in ",/\\" or unicodedata.category(ch) in ("Cc", "Zl", "Zp")
+                       for ch in name):
+        raise ValueError(f"suite name {name!r} is empty or holds ',', '/', '\\' "
+                         "or a control character")
+
+
 def _suites_from_config(raw: dict, dataset: data.Dataset):
     if "suites" not in raw:
         return None
@@ -74,6 +85,7 @@ def _suites_from_config(raw: dict, dataset: data.Dataset):
         if type(entry) is not dict or type(entry.get("name")) is not str:
             raise TypeError(f"a suite must be an object with a string 'name', not {entry!r}")
         protocols._reject_unknown(entry, ("name", "samples", "candidates"), "suite")
+        _check_suite_name(entry["name"])
         ids = entry.get("samples", "all")
         if ids == "all":
             ids = list(range(n))
@@ -260,11 +272,16 @@ def cmd_report(args) -> int:
 
 def _read_metrics_csv(path):
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line or line.startswith("#") or line.startswith("stage,"):
             continue
-        stage, suite, acc = line.split(",")
-        rows.append((int(stage), suite, float(acc)))
+        try:
+            stage, suite, acc = line.split(",")
+            _check_suite_name(suite)
+            rows.append((int(stage), suite, float(acc)))
+        except ValueError as exc:
+            raise FormatError(f"{path} line {number}: {line!r} is not a "
+                              f"stage,suite,accuracy row ({exc})") from exc
     return rows
 
 

@@ -242,6 +242,7 @@ class Engine:
         self.tracker = ClassAccuracyTracker(decay=config.ema_decay)
         self.store = ReplayStore()
         self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
+        self._frozen = {}  # suite name -> ((sample ids, sorted candidates), (N, C) rows)
 
     # -- training -----------------------------------------------------------
 
@@ -291,35 +292,45 @@ class Engine:
                                     nn_loo_confidence(list(zip(decoded, labels))).items()})
         return self._nn_cache[1]
 
-    def predict(self, tokens, candidates) -> np.ndarray:
+    def predict(self, tokens, candidates, frozen=None) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
         a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array.
-        ``decode`` runs over ``batch_size`` row groups, as a training step does; the
-        frozen and tuned cosine products, the confidence pairs and the mix run once for
-        the whole array. Each of those works one row or one label at a time, so a row
-        gets the same bits in any array whose groups are whole batches."""
+        ``frozen``, when given, is the frozen scorer's output for ``tokens`` (same shape
+        as the result), used in place of computing it. ``decode`` runs over
+        ``batch_size`` row groups, as a training step does; the frozen and tuned cosine
+        products, the confidence pairs and the mix run once for the whole array. Each of
+        those works one row or one label at a time, so a row gets the same bits in any
+        array whose groups are whole batches. When the decoder has trained on no
+        candidate, every alpha is 0 and the mix returns the frozen rows bit for bit, so
+        (except under ``tuned-only``) nothing is decoded and the frozen rows stand in
+        for the tuned ones."""
         x = np.asarray(tokens)
         if x.ndim == 2:
-            return self.predict(x[None], candidates)[0]
+            return self.predict(x[None], candidates,
+                                None if frozen is None else np.asarray(frozen)[None])[0]
         labels = sorted(candidates)
         mat = self.table.matrix(labels)
-        p_o = candidate_probabilities(x[:, 0], mat)
+        p_o = candidate_probabilities(x[:, 0], mat) if frozen is None else frozen
         strategy = self.config.weighting
         if strategy == "frozen-only":
             return p_o
-        groups = self._chunks(x) or [x]  # an empty array is one empty group
-        p_t = candidate_probabilities(np.concatenate([decode(g, self.params) for g in groups]),
-                                      mat)
+        seen = set(self.store.seen_labels())  # the labels the decoder has trained on
+        untrained = strategy != "tuned-only" and seen.isdisjoint(labels)
+        if untrained:  # every alpha below is 0, so the mix returns p_o whatever p_t is
+            p_t = p_o
+        else:
+            groups = self._chunks(x) or [x]  # an empty array is one empty group
+            p_t = candidate_probabilities(
+                np.concatenate([decode(g, self.params) for g in groups]), mat)
         if strategy == "tuned-only":
             return p_t
-        seen = set(self.store.seen_labels())  # the labels the decoder has trained on
         if strategy == "aim":
             return mix_predictions(p_t, p_o, aim_alpha(p_o, labels, seen))
         if strategy == "ocw":
             confidence = {y: self.tracker.accuracies(y) for y in seen}
-        elif strategy == "nn-loo":
+        elif strategy == "nn-loo" and not untrained:
             confidence = self._nn_loo_maps()
-        else:  # ocw-binary: the tuned model once every candidate is trained
+        else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
             confidence = {}
         mixed = combined_prediction(p_t, p_o, confidence, labels,
                                     all_candidates_seen=set(labels) <= seen)
@@ -329,17 +340,27 @@ class Engine:
         """Accuracy and the suite's distributions, one ``predict`` per slice of the suite.
         A slice is as many whole ``batch_size`` batches as fit ``EVAL_SLICE_BYTES`` of
         float32 tokens, at least one, so its rows score the bits they would in
-        ``batch_size`` chunks. A suite without samples has no accuracy, so it raises
-        ``ValueError``."""
+        ``batch_size`` chunks. The frozen scorer never trains, so a suite's frozen rows
+        are computed on its first evaluation and kept, one entry per suite name, keyed
+        by the sample ids and candidates: a later evaluation of the same suite slices
+        them, and a suite of that name with other ids or candidates replaces them. A
+        suite without samples has no accuracy, so it raises ``ValueError``."""
         if not suite.sample_ids:
             raise ValueError(f"suite {suite.name!r} has no samples")
+        key = (tuple(suite.sample_ids), tuple(sorted(suite.candidates)))
+        cached_key, cached = self._frozen.get(suite.name, (None, None))
+        mat = None if cached_key == key else self.table.matrix(key[1])  # None on a hit
         batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
-        slices = [self.predict(np.stack([self.dataset.tokens(idx) for idx in ids]),
-                               suite.candidates)
-                  for ids in self._chunks(suite.sample_ids,
-                                          max(1, EVAL_SLICE_BYTES // batch_bytes))]
-        result = SuitePredictions(suite.sample_ids, sorted(suite.candidates),
-                                  np.concatenate(slices))
+        slices, frozen, start = [], [], 0
+        for ids in self._chunks(suite.sample_ids, max(1, EVAL_SLICE_BYTES // batch_bytes)):
+            x = np.stack([self.dataset.tokens(idx) for idx in ids])
+            frozen.append(cached[start:start + len(ids)] if mat is None
+                          else candidate_probabilities(x[:, 0], mat))
+            start += len(ids)
+            slices.append(self.predict(x, suite.candidates, frozen=frozen[-1]))
+        if mat is not None:
+            self._frozen[suite.name] = (key, np.concatenate(frozen))
+        result = SuitePredictions(suite.sample_ids, list(key[1]), np.concatenate(slices))
         truth = [self.dataset.samples[idx][1] for idx in suite.sample_ids]
         return float(np.mean(result.winners == truth)), result
 

@@ -253,6 +253,27 @@ class TestRun:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["", "a,b", "../escaped", "a\\b", "tab\there",
+                                      "two\nlines", "para\u2029graph"])
+    def test_suite_name_that_breaks_the_report_exits_2(self, tmp_path, capsys, name):
+        # A comma splits the metrics.csv row, a path separator leads the report's chart
+        # out of --out, and a line break splits the row in two.
+        config = _write_json(tmp_path / "run.json",
+                             {**RUN_CONFIG, "suites": [{"name": name, "samples": [0]}]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert f"suite name {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_name_with_dots_and_spaces_reports(self, tmp_path):
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "suites": [
+            {"name": "..", "samples": [0]}, {"name": "held out #2", "samples": [1]}]})
+        runs, out = tmp_path / "runs", tmp_path / "report"
+        assert main(["run", "--config", config, "--out", str(runs / "a")]) == 0
+        assert main(["report", "--metrics-dir", str(runs), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["...svg", "held out #2.svg",
+                                                         "matrix.csv"]
+
     @pytest.mark.parametrize("target", ["taken", "taken/out"])
     def test_out_that_cannot_be_a_directory_exits_2_before_any_work(self, tmp_path, capsys,
                                                                    monkeypatch, target):
@@ -410,3 +431,25 @@ class TestReport:
         (run / "metrics.csv").write_text("# config_hash=deadbeef\nstage,suite,accuracy\n")
         assert main(["report", "--metrics-dir", str(tmp_path / "runs"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("row, word", [
+        ("0,a,b,1.0", "too many values"),
+        ("0,all", "not enough values"),
+        ("first,all,0.5", "invalid literal for int()"),
+        ("0,all,high", "could not convert string to float"),
+        ("0,../escaped,1.0", "suite name '../escaped'"),
+        ("0,,1.0", "suite name ''"),
+    ])
+    def test_malformed_row_exits_2_naming_the_line(self, tmp_path, capsys, row, word):
+        run = tmp_path / "runs" / "x"
+        run.mkdir(parents=True)
+        path = run / "metrics.csv"
+        path.write_text(f"# config_hash=deadbeef\n# seed=0\nstage,suite,accuracy\n"
+                        f"0,all,0.5\n{row}\n")
+        out = tmp_path / "report" / "charts"
+        assert main(["report", "--metrics-dir", str(tmp_path / "runs"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} line 5: {row!r} is not a stage,suite,accuracy row" in err
+        assert word in err
+        assert not (tmp_path / "report").exists()

@@ -341,11 +341,12 @@ class TestEngineRun:
             if label < 4 and idx % 3:
                 engine.process(idx)
         ids = [int(i) for i in np.random.default_rng(26).permutation(30)] + [5]
-        for candidates in (set(range(6)), {1, 3, 4, 5}):
+        for candidates in (set(range(6)), {1, 3, 4, 5}, {4, 5}):  # 4 and 5 never trained
             batches = [engine.predict(np.stack([ds.tokens(idx) for idx in ids[i:i + 4]]),
                                       candidates) for i in range(0, len(ids), 4)]
             expected = np.concatenate(batches).tobytes()
             # One slice; 12, 12 and 7 rows (a budget of 14.4 rows); eight of one batch or less.
+            # The second and third evaluations slice the frozen rows kept from the first.
             for slice_bytes in (protocols.EVAL_SLICE_BYTES, 3 * 4 * 256 + 700, 1):
                 monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", slice_bytes)
                 _, result = engine.evaluate_suite(EvalSuite("s", ids, candidates))
@@ -481,6 +482,82 @@ class TestEngineRun:
     def test_dataset_pca_rejected_as_stream_mode(self):
         with pytest.raises(ValueError, match="ovstream compress"):
             EngineConfig(compression="dataset-pca").validate()
+
+
+class TestFrozenRowsAndUntrainedSuites:
+    """``evaluate_suite`` keeps each suite's frozen rows, and ``predict`` decodes nothing
+    for candidates the decoder has not trained on; neither changes a bit."""
+
+    @staticmethod
+    def _engine(weighting, **kw):
+        # Labels 0-2 trained, 3-5 never; 30 samples of 256 bytes (T=4, D=16), batch 4.
+        ds = _dataset(num_classes=6, samples_per_class=5, seed=28)
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=28, **kw))
+        for idx, (_, label) in enumerate(ds.samples):
+            if label < 3 and idx % 4:
+                engine.process(idx)
+        assert engine.store.seen_labels() == [0, 1, 2]
+        return ds, engine
+
+    @staticmethod
+    def _count_products(monkeypatch):
+        calls = []
+        original = protocols.candidate_probabilities
+        monkeypatch.setattr(protocols, "candidate_probabilities",
+                            lambda e, mat: calls.append(np.array(e)) or original(e, mat))
+        return calls
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_frozen_product_runs_once_per_slice_then_never(self, monkeypatch, weighting):
+        ds, engine = self._engine(weighting)
+        monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", 2 * 4 * 256)  # 8, 8, 8 and 6 rows
+        calls = self._count_products(monkeypatch)
+        suite = EvalSuite("all", list(range(29, -1, -1)), set(range(6)))
+        cls_rows = [np.stack([ds.tokens(i)[0] for i in suite.sample_ids[k:k + 8]])
+                    for k in range(0, 30, 8)]
+        tuned = weighting != "frozen-only"  # a tuned product per slice as well
+        for frozen_products in (4, 0):
+            calls.clear()
+            engine.evaluate_suite(suite)
+            assert len(calls) == frozen_products + 4 * tuned
+            assert sum(any(np.array_equal(e, rows) for rows in cls_rows)
+                       for e in calls) == frozen_products
+
+    def test_suite_renamed_or_redefined_is_recomputed(self, monkeypatch):
+        ds, engine = self._engine("ocw")
+        calls = self._count_products(monkeypatch)
+        suites = [EvalSuite("s", [0, 1, 2], {0, 1, 4}), EvalSuite("s", [0, 1, 3], {0, 1, 4}),
+                  EvalSuite("s", [0, 1, 3], {0, 1, 5}), EvalSuite("t", [0, 1, 3], {0, 1, 5})]
+        for suite in suites:
+            calls.clear()
+            _, result = engine.evaluate_suite(suite)
+            assert len(calls) == 2  # one frozen and one tuned product: nothing reused
+            fresh = self._engine("ocw")[1].evaluate_suite(suite)[1]
+            assert result.probs.tobytes() == fresh.probs.tobytes()
+        assert sorted(engine._frozen) == ["s", "t"]
+        key, rows = engine._frozen["s"]
+        assert key == ((0, 1, 3), (0, 1, 5)) and rows.shape == (3, 3)
+
+    @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
+    def test_never_trained_suite_decodes_nothing(self, monkeypatch, weighting):
+        ds, engine = self._engine(weighting)
+        fresh = Engine(ds, _fast_config(weighting=weighting, seed=28))
+        decodes = []
+        monkeypatch.setattr(protocols, "decode",
+                            lambda tokens, params: decodes.append(len(tokens))
+                            or decode(tokens, params))
+        ids = list(range(30))
+        # Never-trained labels after training, and every label before any training.
+        for eng, candidates in ((engine, {3, 4, 5}), (fresh, set(range(6)))):
+            _, result = eng.evaluate_suite(EvalSuite("untrained", ids, candidates))
+            if weighting != "tuned-only":
+                frozen = [list(eng.frozen_probabilities(ds.tokens(i), candidates).values())
+                          for i in ids]
+                assert np.array_equal(result.probs, frozen)
+        if weighting == "tuned-only":
+            assert decodes
+        else:
+            assert decodes == []
 
 
 class TestSuitePredictions:
