@@ -77,6 +77,23 @@ def _check_suite_name(name: str) -> None:
                          "or a control character")
 
 
+def _suite_members(entry: dict, key: str, everything: list, fits, what: str) -> list:
+    """A suite's ``samples`` or ``candidates``: ``everything`` for ``"all"`` (the default),
+    else a list of ints that each ``fits``; else ``TypeError`` or ``ValueError`` naming
+    the suite and ``what`` the bad items are not."""
+    value = entry.get(key, "all")
+    if value == "all":
+        return everything
+    if type(value) is not list:
+        raise TypeError(f"suite {entry['name']!r}: {key} must be \"all\" or a list, "
+                        f"not {value!r}")
+    bad = [v for v in value if type(v) is not int or not fits(v)]
+    if bad:
+        noun = "sample ids" if key == "samples" else key
+        raise ValueError(f"suite {entry['name']!r}: {noun} {bad} not {what}")
+    return value
+
+
 def _suites_from_config(raw: dict, dataset: data.Dataset):
     if "suites" not in raw:
         return None
@@ -86,18 +103,12 @@ def _suites_from_config(raw: dict, dataset: data.Dataset):
             raise TypeError(f"a suite must be an object with a string 'name', not {entry!r}")
         protocols._reject_unknown(entry, ("name", "samples", "candidates"), "suite")
         _check_suite_name(entry["name"])
-        ids = entry.get("samples", "all")
-        if ids == "all":
-            ids = list(range(n))
-        bad = [i for i in ids if type(i) is not int or not 0 <= i < n]
-        if bad:
-            raise ValueError(f"suite {entry['name']!r}: sample ids {bad} not in [0, {n})")
-        cands = entry.get("candidates", "all")
-        if cands == "all":
-            cands = dataset.labels()
-        unknown = [c for c in cands if c not in dataset.label_table]
-        if unknown:
-            raise ValueError(f"suite {entry['name']!r}: candidates {unknown} not in the label table")
+        ids = _suite_members(entry, "samples", list(range(n)), lambda i: 0 <= i < n,
+                             f"in [0, {n})")
+        cands = _suite_members(entry, "candidates", dataset.labels(),
+                               dataset.label_table.__contains__, "in the label table")
+        if not cands:
+            raise ValueError(f"suite {entry['name']!r} has no candidates")
         suites.append(protocols.EvalSuite(entry["name"], list(ids), set(cands)))
     return suites
 

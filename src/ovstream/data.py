@@ -12,7 +12,7 @@ matrix compresses well under per-instance PCA.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -51,23 +51,51 @@ class SyntheticSpec:
 @dataclass
 class Dataset:
     """Labeled samples of one token ``shape`` (T, D), D the label table's dim (None if
-    empty). Construction rejects a sample of another shape or label outside the table."""
+    empty). Construction rejects a sample of another shape or label outside the table.
+
+    ``label_ids`` is the (N,) array of the sample labels. When no sample is compressed,
+    ``token_rows`` is one (N, T, D) float32 array of the token matrices and each sample
+    holds its row as a view, so ``tokens`` reads a batch with one gather; ``rows``, when
+    given, is that array already filled (``generate`` writes into it), else the
+    matrices are copied into a new one. With a compressed sample ``token_rows`` is None
+    and each read reconstructs its samples."""
 
     label_table: LabelEmbeddingTable
     samples: list            # of (token matrix or CompressedFeature, label id)
     task_map: dict[int, list[int]] = field(default_factory=dict)  # task -> sample ids
+    rows: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows) -> None:
         self.shape = (self.samples[0][0].shape[0], self.label_table.dim) if self.samples else None
         for i, (payload, label) in enumerate(self.samples):
             if problem := _mismatch(payload, label, self.label_table, self.shape):
                 raise ValueError(f"sample {i}: {problem}")
+        self.label_ids = np.array([label for _, label in self.samples], np.int64)
+        self.token_rows = None
+        if any(isinstance(p, compression.CompressedFeature) for p, _ in self.samples):
+            return
+        shape = (len(self.samples), *(self.shape or (0, 0)))
+        if rows is None:
+            rows = np.empty(shape, np.float32)
+            for row, (payload, _) in zip(rows, self.samples):
+                row[...] = payload
+        elif rows.dtype != np.float32 or rows.shape != shape:
+            raise ValueError(f"rows of {rows.dtype} {rows.shape} do not hold the samples")
+        self.token_rows = rows
+        self.samples = list(zip(rows, self.label_ids.tolist()))
 
     def labels(self) -> list[int]:
         return self.label_table.labels()
 
-    def tokens(self, index: int) -> np.ndarray:
-        return compression.to_tokens(self.samples[index][0])
+    def tokens(self, ids) -> np.ndarray:
+        """The (T, D) token matrix of sample ``ids``, an int, or the (B, T, D) array of a
+        sequence of ids, in order."""
+        if self.token_rows is not None:
+            return self.token_rows[ids]
+        if isinstance(ids, (int, np.integer)):
+            return compression.to_tokens(self.samples[ids][0])
+        return np.array([compression.to_tokens(self.samples[i][0]) for i in ids],
+                        np.float32).reshape(-1, *self.shape)
 
 
 def _mismatch(payload, label: int, labels, shape: tuple) -> str:
@@ -117,19 +145,18 @@ def generate(spec: SyntheticSpec) -> Dataset:
         entries[y] = emb.astype(np.float32)
     table = LabelEmbeddingTable(entries)
 
-    samples = []
+    labels = [y for y in range(spec.num_classes) for _ in range(spec.samples_per_class)]
+    rows = np.empty((len(labels), spec.tokens, spec.dim), np.float32)
     patch_rank = min(3, spec.dim)
-    for y in range(spec.num_classes):
-        for _ in range(spec.samples_per_class):
-            cls = _unit(centers[y] + spec.noise * rng_noise.standard_normal(spec.dim))
-            basis = rng_noise.standard_normal((patch_rank, spec.dim))
-            basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-            coeffs = 0.05 * rng_noise.standard_normal((spec.tokens - 1, patch_rank))
-            patches = cls + coeffs @ basis
-            patches += 1e-3 * rng_noise.standard_normal(patches.shape)
-            tokens = np.vstack([cls, patches]).astype(np.float32)
-            samples.append((tokens, y))
-    return Dataset(table, samples)
+    for row, y in zip(rows, labels):
+        cls = _unit(centers[y] + spec.noise * rng_noise.standard_normal(spec.dim))
+        basis = rng_noise.standard_normal((patch_rank, spec.dim))
+        basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+        coeffs = 0.05 * rng_noise.standard_normal((spec.tokens - 1, patch_rank))
+        patches = cls + coeffs @ basis
+        patches += 1e-3 * rng_noise.standard_normal(patches.shape)
+        row[0], row[1:] = cls, patches  # rounded to float32 on assignment
+    return Dataset(table, list(zip(rows, labels)), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import struct
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,10 @@ from .decoder import (
 from .replay import ReplayStore, SamplerConfig
 from .weighting import (
     ClassAccuracyTracker,
+    FrozenNeighbours,
     LabelStats,
     aim_alpha,
+    alpha,
     combined_prediction,
     mix_predictions,
     nn_loo_confidence,
@@ -242,6 +245,8 @@ class Engine:
         self.tracker = ClassAccuracyTracker(decay=config.ema_decay)
         self.store = ReplayStore()
         self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
+        self._neighbours = FrozenNeighbours(dim)  # of the stored CLS rows, for nn-loo
+        self._mix = (None, None)  # (sorted candidates, store size, optimizer step), _Mix
         self._frozen = {}  # suite name -> ((sample ids, sorted candidates), (N, C) rows)
 
     # -- training -----------------------------------------------------------
@@ -281,26 +286,62 @@ class Engine:
     def _nn_loo_maps(self) -> dict[int, tuple[float, float]]:
         """The nn-loo ``{label: (c_t, c_o)}`` confidence pairs of the stored samples, built
         once per store and decoder state: every ``process`` inserts a sample and steps.
-        Both maps hold the labels stored at least twice, so they share their keys."""
+        Both maps hold the labels stored at least twice, so they share their keys. The
+        tuned map is ``nn_loo_confidence`` over every stored sample's decoding. The frozen
+        scorer never trains and the store only grows, so each stored CLS row's nearest
+        neighbour is kept in ``_neighbours``, extended here by the samples stored since
+        the last build: at evaluation, so that a training step costs what it did."""
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
             tokens, labels = self.store.tokens(ids), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
-            conf_o = nn_loo_confidence([(t[0], label) for t, label in zip(tokens, labels)])
+            self._neighbours.extend(tokens[len(self._neighbours):, 0])
+            conf_o = self._neighbours.confidence(labels)
             self._nn_cache = (key, {y: (c_t, conf_o[y]) for y, c_t in
                                     nn_loo_confidence(list(zip(decoded, labels))).items()})
         return self._nn_cache[1]
+
+    def _mix_setup(self, candidates) -> _Mix:
+        """The sorted ``candidates``' mix set-up, worked out once per candidate set and
+        store and decoder state (the state ``_nn_loo_maps`` is keyed by: the tracker
+        changes only where the store does); its alphas are filled in by ``predict``."""
+        key = (tuple(sorted(candidates)), len(self.store), self.opt.step)
+        if self._mix[0] != key:
+            labels = list(key[0])
+            seen = set(self.store.seen_labels())  # the labels the decoder has trained on
+            self._mix = (key, _Mix(labels, self.table.matrix(labels), seen,
+                                   seen.isdisjoint(labels)))
+        return self._mix[1]
+
+    def _alphas(self, mix: _Mix) -> np.ndarray:
+        """The (C,) alphas of the ``ocw``, ``ocw-binary`` and ``nn-loo`` weightings."""
+        strategy = self.config.weighting
+        if strategy == "ocw":
+            confidence = {y: self.tracker.accuracies(y) for y in mix.seen}
+        elif strategy == "nn-loo" and not mix.untrained:
+            confidence = self._nn_loo_maps()
+        else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
+            confidence = {}
+        return alpha(confidence, mix.labels, all_candidates_seen=mix.seen.issuperset(mix.labels))
+
+    def _tuned(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+        """The tuned scorer's (B, C) output for a B x T x D array over the rows of ``mat``."""
+        groups = self._chunks(x) or [x]  # an empty array is one empty group
+        return candidate_probabilities(
+            np.concatenate([decode(g, self.params) for g in groups]), mat)
 
     def predict(self, tokens, candidates, frozen=None) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
         a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array.
         ``frozen``, when given, is the frozen scorer's output for ``tokens`` (same shape
-        as the result), used in place of computing it. ``decode`` runs over
-        ``batch_size`` row groups, as a training step does; the frozen and tuned cosine
-        products, the confidence pairs and the mix run once for the whole array. Each of
-        those works one row or one label at a time, so a row gets the same bits in any
-        array whose groups are whole batches. When the decoder has trained on no
+        as the result), used in place of computing it; ``tuned-only`` never reads it.
+        ``decode`` runs over ``batch_size`` row groups, as a training step does; the
+        frozen and tuned cosine products and the mix run once for the whole array. Each
+        of those works one row or one label at a time, so a row gets the same bits in any
+        array whose groups are whole batches. The labels, label matrix, trained set and
+        alphas are worked out once per candidate set and store state (``_mix_setup``) and
+        shared by every array scored in it. When the decoder has trained on no
         candidate, every alpha is 0 and the mix returns the frozen rows bit for bit, so
         (except under ``tuned-only``) nothing is decoded and the frozen rows stand in
         for the tuned ones."""
@@ -308,60 +349,55 @@ class Engine:
         if x.ndim == 2:
             return self.predict(x[None], candidates,
                                 None if frozen is None else np.asarray(frozen)[None])[0]
-        labels = sorted(candidates)
-        mat = self.table.matrix(labels)
-        p_o = candidate_probabilities(x[:, 0], mat) if frozen is None else frozen
+        mix = self._mix_setup(candidates)
         strategy = self.config.weighting
+        if strategy == "tuned-only":
+            return self._tuned(x, mix.matrix)
+        p_o = candidate_probabilities(x[:, 0], mix.matrix) if frozen is None else frozen
         if strategy == "frozen-only":
             return p_o
-        seen = set(self.store.seen_labels())  # the labels the decoder has trained on
-        untrained = strategy != "tuned-only" and seen.isdisjoint(labels)
-        if untrained:  # every alpha below is 0, so the mix returns p_o whatever p_t is
-            p_t = p_o
-        else:
-            groups = self._chunks(x) or [x]  # an empty array is one empty group
-            p_t = candidate_probabilities(
-                np.concatenate([decode(g, self.params) for g in groups]), mat)
-        if strategy == "tuned-only":
-            return p_t
+        # Untrained, every alpha is 0, so the mix returns p_o whatever p_t is.
+        p_t = p_o if mix.untrained else self._tuned(x, mix.matrix)
         if strategy == "aim":
-            return mix_predictions(p_t, p_o, aim_alpha(p_o, labels, seen))
-        if strategy == "ocw":
-            confidence = {y: self.tracker.accuracies(y) for y in seen}
-        elif strategy == "nn-loo" and not untrained:
-            confidence = self._nn_loo_maps()
-        else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
-            confidence = {}
-        mixed = combined_prediction(p_t, p_o, confidence, labels,
-                                    all_candidates_seen=set(labels) <= seen)
+            return mix_predictions(p_t, p_o, aim_alpha(p_o, mix.labels, mix.seen))
+        if mix.alphas is None:
+            mix.alphas = self._alphas(mix)
+        mixed = combined_prediction(p_t, p_o, mix.alphas, mix.labels)
         return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
         """Accuracy and the suite's distributions, one ``predict`` per slice of the suite.
         A slice is as many whole ``batch_size`` batches as fit ``EVAL_SLICE_BYTES`` of
         float32 tokens, at least one, so its rows score the bits they would in
-        ``batch_size`` chunks. The frozen scorer never trains, so a suite's frozen rows
-        are computed on its first evaluation and kept, one entry per suite name, keyed
-        by the sample ids and candidates: a later evaluation of the same suite slices
-        them, and a suite of that name with other ids or candidates replaces them. A
-        suite without samples has no accuracy, so it raises ``ValueError``."""
+        ``batch_size`` chunks; its tokens are one ``Dataset.tokens`` gather. The frozen
+        scorer never trains, so a suite's frozen rows are computed on its first
+        evaluation and kept, one entry per suite name, keyed by the sample ids and
+        candidates: a later evaluation of the same suite slices them, and a suite of that
+        name with other ids or candidates replaces them (``tuned-only`` reads none, so
+        computes none). A suite without samples has no accuracy, so it raises
+        ``ValueError``."""
         if not suite.sample_ids:
             raise ValueError(f"suite {suite.name!r} has no samples")
         key = (tuple(suite.sample_ids), tuple(sorted(suite.candidates)))
         cached_key, cached = self._frozen.get(suite.name, (None, None))
-        mat = None if cached_key == key else self.table.matrix(key[1])  # None on a hit
+        hit = cached_key == key
+        mat = None if hit or self.config.weighting == "tuned-only" else (
+            self._mix_setup(key[1]).matrix)
         batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
-        slices, frozen, start = [], [], 0
+        slices, rows, frozen, start = [], [], None, 0
         for ids in self._chunks(suite.sample_ids, max(1, EVAL_SLICE_BYTES // batch_bytes)):
-            x = np.stack([self.dataset.tokens(idx) for idx in ids])
-            frozen.append(cached[start:start + len(ids)] if mat is None
-                          else candidate_probabilities(x[:, 0], mat))
+            x = self.dataset.tokens(ids)
+            if mat is not None:
+                frozen = candidate_probabilities(x[:, 0], mat)
+                rows.append(frozen)
+            elif hit:
+                frozen = cached[start:start + len(ids)]
             start += len(ids)
-            slices.append(self.predict(x, suite.candidates, frozen=frozen[-1]))
-        if mat is not None:
-            self._frozen[suite.name] = (key, np.concatenate(frozen))
-        result = SuitePredictions(suite.sample_ids, list(key[1]), np.concatenate(slices))
-        truth = [self.dataset.samples[idx][1] for idx in suite.sample_ids]
+            slices.append(self.predict(x, suite.candidates, frozen=frozen))
+        if rows:
+            self._frozen[suite.name] = (key, np.concatenate(rows))
+        result = SuitePredictions(key[0], list(key[1]), np.concatenate(slices))
+        truth = self.dataset.label_ids[suite.sample_ids]
         return float(np.mean(result.winners == truth)), result
 
     def run(self, stream: list[StreamStage]) -> MetricsRecord:
@@ -480,15 +516,29 @@ class Engine:
         return engine
 
 
+@dataclass
+class _Mix:
+    """An ``Engine``'s mix set-up for one sorted candidate set in one store state."""
+
+    labels: list[int]
+    matrix: np.ndarray            # (C, D) label rows
+    seen: set[int]                # the labels the decoder has trained on
+    untrained: bool               # on none of ``labels``
+    alphas: np.ndarray | None = None  # (C,), once ``predict`` needs them
+
+
 class SuitePredictions(Mapping):
     """A suite's ``probs`` (N, C) over the sorted ``labels`` in suite order, and each row's
     ``winners`` label; maps a sample id to its last row's ``{label: prob}``, built on access."""
 
     def __init__(self, sample_ids, labels: list[int], probs: np.ndarray):
-        self.labels, self.probs = labels, probs
+        self.labels, self.probs, self._ids = labels, probs, sample_ids
         # argmax keeps the first maximum in sorted-label order: ties go to the lowest label id.
         self.winners = np.array(labels, np.int64)[probs.argmax(axis=1)]
-        self._rows = dict(zip(sample_ids, range(len(probs))))
+
+    @cached_property
+    def _rows(self) -> dict:
+        return dict(zip(self._ids, range(len(self.probs))))
 
     def __getitem__(self, idx) -> dict[int, float]:
         return dict(zip(self.labels, self.probs[self._rows[idx]].tolist()))

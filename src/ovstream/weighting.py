@@ -75,12 +75,11 @@ def alpha(confidence: dict[int, tuple[float, float]], labels,
     return c_t / (c_t + c_o + EPS)
 
 
-def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray,
-                        confidence: dict[int, tuple[float, float]], labels,
-                        all_candidates_seen: bool = False) -> dict:
-    """Mix of two (B, C) distributions over the sorted ``labels`` by :func:`alpha`,
-    renormalized, as ``{label: (B,) column}`` views of the one (B, C) result."""
-    alphas = alpha(confidence, labels, all_candidates_seen)
+def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas: np.ndarray,
+                        labels) -> dict:
+    """Mix of two (B, C) distributions over the sorted ``labels`` by their (C,)
+    ``alphas`` (:func:`alpha`), renormalized, as ``{label: (B,) column}`` views of the
+    one (B, C) result."""
     return dict(zip(labels, mix_predictions(p_tuned, p_frozen, alphas).T))
 
 
@@ -89,13 +88,17 @@ def mix_predictions(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas) -> np.nda
 
     ``alphas`` is a (C,) per-label, (B, 1) per-sample or (B, C) array. A row
     whose every ``a`` is 0 (or every one is 1) gets its frozen (tuned) row back
-    unchanged, so the untouched model's output is kept bit for bit.
+    unchanged, so the untouched model's output is kept bit for bit. (C,) alphas are
+    one alpha set for every row, so that corner is decided once for all of them.
     """
-    if p_tuned.shape != p_frozen.shape:
+    a = np.asarray(alphas)
+    # np.broadcast_shapes raises ValueError on alphas that do not broadcast at all.
+    if p_tuned.shape != p_frozen.shape or np.broadcast_shapes(a.shape, p_tuned.shape) != (
+            p_tuned.shape):
         raise ValueError("distributions must cover exactly the candidate set")
-    a = np.broadcast_to(alphas, p_tuned.shape)
-    frozen = ~a.any(axis=-1)
-    tuned = (a == 1.0).all(axis=-1)
+    sets = a if a.ndim > 1 else a[None]  # the alpha set of each row, or the one of all
+    frozen = ~sets.any(axis=-1)
+    tuned = (sets == 1.0).all(axis=-1)
     if frozen.all():
         return p_frozen
     if tuned.all():
@@ -140,3 +143,48 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
                    if labels[j] == labels[i])
     return {label: hits[label] / counts[label]
             for label in sorted(counts) if counts[label] >= 2}
+
+
+class FrozenNeighbours:
+    """Each exemplar's cosine-nearest other exemplar, kept as exemplars are appended.
+
+    :func:`nn_loo_confidence`'s search, done once per pair: ``extend`` scores the new
+    rows against every row, and each old row against the new rows only, taking a new
+    neighbour only when it is strictly nearer (the first one wins ties). A cosine is one
+    einsum output, the same bits in any batch and in either order of its pair, so
+    ``confidence`` equals :func:`nn_loo_confidence` over the same exemplars bit for bit.
+    """
+
+    def __init__(self, dim: int):
+        self.units = np.empty((0, dim))         # (N, D) unit rows
+        self.nearest = np.empty(0, np.int64)    # (N,) index of each row's neighbour
+        self.cosines = np.empty(0)              # (N,) and its cosine, -inf for none
+
+    def __len__(self) -> int:
+        return len(self.nearest)
+
+    def extend(self, embeddings) -> None:
+        """Append a (K, D) array of exemplar embeddings."""
+        embs = np.asarray(embeddings, np.float32)
+        n, k = len(self), len(embs)
+        if not k:
+            return
+        self.units = np.concatenate([self.units, unit_rows(embs)[0]])
+        sims, _, _ = label_cosines(embs, self.units)  # (K, N + K)
+        sims[np.arange(k), n + np.arange(k)] = -np.inf
+        old = sims[:, :n].T  # the old rows against the new ones
+        best = old.argmax(axis=1)
+        cos = old[np.arange(n), best]
+        nearer = cos > self.cosines
+        self.nearest[nearer], self.cosines[nearer] = n + best[nearer], cos[nearer]
+        best = sims.argmax(axis=1)
+        self.nearest = np.concatenate([self.nearest, best])
+        self.cosines = np.concatenate([self.cosines, sims[np.arange(k), best]])
+
+    def confidence(self, labels) -> dict[int, float]:
+        """:func:`nn_loo_confidence` of the exemplars with these ``labels``, in order."""
+        labels = np.asarray(labels)
+        counts = Counter(labels.tolist())
+        hits = Counter(labels[labels[self.nearest] == labels].tolist())
+        return {label: hits[label] / counts[label]
+                for label in sorted(counts) if counts[label] >= 2}

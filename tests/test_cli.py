@@ -238,6 +238,26 @@ class TestRun:
         assert word in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite, word", [
+        ({"name": "flags", "candidates": [True, 2.0]}, "suite 'flags': candidates [True, 2.0]"),
+        ({"name": "bare", "candidates": 1}, "suite 'bare': candidates must be \"all\" or a list"),
+        ({"name": "word", "candidates": "some"}, "suite 'word': candidates must be"),
+        ({"name": "none", "candidates": []}, "suite 'none' has no candidates"),
+        ({"name": "count", "samples": 5}, "suite 'count': samples must be \"all\" or a list"),
+        ({"name": "keys", "samples": {"0": 1}}, "suite 'keys': samples must be"),
+        ({"name": "flag", "samples": [False]}, "suite 'flag': sample ids [False]"),
+    ])
+    def test_suite_members_of_another_type_exit_2_before_any_work(self, tmp_path, capsys,
+                                                                   monkeypatch, suite, word):
+        # Samples and candidates are each "all" or a list of int ids; a bool or float
+        # is no id, and a suite scores over at least one candidate.
+        monkeypatch.setattr(protocols, "run_stream", lambda *a: pytest.fail("stream ran"))
+        config = _write_json(tmp_path / "run.json", {**RUN_CONFIG, "suites": [suite]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("suites, word", [
         ([{"name": "a", "samples": [0]}, {"name": "a", "samples": [1, 2]}],
          "two different suites are named 'a'"),

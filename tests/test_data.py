@@ -1,10 +1,12 @@
 """Synthetic dataset generation and the dataset file format."""
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from ovstream.compression import compress
 from ovstream.core import FormatError, LabelEmbeddingTable, argmax_label, zero_shot_probabilities
 from ovstream.data import Dataset, SyntheticSpec, generate, load, save
 
@@ -136,6 +138,40 @@ class TestDatasetShape:
             Dataset(self._table(), [(np.ones((4, 3)), 0)])
 
 
+class TestTokens:
+    """``Dataset.tokens`` of an id sequence is the stack of its per-id reads."""
+
+    @staticmethod
+    def _dataset(tmp_path, kind):
+        ds = generate(SyntheticSpec(num_classes=3, samples_per_class=4, dim=8, tokens=5,
+                                    seed=9))
+        if kind == "loaded":
+            save(ds, tmp_path / "data.bin")
+            return load(tmp_path / "data.bin")
+        if kind == "compressed":  # float and quantized records, reconstructed per read
+            return Dataset(ds.label_table, [(compress(ds.tokens(i), 2, quantized=i % 2), y)
+                                            for i, (_, y) in enumerate(ds.samples)])
+        return ds
+
+    @pytest.mark.parametrize("kind", ["generated", "loaded", "compressed"])
+    def test_gather_is_the_stack_of_single_reads(self, tmp_path, kind):
+        ds = self._dataset(tmp_path, kind)
+        for ids in ([3, 0, 11, 3], list(range(12)), np.array([5, 6]), range(2, 4), []):
+            got = ds.tokens(ids)
+            want = (np.stack([ds.tokens(int(i)) for i in ids]) if len(ids)
+                    else np.empty((0, 5, 8), np.float32))
+            assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_samples_are_rows_of_one_array(self, tmp_path):
+        for kind in ("generated", "loaded"):
+            ds = self._dataset(tmp_path, kind)
+            assert ds.token_rows.shape == (12, 5, 8) and ds.token_rows.dtype == np.float32
+            assert all(p.base is ds.token_rows for p, _ in ds.samples)
+            assert ds.label_ids.tolist() == [y for _, y in ds.samples]
+        assert self._dataset(tmp_path, "compressed").token_rows is None
+
+
 class TestFileFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         spec = SyntheticSpec(num_classes=4, samples_per_class=5, dim=16,
@@ -161,6 +197,15 @@ class TestFileFormat:
         save(ds, p1)
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_generated_file_bytes_are_pinned(self, tmp_path):
+        # The recorded sha256 of this spec's file: the generator's draws and the format
+        # both show in it.
+        path = tmp_path / "data.bin"
+        save(generate(SyntheticSpec(num_classes=7, samples_per_class=5, dim=16, tokens=4,
+                                    seed=3)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "39bca6ab66f0adcf731132ad2d5af132e17670c94b7d5442219b9614f5c40cde")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.bin"

@@ -9,6 +9,7 @@ bit keeps these files; a change that moves bits on purpose rewrites the fixture 
 and says why.
 """
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -19,9 +20,9 @@ from ovstream.cli import main
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "golden_runs.json"
 
-# The README's example config, then four variations of it that reach the block
+# The README's example config, then five variations of it that reach the block
 # decoder, compressed storage, FWS replay, the other weightings, class-incremental
-# stages and a second suite.
+# stages, a second suite and a dataset file written by ``ovstream gen``.
 README_CONFIG = {
     "synthetic": {"num_classes": 10, "samples_per_class": 20, "dim": 64,
                   "tokens": 10, "noise": 0.25, "seed": 0},
@@ -44,20 +45,37 @@ CONFIGS = {
     "ocw-binary-two-suites": {**README_CONFIG, "weighting": "ocw-binary", "lr": 1e-2,
                               "suites": [{"name": "all"},
                                          {"name": "low", "candidates": [0, 1, 2, 3, 4]}]},
+    # Reads the README's synthetic dataset back from the file ``ovstream gen`` wrote.
+    "nn-loo-dataset-file": {**{k: v for k, v in README_CONFIG.items() if k != "synthetic"},
+                            "dataset": "gen.ovds", "weighting": "nn-loo",
+                            "sampler": {"strategy": "class_balanced", "batch_size": 8},
+                            "lr": 1e-2,
+                            "suites": [{"name": "all"},
+                                       {"name": "odd", "samples": list(range(1, 200, 7)),
+                                        "candidates": [1, 3, 5, 7, 9]}]},
 }
 RUNS = [("readme", 0), ("readme", 1), ("readme", 2),
-        ("block-pcaq-fws", 0), ("nn-loo", 0), ("aim-class", 0), ("ocw-binary-two-suites", 0)]
+        ("block-pcaq-fws", 0), ("nn-loo", 0), ("aim-class", 0), ("ocw-binary-two-suites", 0),
+        ("nn-loo-dataset-file", 0)]
 OUTPUTS = ("metrics.csv", "summary.json")
 
 
 def run_outputs(name: str, seed: int, workdir: Path) -> dict[str, str]:
-    """The text of each file ``ovstream run`` writes for config ``name`` at ``seed``."""
+    """The text of each file ``ovstream run`` writes for config ``name`` at ``seed``. A
+    config's ``dataset`` file is first written by ``ovstream gen`` from the README's
+    synthetic spec; the run reads it by a path relative to ``workdir``, so the config
+    hash in the outputs does not depend on where ``workdir`` is."""
     workdir.mkdir(parents=True, exist_ok=True)
     config = workdir / "run.json"
     config.write_text(json.dumps(CONFIGS[name]))
     out = workdir / "out"
-    assert main(["run", "--config", str(config), "--out", str(out),
-                 "--seed", str(seed)]) == 0
+    with contextlib.chdir(workdir):
+        if "dataset" in CONFIGS[name]:
+            spec = workdir / "spec.json"
+            spec.write_text(json.dumps(README_CONFIG["synthetic"]))
+            assert main(["gen", "--spec", str(spec), "--out", CONFIGS[name]["dataset"]]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--seed", str(seed)]) == 0
     return {file: (out / file).read_text() for file in OUTPUTS}
 
 

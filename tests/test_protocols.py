@@ -25,7 +25,7 @@ from ovstream.protocols import (
     run_stream,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
-from ovstream.weighting import EPS
+from ovstream.weighting import EPS, nn_loo_confidence
 
 
 def _dataset(num_classes=5, samples_per_class=4, dim=16, tokens=4, seed=0,
@@ -364,6 +364,42 @@ class TestEngineRun:
             assert cached == engine._nn_loo_maps()
             engine.evaluate_suite(suite)
 
+    def test_kept_frozen_neighbours_give_the_reference_map(self, tmp_path):
+        # Copies of three token matrices under another label, and two plain repeats,
+        # make ties in the frozen search. After one and after several inserts, after a
+        # reset with none, and on a restored engine, the frozen map is nn_loo_confidence
+        # over the stored CLS rows.
+        base = _dataset(num_classes=4, samples_per_class=4, seed=21)
+        samples = (base.samples + [(base.samples[i][0], (base.samples[i][1] + 1) % 4)
+                                   for i in (0, 5, 9)] + [base.samples[i] for i in (2, 7)])
+        ds = Dataset(base.label_table, samples)
+        order = [int(i) for i in np.random.default_rng(21).permutation(len(samples))]
+
+        def check(engine):
+            ids = range(len(engine.store))
+            tokens, labels = engine.store.tokens(ids), engine.store.labels(ids)
+            reference = nn_loo_confidence([(t[0], y) for t, y in zip(tokens, labels)])
+            assert {y: c_o for y, (_, c_o) in engine._nn_loo_maps().items()} == reference
+            return engine._nn_loo_maps()
+
+        engine = Engine(ds, _fast_config(weighting="nn-loo", seed=21))
+        done = 0
+        for step in (1, 1, 3, 1, 5, 2):
+            for idx in order[done:done + step]:
+                engine.process(idx)
+            done += step
+            maps = check(engine)
+            engine._nn_cache = (None, None)
+            assert check(engine) == maps
+        engine.snapshot(tmp_path / "engine.snap")
+        restored = Engine.restore(tmp_path / "engine.snap", ds)
+        for step in (1, 4, len(order)):
+            for idx in order[done:done + step]:
+                engine.process(idx)
+                restored.process(idx)
+            done += step
+            assert check(restored) == check(engine)
+
     def test_second_suite_at_a_stage_decodes_no_stored_sample(self, monkeypatch):
         ds = _dataset(num_classes=5, samples_per_class=5, seed=19)
         engine = Engine(ds, _fast_config(weighting="nn-loo", seed=19))  # batch_size 4
@@ -516,7 +552,8 @@ class TestFrozenRowsAndUntrainedSuites:
         cls_rows = [np.stack([ds.tokens(i)[0] for i in suite.sample_ids[k:k + 8]])
                     for k in range(0, 30, 8)]
         tuned = weighting != "frozen-only"  # a tuned product per slice as well
-        for frozen_products in (4, 0):
+        first = 4 * (weighting != "tuned-only")  # tuned-only reads no frozen rows
+        for frozen_products in (first, 0):
             calls.clear()
             engine.evaluate_suite(suite)
             assert len(calls) == frozen_products + 4 * tuned

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ovstream.core import LabelEmbeddingTable, as_embedding, zero_shot_probabilities
+from ovstream.core import (
+    LabelEmbeddingTable,
+    as_embedding,
+    label_cosines,
+    unit_rows,
+    zero_shot_probabilities,
+)
 from ovstream.weighting import (
     EPS,
     ClassAccuracyTracker,
+    FrozenNeighbours,
     aim_alpha,
     alpha,
     combined_prediction,
@@ -94,14 +101,14 @@ class TestCombinedPrediction:
     def test_all_unseen_returns_frozen_bit_exact(self):
         p_t = np.array([[0.9, 0.1]])
         p_f = np.array([[0.123456789, 0.876543211]])
-        out = combined_prediction(p_t, p_f, {}, [0, 1])
+        out = combined_prediction(p_t, p_f, alpha({}, [0, 1]), [0, 1])
         assert _columns(out, [0, 1]).tolist() == p_f.tolist()
 
     def test_all_seen_flag_returns_tuned_bit_exact(self):
         p_t = np.array([[0.7, 0.3]])
         out = combined_prediction(p_t, np.array([[0.5, 0.5]]),
-                                  {0: (1.0, 1.0), 1: (1.0, 1.0)}, [0, 1],
-                                  all_candidates_seen=True)
+                                  alpha({0: (1.0, 1.0), 1: (1.0, 1.0)}, [0, 1],
+                                        all_candidates_seen=True), [0, 1])
         assert _columns(out, [0, 1]).tolist() == p_t.tolist()
 
     def test_hand_computed_mix(self):
@@ -109,7 +116,7 @@ class TestCombinedPrediction:
         # pair -> alpha 0.
         p_t = np.array([[1.0, 0.0]])
         p_f = np.array([[0.1, 0.9]])
-        out = combined_prediction(p_t, p_f, {0: (1.0, 1.0)}, [0, 1])
+        out = combined_prediction(p_t, p_f, alpha({0: (1.0, 1.0)}, [0, 1]), [0, 1])
         x = 1.0 / (2.0 + 1e-8)
         raw0 = x * 1.0 + (1 - x) * 0.1
         raw1 = 0.9
@@ -124,7 +131,7 @@ class TestCombinedPrediction:
         confidence = {y: tracker.accuracies(y) for y in (0, 1)}
         p_t = np.array([[0.6, 0.3, 0.1]])
         p_f = np.array([[0.2, 0.5, 0.3]])
-        out = combined_prediction(p_t, p_f, confidence, [0, 1, 2])
+        out = combined_prediction(p_t, p_f, alpha(confidence, [0, 1, 2]), [0, 1, 2])
         a0 = 1.0 / (1.0 + EPS)
         raw = {0: a0 * 0.6 + (1 - a0) * 0.2, 1: 0.5, 2: 0.3}
         total = sum(raw.values())
@@ -132,15 +139,17 @@ class TestCombinedPrediction:
 
     def test_output_normalized(self):
         out = combined_prediction(np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]),
-                                  {0: (1.0, 0.0)}, [0, 1])
+                                  alpha({0: (1.0, 0.0)}, [0, 1]), [0, 1])
         assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_candidate_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            combined_prediction(np.array([[1.0]]), np.array([[0.5, 0.5]]), {}, [0, 1])
-        with pytest.raises(ValueError):  # alphas for three labels, columns for two
-            combined_prediction(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
-                                {0: (1.0, 0.0)}, [0, 1, 2])
+            combined_prediction(np.array([[1.0]]), np.array([[0.5, 0.5]]),
+                                alpha({}, [0, 1]), [0, 1])
+        for pairs in ({0: (1.0, 0.0)}, {}):  # alphas for three labels, columns for two
+            with pytest.raises(ValueError):
+                combined_prediction(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
+                                    alpha(pairs, [0, 1, 2]), [0, 1, 2])
 
     def test_zero_mass_raises(self):
         # The scorers' distributions are strictly positive; a hand-made mix
@@ -151,7 +160,7 @@ class TestCombinedPrediction:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_mix_stays_normalized_for_any_accuracies(self, c_t, c_o):
         out = combined_prediction(np.array([[0.25, 0.75]]), np.array([[0.6, 0.4]]),
-                                  {0: (c_t, c_o), 1: (1.0, 1.0)}, [0, 1])
+                                  alpha({0: (c_t, c_o), 1: (1.0, 1.0)}, [0, 1]), [0, 1])
         assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-9)
         assert all(v[0] >= 0 for v in out.values())
 
@@ -357,6 +366,47 @@ class TestNnLooConfidence:
 
     def test_fewer_than_two_items(self):
         assert nn_loo_confidence([(np.array([1.0, 0.0]), 0)]) == {}
+
+
+class TestFrozenNeighbours:
+    """The kept index is nn_loo_confidence's search, done once per pair."""
+
+    @staticmethod
+    def _check(index, items):
+        # Each row's neighbour and cosine are those of the whole-set search, byte for
+        # byte, and so is the confidence map.
+        embs = np.array([e for e, _ in items], np.float32)
+        sims, _, _ = label_cosines(embs, unit_rows(embs)[0])
+        np.fill_diagonal(sims, -np.inf)
+        assert index.nearest.tolist() == sims.argmax(axis=1).tolist()
+        assert index.cosines.tobytes() == sims.max(axis=1).tobytes()
+        assert index.confidence([y for _, y in items]) == nn_loo_confidence(items)
+
+    @pytest.mark.parametrize("most", [1, 4, 30], ids=["one", "several", "many"])
+    def test_extended_index_is_the_reference_after_each_extend(self, most):
+        # Exact duplicates, some relabelled, make ties that the first neighbour wins.
+        gen = np.random.default_rng(most)
+        for _ in range(150):
+            items = _exemplar_set(gen)
+            index, done = FrozenNeighbours(len(items[0][0])), 0
+            while done < len(items):
+                k = int(gen.integers(1, most + 1))
+                index.extend(np.array([e for e, _ in items[done:done + k]]))
+                done = min(done + k, len(items))
+                self._check(index, items[:done])
+            index.extend(np.empty((0, len(items[0][0])), np.float32))
+            self._check(index, items)
+
+    def test_an_equal_new_row_keeps_the_first_neighbour(self):
+        v = np.array([0.3, -0.7, 0.2], dtype=np.float32)
+        w = np.array([-1.0, 0.5, 0.0], dtype=np.float32)
+        items = [(v, 0), (v, 0), (v, 1), (w, 1)]
+        index = FrozenNeighbours(3)
+        for e, _ in items:
+            index.extend(e[None])
+        self._check(index, items)
+        assert index.nearest.tolist() == [1, 0, 0, 0]
+        assert index.confidence([y for _, y in items]) == {0: 1.0, 1: 0.0}
 
 
 def test_zero_shot_scale_invariance_through_pipeline(rng):
