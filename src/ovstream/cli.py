@@ -176,7 +176,7 @@ def cmd_compress(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     n = args.components
-    tokens = [dataset.tokens(i) for i in range(len(dataset.samples))]
+    tokens = dataset.token_rows
 
     if args.mode == "dataset-pca":
         codec = compression.DatasetPcaCodec.fit(
@@ -233,7 +233,7 @@ def _time_batch(dataset, payloads, decode, repetitions=100, batch_size=32) -> fl
     params = linear_params(table.dim)
     ids = list(range(min(batch_size, len(payloads))))
     blobs = [compression.payload_to_bytes(payloads[i]) for i in ids]
-    labels = [dataset.samples[i][1] for i in ids]
+    labels = dataset.label_ids[ids]
     start = time.perf_counter()
     for _ in range(repetitions):
         tokens = np.stack([decode(i, compression.payload_from_bytes(blobs[i])[0]) for i in ids])

@@ -111,15 +111,20 @@ class LabelEmbeddingTable:
         except KeyError:
             raise KeyError(f"unknown label id {label}") from None
 
+    def rows(self, labels) -> np.ndarray:
+        """The table row of each of the given labels, in order, as an int array; every
+        per-label array (the tracker's, the nn-loo confidences) is indexed by it."""
+        try:
+            return np.array([self._rows[y] for y in labels], np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown label id {exc.args[0]}") from None
+
     def matrix(self, candidates) -> np.ndarray:
         """Stacked unit embeddings for the given labels, one per row, float64."""
         labels = list(candidates)
         if not labels:
             raise ValueError("empty candidate set")
-        try:
-            return self._matrix[[self._rows[c] for c in labels]]
-        except KeyError as exc:
-            raise KeyError(f"unknown label id {exc.args[0]}") from None
+        return self._matrix[self.rows(labels)]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ datasets are bit-reproducible per seed across platforms.
 
 Each sample is a T x D token matrix whose CLS row sits near its class
 center; the patch rows are the CLS plus a low-rank perturbation, so the
-matrix compresses well under per-instance PCA.
+matrix compresses well under per-instance PCA. A dataset, in memory and on
+disk, holds raw token matrices only: compression is a storage mode of the
+engine's replay store, not of the data it reads.
 """
 
 from __future__ import annotations
@@ -50,18 +52,18 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    """Labeled samples of one token ``shape`` (T, D), D the label table's dim (None if
-    empty). Construction rejects a sample of another shape or label outside the table.
+    """Labeled raw token matrices of one ``shape`` (T, D), D the label table's dim (None
+    if empty). Construction rejects a compressed sample, a sample of another shape and a
+    label outside the table.
 
-    ``label_ids`` is the (N,) array of the sample labels. When no sample is compressed,
-    ``token_rows`` is one (N, T, D) float32 array of the token matrices and each sample
-    holds its row as a view, so ``tokens`` reads a batch with one gather; ``rows``, when
-    given, is that array already filled (``generate`` writes into it), else the
-    matrices are copied into a new one. With a compressed sample ``token_rows`` is None
-    and each read reconstructs its samples."""
+    ``label_ids`` is the (N,) array of the sample labels and ``token_rows`` one
+    (N, T, D) float32 array of the token matrices, each sample holding its row as a
+    view, so ``tokens`` reads a batch with one gather; ``rows``, when given, is that
+    array already filled (``generate`` writes into it), else the matrices are copied
+    into a new one."""
 
     label_table: LabelEmbeddingTable
-    samples: list            # of (token matrix or CompressedFeature, label id)
+    samples: list            # of (token matrix, label id)
     task_map: dict[int, list[int]] = field(default_factory=dict)  # task -> sample ids
     rows: InitVar[np.ndarray | None] = None
 
@@ -71,9 +73,6 @@ class Dataset:
             if problem := _mismatch(payload, label, self.label_table, self.shape):
                 raise ValueError(f"sample {i}: {problem}")
         self.label_ids = np.array([label for _, label in self.samples], np.int64)
-        self.token_rows = None
-        if any(isinstance(p, compression.CompressedFeature) for p, _ in self.samples):
-            return
         shape = (len(self.samples), *(self.shape or (0, 0)))
         if rows is None:
             rows = np.empty(shape, np.float32)
@@ -90,16 +89,13 @@ class Dataset:
     def tokens(self, ids) -> np.ndarray:
         """The (T, D) token matrix of sample ``ids``, an int, or the (B, T, D) array of a
         sequence of ids, in order."""
-        if self.token_rows is not None:
-            return self.token_rows[ids]
-        if isinstance(ids, (int, np.integer)):
-            return compression.to_tokens(self.samples[ids][0])
-        return np.array([compression.to_tokens(self.samples[i][0]) for i in ids],
-                        np.float32).reshape(-1, *self.shape)
+        return self.token_rows[ids]
 
 
 def _mismatch(payload, label: int, labels, shape: tuple) -> str:
     """Why a sample does not fit a dataset of ``labels`` and token ``shape``, or ''."""
+    if isinstance(payload, compression.CompressedFeature):
+        return "a compressed record; a dataset holds raw token matrices"
     if label not in labels:
         return f"label {label} is not in the label table"
     if tuple(payload.shape) != shape:
@@ -163,8 +159,9 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # Dataset file: magic "OVDS", u32 version, u32 D, u32 T, u32 label count,
 # u32 sample count, u32 task count; label block (u32 id + D float32 each);
 # task block (u32 task id, u32 size, u32 sample indices); sample records
-# (u32 label id + payload record per ovstream.compression), each of token shape
-# (T, D) and with a label of the label block. Little-endian.
+# (u32 label id + payload record per ovstream.compression), each a raw record of
+# token shape (T, D) and with a label of the label block; ``load`` rejects a
+# compressed record. Little-endian.
 
 _MAGIC = b"OVDS"
 _VERSION = 1

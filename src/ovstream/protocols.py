@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cached_property
@@ -37,7 +36,6 @@ from .replay import ReplayStore, SamplerConfig
 from .weighting import (
     ClassAccuracyTracker,
     FrozenNeighbours,
-    LabelStats,
     aim_alpha,
     alpha,
     combined_prediction,
@@ -191,7 +189,6 @@ class EngineConfig:
 
 _SNAPSHOT_MAGIC = b"OVSN"
 _SNAPSHOT_VERSION = 3
-_STATS = struct.Struct("<dd")
 _SAMPLE = struct.Struct("<qq")
 
 
@@ -242,7 +239,7 @@ class Engine:
         else:
             self.params = block_params(dim, rng=init_rng)
         self.opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
-        self.tracker = ClassAccuracyTracker(decay=config.ema_decay)
+        self.tracker = ClassAccuracyTracker(self.table, decay=config.ema_decay)
         self.store = ReplayStore()
         self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
         self._neighbours = FrozenNeighbours(dim)  # of the stored CLS rows, for nn-loo
@@ -263,16 +260,20 @@ class Engine:
         return zero_shot_probabilities(np.asarray(tokens)[0], self.table, candidates)
 
     def process(self, sample_index: int) -> None:
-        """Store one incoming sample, update accuracy estimates, train one step."""
+        """Score one incoming sample, store it, update accuracy estimates, train one step.
+        The sample is encoded and scored before it is stored, so a sample that raises
+        there (a zero-norm CLS row, say) leaves the engine as it was."""
         tokens = self.dataset.tokens(sample_index)
         label = self.dataset.samples[sample_index][1]
-        sid = self.store.insert(label, self._payload(tokens))
-        # The decoded embedding and the CLS row, scored as one two-row batch.
+        payload = self._payload(tokens)
+        # The decoded embedding and the CLS row, scored as one two-row batch over the
+        # labels stored once this sample is.
         columns = zero_shot_probabilities(np.stack([decode(tokens, self.params), tokens[0]]),
-                                          self.table, self.store.seen_labels())
+                                          self.table, {label, *self.store.seen_labels()})
         labels = list(columns)
         # argmax takes the first maximum: ties go to the lowest label id.
         tuned, frozen = np.array(list(columns.values())).argmax(axis=0)
+        sid = self.store.insert(label, payload)
         self.tracker.ema_update(label, labels[tuned] == label, labels[frozen] == label)
         online_update(sid, self.store, self.params, self.opt, self.table,
                       self.config.sampler, self.rng, beta=self.config.beta)
@@ -283,23 +284,26 @@ class Engine:
         size = batches * self.config.sampler.batch_size  # batch_size bounds a training step
         return [items[i:i + size] for i in range(0, len(items), size)]
 
-    def _nn_loo_maps(self) -> dict[int, tuple[float, float]]:
-        """The nn-loo ``{label: (c_t, c_o)}`` confidence pairs of the stored samples, built
-        once per store and decoder state: every ``process`` inserts a sample and steps.
-        Both maps hold the labels stored at least twice, so they share their keys. The
-        tuned map is ``nn_loo_confidence`` over every stored sample's decoding. The frozen
-        scorer never trains and the store only grows, so each stored CLS row's nearest
-        neighbour is kept in ``_neighbours``, extended here by the samples stored since
-        the last build: at evaluation, so that a training step costs what it did."""
+    def _nn_loo_maps(self) -> np.ndarray:
+        """The nn-loo (c_t, c_o) confidences of the stored samples, an (L, 2) array over
+        the label table's rows, built once per store and decoder state: every ``process``
+        inserts a sample and steps. Both columns are set for the labels stored at least
+        twice, every other row is (0, 0). The tuned column is ``nn_loo_confidence`` over
+        every stored sample's decoding. The frozen scorer never trains and the store only
+        grows, so each stored CLS row's nearest neighbour is kept in ``_neighbours``,
+        extended here by the samples stored since the last build: at evaluation, so that
+        a training step costs what it did."""
         key = (len(self.store), self.opt.step)
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
             tokens, labels = self.store.tokens(ids), self.store.labels(ids)
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._neighbours.extend(tokens[len(self._neighbours):, 0])
-            conf_o = self._neighbours.confidence(labels)
-            self._nn_cache = (key, {y: (c_t, conf_o[y]) for y, c_t in
-                                    nn_loo_confidence(list(zip(decoded, labels))).items()})
+            confidence = np.zeros((len(self.table), 2))
+            for col, pairs in enumerate((nn_loo_confidence(list(zip(decoded, labels))),
+                                         self._neighbours.confidence(labels))):
+                confidence[self.table.rows(pairs), col] = list(pairs.values())
+            self._nn_cache = (key, confidence)
         return self._nn_cache[1]
 
     def _mix_setup(self, candidates) -> _Mix:
@@ -316,14 +320,15 @@ class Engine:
 
     def _alphas(self, mix: _Mix) -> np.ndarray:
         """The (C,) alphas of the ``ocw``, ``ocw-binary`` and ``nn-loo`` weightings."""
-        strategy = self.config.weighting
+        strategy, rows = self.config.weighting, self.table.rows(mix.labels)
+        # Only a stored label has a tracker or nn-loo row other than (0, 0).
         if strategy == "ocw":
-            confidence = {y: self.tracker.accuracies(y) for y in mix.seen}
+            confidence = self.tracker.acc[rows]
         elif strategy == "nn-loo" and not mix.untrained:
-            confidence = self._nn_loo_maps()
+            confidence = self._nn_loo_maps()[rows]
         else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
-            confidence = {}
-        return alpha(confidence, mix.labels, all_candidates_seen=mix.seen.issuperset(mix.labels))
+            confidence = np.zeros((len(rows), 2))
+        return alpha(confidence, all_candidates_seen=mix.seen.issuperset(mix.labels))
 
     def _tuned(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
         """The tuned scorer's (B, C) output for a B x T x D array over the rows of ``mat``."""
@@ -439,8 +444,8 @@ class Engine:
                  v.astype("<f8").tobytes(), struct.pack("<I", len(self.store))]
         for s in map(self.store.sample, range(len(self.store))):
             parts += [_SAMPLE.pack(s.label, s.batch_count), compression.payload_to_bytes(s.payload)]
-        parts += [_STATS.pack(*self.tracker.accuracies(label))
-                  for label in self.store.seen_labels()]
+        parts.append(self.tracker.acc[self.table.rows(self.store.seen_labels())]
+                     .astype("<f8").tobytes())
         Path(path).write_bytes(b"".join(parts))
 
     @classmethod
@@ -502,15 +507,18 @@ class Engine:
                 raise FormatError(f"bad snapshot record {sid} at offset {start}: {exc}") from exc
             sample = engine.store.sample(sid)
             sample.batch_count, sample.fws_weight = batch_count, sampler.fws_weight(batch_count)
-        for label, n_seen in sorted(Counter(engine.store.labels(range(count))).items()):
-            try:
-                c_t, c_o = _STATS.unpack_from(data, off)
-            except struct.error as exc:
-                raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
-            if not (0 <= c_t <= 1 and 0 <= c_o <= 1):
-                raise FormatError(f"bad tracker entry for label {label} at offset {off}")
-            engine.tracker.stats[label] = LabelStats(c_t, c_o, n_seen)
-            off += _STATS.size
+        labels, n_seen = np.unique(engine.store.labels(range(count)), return_counts=True)
+        try:
+            acc = np.frombuffer(data, "<f8", 2 * len(labels), off).reshape(-1, 2)
+        except ValueError as exc:
+            raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
+        bad = np.flatnonzero(~((acc >= 0) & (acc <= 1)).all(axis=1))  # NaN is bad too
+        if bad.size:
+            raise FormatError(f"bad tracker entry for label {labels[bad[0]]} at offset "
+                              f"{off + acc[:bad[0]].nbytes}")
+        rows = engine.table.rows(labels)
+        engine.tracker.acc[rows], engine.tracker.n_seen[rows] = acc, n_seen
+        off += acc.nbytes
         if off != len(data):
             raise FormatError(f"{len(data) - off} bytes after the last record at offset {off}")
         return engine

@@ -1,78 +1,63 @@
 """Per-class accuracy tracking and model-vote weighting.
 
 The two models' (B, C) candidate distributions are mixed per label by one
-rule, ``alpha = c_t / (c_t + c_o + EPS)`` (:func:`alpha`). Weightings differ only
-in the source of the ``(c_t, c_o)`` pairs: the tracker's EMA accuracies
-(OCW, updated once per training sample before the parameter update),
-leave-one-out nearest-neighbour accuracy (:func:`nn_loo_confidence`), or
-none (binary). The zero-shot seen-mass baseline (:func:`aim_alpha`) is one
-alpha per sample. A sum across labels is one ``ndarray.sum`` over a row, so a
-row's sum does not depend on the batch it sits in.
+rule, ``alpha = c_t / (c_t + c_o + EPS)`` (:func:`alpha`), over a (C, 2) array of
+the candidates' ``(c_t, c_o)`` pairs. Weightings differ only in the source of
+those pairs: the tracker's EMA accuracies (OCW, updated once per training sample
+before the parameter update), leave-one-out nearest-neighbour accuracy
+(:func:`nn_loo_confidence`, kept for the frozen rows by :class:`FrozenNeighbours`),
+or none (binary). Per-label arrays are indexed by the label table's rows
+(``LabelEmbeddingTable.rows``), and a label without an estimate holds (0, 0). The
+zero-shot seen-mass baseline (:func:`aim_alpha`) is one alpha per sample. A sum
+across labels is one ``ndarray.sum`` over a row, so a row's sum does not depend on
+the batch it sits in.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_embedding, label_cosines, unit_rows
+from .core import LabelEmbeddingTable, as_embedding, label_cosines, unit_rows
 
 # Keeps alpha finite for a label whose two accuracies are both 0.
 EPS = 1e-8
 
 
-@dataclass
-class LabelStats:
-    tuned_acc: float = 0.0
-    frozen_acc: float = 0.0
-    n_seen: int = 0
-
-
-@dataclass
 class ClassAccuracyTracker:
-    """EMA accuracy estimates c_t / c_o per label, with a running-mean cold start."""
+    """EMA accuracy estimates per label of ``table``, with a running-mean cold start:
+    ``acc`` is the (L, 2) array of each table row's (c_t, c_o), (0, 0) until its label
+    is observed, and ``n_seen`` the (L,) count of its observations."""
 
-    decay: float = 0.99
-    stats: dict[int, LabelStats] = field(default_factory=dict)
-
-    def _cold_start_steps(self) -> int:
-        return int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
-
-    def accuracies(self, label: int) -> tuple[float, float]:
-        s = self.stats.get(label)
-        return (s.tuned_acc, s.frozen_acc) if s else (0.0, 0.0)
+    def __init__(self, table: LabelEmbeddingTable, decay: float = 0.99):
+        self.table, self.decay = table, decay
+        self.acc = np.zeros((len(table), 2))
+        self.n_seen = np.zeros(len(table), np.int64)
 
     def ema_update(self, label: int, tuned_correct: bool, frozen_correct: bool) -> None:
-        """Fold one correctness observation into both per-label estimates.
+        """Fold one correctness observation into both estimates of ``label``.
 
         The first floor(1/(1-decay)) observations of a label use the running
         arithmetic mean; afterwards the standard EMA recursion applies.
         """
-        s = self.stats.setdefault(label, LabelStats())
-        for attr, correct in (("tuned_acc", tuned_correct), ("frozen_acc", frozen_correct)):
-            prev = getattr(s, attr)
-            ind = 1.0 if correct else 0.0
-            if s.n_seen < self._cold_start_steps():
-                value = (prev * s.n_seen + ind) / (s.n_seen + 1)
-            else:
-                value = self.decay * prev + (1.0 - self.decay) * ind
-            setattr(s, attr, value)
-        s.n_seen += 1
+        cold_start = int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
+        (row,) = self.table.rows([label])
+        n, ind = self.n_seen[row], np.array([tuned_correct, frozen_correct], float)
+        if n < cold_start:
+            self.acc[row] = (self.acc[row] * n + ind) / (n + 1)
+        else:
+            self.acc[row] = self.decay * self.acc[row] + (1.0 - self.decay) * ind
+        self.n_seen[row] += 1
 
 
-def alpha(confidence: dict[int, tuple[float, float]], labels,
-          all_candidates_seen: bool = False) -> np.ndarray:
-    """Tuned-model weight of each of the sorted ``labels``, a (C,) array: 1 when every
-    candidate has been trained, 0 without a ``(c_t, c_o)`` pair in ``confidence``, else
-    ``c_t / (c_t + c_o + EPS)``."""
-    if all_candidates_seen:
-        return np.ones(len(labels))
-    # A label without a pair scores (0, 1), whose weight is exactly 0.
-    c_t, c_o = np.array([confidence.get(y, (0.0, 1.0)) for y in labels], float).reshape(-1, 2).T
-    return c_t / (c_t + c_o + EPS)
+def alpha(confidence, all_candidates_seen: bool = False) -> np.ndarray:
+    """Tuned-model weight of each candidate, a (C,) array from the (C, 2) array of their
+    ``(c_t, c_o)`` pairs: 1 when every candidate has been trained, else
+    ``c_t / (c_t + c_o + EPS)``, exactly 0 for a (0, 0) pair."""
+    c_t, c_o = np.asarray(confidence, float).T
+    return np.ones(len(c_t)) if all_candidates_seen else c_t / (c_t + c_o + EPS)
 
 
 def combined_prediction(p_tuned: np.ndarray, p_frozen: np.ndarray, alphas: np.ndarray,

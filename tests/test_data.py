@@ -148,12 +148,9 @@ class TestTokens:
         if kind == "loaded":
             save(ds, tmp_path / "data.bin")
             return load(tmp_path / "data.bin")
-        if kind == "compressed":  # float and quantized records, reconstructed per read
-            return Dataset(ds.label_table, [(compress(ds.tokens(i), 2, quantized=i % 2), y)
-                                            for i, (_, y) in enumerate(ds.samples)])
         return ds
 
-    @pytest.mark.parametrize("kind", ["generated", "loaded", "compressed"])
+    @pytest.mark.parametrize("kind", ["generated", "loaded"])
     def test_gather_is_the_stack_of_single_reads(self, tmp_path, kind):
         ds = self._dataset(tmp_path, kind)
         for ids in ([3, 0, 11, 3], list(range(12)), np.array([5, 6]), range(2, 4), []):
@@ -169,7 +166,25 @@ class TestTokens:
             assert ds.token_rows.shape == (12, 5, 8) and ds.token_rows.dtype == np.float32
             assert all(p.base is ds.token_rows for p, _ in ds.samples)
             assert ds.label_ids.tolist() == [y for _, y in ds.samples]
-        assert self._dataset(tmp_path, "compressed").token_rows is None
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+    def test_compressed_sample_rejected(self, tmp_path, quantized):
+        # A dataset holds raw token matrices only; compression is the store's business.
+        ds = self._dataset(tmp_path, "generated")
+        samples = list(ds.samples)
+        samples[2] = (compress(ds.tokens(2), 2, quantized=quantized), samples[2][1])
+        with pytest.raises(ValueError, match="sample 2: a compressed record"):
+            Dataset(ds.label_table, samples)
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
+    def test_compressed_record_rejected_at_load(self, edited_dataset, quantized):
+        # Records start at offset 300 and each raw one is 397 bytes (see
+        # test_loaders.py), so record 1 starts at 697; a compressed record of the
+        # dataset's shape and a label of the table is spliced over it.
+        tokens = np.random.default_rng(1).standard_normal((6, 16)).astype(np.float32)
+        path = edited_dataset({1: (compress(tokens, 2, quantized=quantized), 0)})
+        with pytest.raises(FormatError, match="record 1 at offset 697: a compressed record"):
+            load(path)
 
 
 class TestFileFormat:

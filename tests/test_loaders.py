@@ -37,8 +37,10 @@ def _payloads(seed=3):
 
 
 def _dataset():
+    """The token matrices of ``_payloads()``'s three records, labelled 0, 5, 0: a dataset
+    holds raw samples, so the compressed ones are reconstructed."""
     table = LabelEmbeddingTable({0: [1.0, 0.0, 0.0], 5: [0.0, 0.6, 0.8]})
-    samples = [(p, 5 * (i % 2)) for i, p in enumerate(_payloads())]
+    samples = [(to_tokens(p), 5 * (i % 2)) for i, p in enumerate(_payloads())]
     return Dataset(table, samples, {0: [0, 1], 1: [2]})
 
 
@@ -271,8 +273,8 @@ class TestEngineSnapshot:
         (lambda e: e.opt.m.__setitem__(0, np.inf), "non-finite"),
         (lambda e: e.opt.v.__setitem__(0, -1e-9), "v < 0"),
         (lambda e: setattr(e.store.sample(1), "batch_count", -1), "record 1.*batch count -1"),
-        (lambda e: setattr(e.tracker.stats[0], "tuned_acc", 1.5), "tracker entry for label 0"),
-        (lambda e: e.store.insert(7, e.store.sample(0).payload), "record 2.*label 7"),
+        (lambda e: e.tracker.acc.__setitem__((e.table.rows([0])[0], 0), 1.5),
+         "tracker entry for label 0"),
         (lambda e: setattr(e.config, "lr", float("inf")), "lr must be finite"),
         (lambda e: setattr(e.config.sampler, "batch_size", 2.5), "batch_size"),
     ])
@@ -283,6 +285,24 @@ class TestEngineSnapshot:
         engine.snapshot(tmp_path / "engine.snap")
         with pytest.raises(FormatError, match=match):
             Engine.restore(tmp_path / "engine.snap", _dataset())
+
+    @pytest.mark.parametrize("config", SNAPSHOT_CONFIGS, ids=["block", "linear"])
+    def test_record_of_a_label_outside_the_table(self, tmp_path, config):
+        # The tracker has a row per table label only, so no engine snapshots a stored
+        # label outside the table: record 2's label field is patched in the bytes. The
+        # record is followed by the tracker's (c_t, c_o) of stored labels 0 and 5.
+        engine = _trained_engine(config)
+        engine.store.insert(0, engine.store.sample(0).payload)
+        path = tmp_path / "engine.snap"
+        engine.snapshot(path)
+        blob = bytearray(path.read_bytes())
+        record = payload_to_bytes(engine.store.sample(2).payload)
+        off = len(blob) - 2 * struct.calcsize("<dd") - len(record) - struct.calcsize("<qq")
+        assert struct.unpack_from("<q", blob, off) == (0,)
+        blob[off:off + 8] = struct.pack("<q", 7)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="record 2.*label 7"):
+            Engine.restore(path, _dataset())
 
     def test_bad_magic_version_and_trailing_bytes(self, tmp_path):
         path = tmp_path / "engine.snap"
@@ -304,12 +324,14 @@ class TestEngineSnapshot:
         blob = path.read_bytes()
         (size,) = struct.unpack_from("<I", blob, 8)
         (n,) = struct.unpack_from("<I", blob, 12 + size)
-        stats = engine.tracker.stats.items()
+        labels = engine.store.seen_labels()
+        acc, n_seen = (a[engine.table.rows(labels)] for a in (engine.tracker.acc,
+                                                              engine.tracker.n_seen))
         samples = [engine.store.sample(sid) for sid in range(len(engine.store))]
         path.write_bytes(b"".join([
             blob[:4], struct.pack("<I", 2), blob[8:24 + size + 24 * n],  # through moment v
-            struct.pack("<I", len(stats)),
-            *(struct.pack("<qddQ", y, s.tuned_acc, s.frozen_acc, s.n_seen) for y, s in stats),
+            struct.pack("<I", len(labels)),
+            *(struct.pack("<qddQ", y, *a, k) for y, a, k in zip(labels, acc, n_seen)),
             struct.pack("<I", len(samples)),
             *(struct.pack("<qqd", s.label, s.batch_count, s.fws_weight)
               + payload_to_bytes(s.payload) for s in samples)]))

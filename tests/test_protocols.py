@@ -223,7 +223,7 @@ class TestEngineRun:
             p_o, p_t = probs
             a = np.zeros(len(labels))
             for j, y in enumerate(labels[:2]):
-                c_t, c_o = engine.tracker.accuracies(y)
+                c_t, c_o = engine.tracker.acc[engine.table.rows([y])[0]]
                 a[j] = c_t / (c_t + c_o + EPS)
             mixed = a * p_t + (1.0 - a) * p_o
             got = engine.predict(tokens, set(labels))
@@ -361,7 +361,7 @@ class TestEngineRun:
                 engine.process(idx)
             cached = engine._nn_loo_maps()
             engine._nn_cache = (None, None)
-            assert cached == engine._nn_loo_maps()
+            assert cached.tobytes() == engine._nn_loo_maps().tobytes()
             engine.evaluate_suite(suite)
 
     def test_kept_frozen_neighbours_give_the_reference_map(self, tmp_path):
@@ -379,8 +379,12 @@ class TestEngineRun:
             ids = range(len(engine.store))
             tokens, labels = engine.store.tokens(ids), engine.store.labels(ids)
             reference = nn_loo_confidence([(t[0], y) for t, y in zip(tokens, labels)])
-            assert {y: c_o for y, (_, c_o) in engine._nn_loo_maps().items()} == reference
-            return engine._nn_loo_maps()
+            want = np.zeros(len(engine.table))  # a label stored less than twice holds 0
+            want[engine.table.rows(reference)] = list(reference.values())
+            maps = engine._nn_loo_maps()
+            assert maps.shape == (len(engine.table), 2)
+            assert maps[:, 1].tolist() == want.tolist()
+            return maps.tolist()
 
         engine = Engine(ds, _fast_config(weighting="nn-loo", seed=21))
         done = 0
@@ -445,7 +449,7 @@ class TestEngineRun:
         ds = _tied_dataset(seed=23)
         for variant in ("linear", "block"):
             engine = Engine(ds, _fast_config(decoder_variant=variant, seed=23))
-            ref = protocols.ClassAccuracyTracker(decay=engine.tracker.decay)
+            ref = protocols.ClassAccuracyTracker(engine.table, decay=engine.tracker.decay)
             outcomes = set()
             for idx, (tokens, label) in enumerate(ds.samples):
                 candidates = set(engine.store.seen_labels()) | {label}
@@ -455,8 +459,43 @@ class TestEngineRun:
                 ref.ema_update(label, tuned == label, frozen == label)
                 outcomes.add((tuned == label, frozen == label))
                 engine.process(idx)
-                assert engine.tracker.stats == ref.stats
+                assert engine.tracker.acc.tobytes() == ref.acc.tobytes()
+                assert engine.tracker.n_seen.tolist() == ref.n_seen.tolist()
             assert len(outcomes) > 1
+
+    @pytest.mark.parametrize("config", [
+        dict(weighting="nn-loo"),
+        dict(decoder_variant="block", compression="pca-cls-quant", pca_components=2,
+             sampler=SamplerConfig(strategy="fws", batch_size=4)),
+    ], ids=["linear-nnloo", "block-pcaq-fws"])
+    def test_a_sample_that_cannot_be_scored_leaves_the_engine_as_it_was(self, config):
+        # Sample 4's CLS row has zero norm, so scoring it raises. It is scored before it
+        # is stored: the engine keeps its store, step, parameters, tracker and RNG
+        # state, and goes on to train and evaluate (nn-loo extends its neighbours).
+        base = _dataset(num_classes=3, samples_per_class=3, seed=25)
+        samples = list(base.samples)
+        zero_cls = samples[4][0].copy()
+        zero_cls[0] = 0.0
+        samples[4] = (zero_cls, samples[4][1])
+        ds = Dataset(base.label_table, samples)
+
+        def state(engine):
+            return (len(engine.store), engine.opt.step, engine.params.buffer().tobytes(),
+                    engine.tracker.acc.tobytes(), engine.tracker.n_seen.tolist(),
+                    engine.rng.bit_generator.state)
+
+        suite = EvalSuite("all", [0, 1, 2, 3, 5, 6], {0, 1, 2})
+        for stored in (0, 3):
+            engine = Engine(ds, _fast_config(seed=25, **config))
+            for idx in range(stored):
+                engine.process(idx)
+            before = state(engine)
+            with pytest.raises(ValueError, match="zero-norm"):
+                engine.process(4)
+            assert state(engine) == before
+            engine.process(5)
+            engine.evaluate_suite(suite)
+            assert len(engine.store) == engine.opt.step == stored + 1
 
     @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
     def test_runs_without_argmax_label(self, monkeypatch, weighting):
@@ -677,6 +716,16 @@ RESUME_CONFIGS = {
 }
 
 
+def _first_stored_row(engine) -> int:
+    """The table row of the label of the engine's first stored sample."""
+    return engine.table.rows([engine.store.label(0)])[0]
+
+
+def _forget(tracker, row: int) -> None:
+    """Give a tracker row the state of a never-observed label."""
+    tracker.acc[row], tracker.n_seen[row] = 0.0, 0
+
+
 class TestSnapshot:
     """A stream that stops, snapshots, restores and goes on reaches the same bits."""
 
@@ -714,7 +763,8 @@ class TestSnapshot:
         assert (a.opt.m.tobytes(), a.opt.v.tobytes()) == (b.opt.m.tobytes(), b.opt.v.tobytes())
         assert a.opt.step == b.opt.step == len(ds.samples)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
-        assert a.tracker.stats == b.tracker.stats
+        assert a.tracker.acc.tobytes() == b.tracker.acc.tobytes()
+        assert a.tracker.n_seen.tolist() == b.tracker.n_seen.tolist()
         ids = range(len(a.store))
         assert a.store.tokens(ids).tobytes() == b.store.tokens(ids).tobytes()
         for sid in ids:
@@ -727,8 +777,8 @@ class TestSnapshot:
     MISMATCHES = {
         "fws-weight": lambda e: setattr(e.store.sample(0), "fws_weight", 0.5),
         "never-stored-label": lambda e: e.tracker.ema_update(4, True, False),
-        "n-seen": lambda e: setattr(e.tracker.stats[e.store.label(0)], "n_seen", 99),
-        "no-tracker-entry": lambda e: e.tracker.stats.pop(e.store.label(0)),
+        "n-seen": lambda e: e.tracker.n_seen.__setitem__(_first_stored_row(e), 99),
+        "no-tracker-entry": lambda e: _forget(e.tracker, _first_stored_row(e)),
     }
 
     @staticmethod
@@ -754,8 +804,12 @@ class TestSnapshot:
             counts[sample.label] = counts.get(sample.label, 0) + 1
             assert sample.fws_weight == config.sampler.fws_weight(sample.batch_count)
         assert any(store.sample(sid).batch_count for sid in range(len(store)))
-        assert sorted(engine.tracker.stats) == store.seen_labels() == [0, 1, 2]
-        assert {y: s.n_seen for y, s in engine.tracker.stats.items()} == counts
+        labels = engine.dataset.labels()
+        rows = engine.table.rows(labels)
+        assert store.seen_labels() == [0, 1, 2]
+        assert engine.tracker.n_seen[rows].tolist() == [counts.get(y, 0) for y in labels]
+        # Only the stored labels have an estimate; the rest hold (0, 0).
+        assert not engine.tracker.acc[rows[3:]].any() and engine.tracker.acc[rows[:3]].any()
 
     @pytest.mark.parametrize("weighting", ["ocw", "aim"])
     def test_tracker_entry_of_a_never_stored_label_keeps_the_frozen_output(self, tmp_path,

@@ -1,5 +1,7 @@
 """Accuracy tracker, per-label alpha, and the combined-prediction mix."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,72 +25,129 @@ from ovstream.weighting import (
 )
 
 
+def _tracker(decay=0.99, labels=(0, 1)):
+    """A tracker over a table of ``labels``, whose row i holds ``labels[i]``."""
+    table = LabelEmbeddingTable({y: np.eye(2)[y % 2] for y in labels})
+    return ClassAccuracyTracker(table, decay=decay)
+
+
+def _acc(tracker, label):
+    """The tracker's (c_t, c_o) of ``label``, as a tuple of floats."""
+    return tuple(tracker.acc[tracker.table.rows([label])[0]].tolist())
+
+
 class TestTracker:
     def test_first_update_is_exact_mean(self):
-        tracker = ClassAccuracyTracker()
+        tracker = _tracker()
         tracker.ema_update(0, tuned_correct=True, frozen_correct=False)
-        assert tracker.accuracies(0) == (1.0, 0.0)
+        assert _acc(tracker, 0) == (1.0, 0.0)
 
     def test_cold_start_running_mean(self):
-        tracker = ClassAccuracyTracker(decay=0.99)
+        tracker = _tracker(decay=0.99)
         outcomes = [True, False, True, True]
         for o in outcomes:
             tracker.ema_update(0, o, o)
-        assert tracker.accuracies(0)[0] == pytest.approx(3 / 4)
+        assert _acc(tracker, 0)[0] == pytest.approx(3 / 4)
 
     def test_ema_after_cold_start(self):
         # decay=0.5 -> cold start covers floor(1/0.5)=2 updates; the third
         # applies the recursion: 0.5 * 0.5 + 0.5 * 0 = 0.25.
-        tracker = ClassAccuracyTracker(decay=0.5)
+        tracker = _tracker(decay=0.5)
         tracker.ema_update(0, True, True)
         tracker.ema_update(0, False, False)
-        assert tracker.accuracies(0)[0] == pytest.approx(0.5)
+        assert _acc(tracker, 0)[0] == pytest.approx(0.5)
         tracker.ema_update(0, False, False)
-        assert tracker.accuracies(0)[0] == pytest.approx(0.25)
+        assert _acc(tracker, 0)[0] == pytest.approx(0.25)
 
     def test_known_recursion_value(self):
         # After cold start at exactly 0.5, one wrong step: 0.99 * 0.5 = 0.495.
-        tracker = ClassAccuracyTracker(decay=0.99)
+        tracker = _tracker(decay=0.99)
         for _ in range(50):
             tracker.ema_update(1, True, True)
             tracker.ema_update(1, False, False)
         # 100 cold-start updates of alternating outcomes leave the mean at 0.5.
-        assert tracker.accuracies(1)[0] == pytest.approx(0.5, abs=1e-12)
+        assert _acc(tracker, 1)[0] == pytest.approx(0.5, abs=1e-12)
         tracker.ema_update(1, False, False)
-        assert tracker.accuracies(1)[0] == pytest.approx(0.495, abs=1e-12)
+        assert _acc(tracker, 1)[0] == pytest.approx(0.495, abs=1e-12)
 
     def test_alternating_stream_stays_near_half(self):
-        tracker = ClassAccuracyTracker(decay=0.99)
+        tracker = _tracker(decay=0.99)
         for i in range(1000):
             tracker.ema_update(0, i % 2 == 0, i % 2 == 1)
-        t, f = tracker.accuracies(0)
+        t, f = _acc(tracker, 0)
         assert t == pytest.approx(0.5, abs=0.005)
         assert f == pytest.approx(0.5, abs=0.005)
 
     def test_labels_tracked_independently(self):
-        tracker = ClassAccuracyTracker()
+        tracker = _tracker(labels=(0, 1, 2))
         tracker.ema_update(0, True, True)
         tracker.ema_update(1, False, False)
-        assert tracker.accuracies(0) == (1.0, 1.0)
-        assert tracker.accuracies(1) == (0.0, 0.0)
-        assert sorted(tracker.stats) == [0, 1]
+        assert _acc(tracker, 0) == (1.0, 1.0)
+        assert _acc(tracker, 1) == (0.0, 0.0)
+        assert tracker.n_seen.tolist() == [1, 1, 0]
+
+    def test_rows_follow_the_table(self):
+        # Row order is the table's, whatever the label ids; an unknown label raises.
+        tracker = _tracker(labels=(9, 4, 6))
+        tracker.ema_update(4, True, False)
+        assert tracker.acc.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+        assert tracker.n_seen.tolist() == [0, 1, 0]
+        with pytest.raises(KeyError, match="unknown label id 5"):
+            tracker.ema_update(5, True, True)
+
+    def test_equals_the_scalar_recursion_bit_for_bit(self):
+        # 150 mixed updates over three labels at decay 0.99: label 0 gets more than
+        # the cold-start steps, so both branches of the recursion are crossed. In
+        # float64 1 / (1 - 0.99) is 99.99999999999991, so the cold start is 99 steps.
+        decay = 0.99
+        cold_start = math.floor(1.0 / (1.0 - decay))
+        assert cold_start == 99
+        gen = np.random.default_rng(7)
+        tracker = _tracker(decay=decay, labels=(0, 1, 2))
+        ref = {y: [0.0, 0.0, 0] for y in (0, 1, 2)}  # c_t, c_o, n_seen
+        for label in gen.choice(3, size=150, p=[0.8, 0.15, 0.05]).tolist():
+            outcomes = gen.random(2) < (0.7, 0.4)
+            tracker.ema_update(label, bool(outcomes[0]), bool(outcomes[1]))
+            s = ref[label]
+            for k in (0, 1):
+                ind = 1.0 if outcomes[k] else 0.0
+                if s[2] < cold_start:
+                    s[k] = (s[k] * s[2] + ind) / (s[2] + 1)
+                else:
+                    s[k] = decay * s[k] + (1.0 - decay) * ind
+            s[2] += 1
+            for y in (0, 1, 2):
+                assert _acc(tracker, y) == (ref[y][0], ref[y][1])
+                assert tracker.n_seen[y] == ref[y][2]
+        assert ref[0][2] > cold_start
 
 
 class TestAlpha:
     def test_unseen_label_is_all_frozen(self):
-        assert alpha({}, [7]).tolist() == [0.0]
-        assert alpha({0: (0.8, 0.2)}, [0, 7])[1] == 0.0
+        # A label without an estimate holds (0, 0), whose weight is exactly 0.
+        assert alpha(np.zeros((1, 2))).tolist() == [0.0]
+        assert alpha([(0.8, 0.2), (0.0, 0.0)])[1] == 0.0
 
     def test_all_candidates_seen_is_all_tuned(self):
-        assert alpha({0: (0.8, 0.2)}, [0], all_candidates_seen=True).tolist() == [1.0]
-        assert alpha({}, [0, 3], all_candidates_seen=True).tolist() == [1.0, 1.0]
+        assert alpha([(0.8, 0.2)], all_candidates_seen=True).tolist() == [1.0]
+        assert alpha(np.zeros((2, 2)), all_candidates_seen=True).tolist() == [1.0, 1.0]
 
     def test_ratio_formula(self):
-        a_t = alpha({0: (0.8, 0.2)}, [0])[0]
+        a_t = alpha([(0.8, 0.2)])[0]
         assert a_t == 0.8 / (0.8 + 0.2 + 1e-8)
 
     def test_both_zero_accuracy(self):
-        assert alpha({0: (0.0, 0.0)}, [0]).tolist() == [0.0]
+        assert alpha([(0.0, 0.0)]).tolist() == [0.0]
+
+    def test_zero_pairs_give_exactly_zero_and_seen_exactly_one(self):
+        gen = np.random.default_rng(8)
+        confidence = gen.uniform(size=(40, 2))
+        confidence[::3] = 0.0
+        got = alpha(confidence)
+        assert got[::3].tolist() == [0.0] * 14
+        assert (got[1::3] > 0).all()
+        assert alpha(confidence, all_candidates_seen=True).tolist() == [1.0] * 40
+        assert alpha(np.empty((0, 2))).shape == (0,)
 
 
 def _columns(out, labels):
@@ -101,22 +160,22 @@ class TestCombinedPrediction:
     def test_all_unseen_returns_frozen_bit_exact(self):
         p_t = np.array([[0.9, 0.1]])
         p_f = np.array([[0.123456789, 0.876543211]])
-        out = combined_prediction(p_t, p_f, alpha({}, [0, 1]), [0, 1])
+        out = combined_prediction(p_t, p_f, alpha(np.zeros((2, 2))), [0, 1])
         assert _columns(out, [0, 1]).tolist() == p_f.tolist()
 
     def test_all_seen_flag_returns_tuned_bit_exact(self):
         p_t = np.array([[0.7, 0.3]])
         out = combined_prediction(p_t, np.array([[0.5, 0.5]]),
-                                  alpha({0: (1.0, 1.0), 1: (1.0, 1.0)}, [0, 1],
-                                        all_candidates_seen=True), [0, 1])
+                                  alpha([(1.0, 1.0), (1.0, 1.0)], all_candidates_seen=True),
+                                  [0, 1])
         assert _columns(out, [0, 1]).tolist() == p_t.tolist()
 
     def test_hand_computed_mix(self):
         # Label 0 has c_t = c_o = 1 -> alpha = 1/(2 + eps); label 1 has no
-        # pair -> alpha 0.
+        # estimate -> alpha 0.
         p_t = np.array([[1.0, 0.0]])
         p_f = np.array([[0.1, 0.9]])
-        out = combined_prediction(p_t, p_f, alpha({0: (1.0, 1.0)}, [0, 1]), [0, 1])
+        out = combined_prediction(p_t, p_f, alpha([(1.0, 1.0), (0.0, 0.0)]), [0, 1])
         x = 1.0 / (2.0 + 1e-8)
         raw0 = x * 1.0 + (1 - x) * 0.1
         raw1 = 0.9
@@ -124,14 +183,14 @@ class TestCombinedPrediction:
         assert out[1][0] == pytest.approx(raw1 / (raw0 + raw1), rel=1e-9)
 
     def test_tracker_accuracies_as_confidence(self):
-        # The OCW source: the tracker's (c_t, c_o) for the trained labels.
-        tracker = ClassAccuracyTracker()
+        # The OCW source: the tracker's rows of the candidates; untrained 2 holds (0, 0).
+        tracker = _tracker(labels=(0, 1, 2))
         tracker.ema_update(0, True, False)
         tracker.ema_update(1, False, True)
-        confidence = {y: tracker.accuracies(y) for y in (0, 1)}
+        confidence = tracker.acc[tracker.table.rows([0, 1, 2])]
         p_t = np.array([[0.6, 0.3, 0.1]])
         p_f = np.array([[0.2, 0.5, 0.3]])
-        out = combined_prediction(p_t, p_f, alpha(confidence, [0, 1, 2]), [0, 1, 2])
+        out = combined_prediction(p_t, p_f, alpha(confidence), [0, 1, 2])
         a0 = 1.0 / (1.0 + EPS)
         raw = {0: a0 * 0.6 + (1 - a0) * 0.2, 1: 0.5, 2: 0.3}
         total = sum(raw.values())
@@ -139,17 +198,18 @@ class TestCombinedPrediction:
 
     def test_output_normalized(self):
         out = combined_prediction(np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]),
-                                  alpha({0: (1.0, 0.0)}, [0, 1]), [0, 1])
+                                  alpha([(1.0, 0.0), (0.0, 0.0)]), [0, 1])
         assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_candidate_mismatch_rejected(self):
         with pytest.raises(ValueError):
             combined_prediction(np.array([[1.0]]), np.array([[0.5, 0.5]]),
-                                alpha({}, [0, 1]), [0, 1])
-        for pairs in ({0: (1.0, 0.0)}, {}):  # alphas for three labels, columns for two
+                                alpha(np.zeros((2, 2))), [0, 1])
+        for pairs in ([(1.0, 0.0), (0.0, 0.0), (0.0, 0.0)], np.zeros((3, 2))):
+            # alphas for three labels, columns for two
             with pytest.raises(ValueError):
                 combined_prediction(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]),
-                                    alpha(pairs, [0, 1, 2]), [0, 1, 2])
+                                    alpha(pairs), [0, 1, 2])
 
     def test_zero_mass_raises(self):
         # The scorers' distributions are strictly positive; a hand-made mix
@@ -160,7 +220,7 @@ class TestCombinedPrediction:
     @given(st.floats(0, 1), st.floats(0, 1))
     def test_mix_stays_normalized_for_any_accuracies(self, c_t, c_o):
         out = combined_prediction(np.array([[0.25, 0.75]]), np.array([[0.6, 0.4]]),
-                                  alpha({0: (c_t, c_o), 1: (1.0, 1.0)}, [0, 1]), [0, 1])
+                                  alpha([(c_t, c_o), (1.0, 1.0)]), [0, 1])
         assert float(sum(out.values())[0]) == pytest.approx(1.0, abs=1e-9)
         assert all(v[0] >= 0 for v in out.values())
 
@@ -200,7 +260,7 @@ class TestCombinedPrediction:
         # Fixing c_o, the tuned weight grows with c_t across a grid.
         prev = -1.0
         for c_t in np.linspace(0.0, 1.0, 21):
-            a_t = alpha({0: (float(c_t), 0.4)}, [0])[0]
+            a_t = alpha([(float(c_t), 0.4)])[0]
             assert a_t >= prev
             prev = a_t
 
