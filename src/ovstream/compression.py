@@ -109,10 +109,12 @@ def cls_weighting(tokens, norm_gain=None, norm_bias=None) -> np.ndarray:
     bias = np.zeros(dim) if norm_bias is None else np.asarray(norm_bias, dtype=np.float64)
     cls_n, _, _ = layer_norm(x[0], gain, bias)
     patch_n, _, _ = layer_norm(x[1:], gain, bias)
-    sims = patch_n @ cls_n
-    sims = sims - sims.max()
-    weights = np.exp(sims)
-    weights /= weights.sum()
+    # Huge norm parameters overflow here, quietly: the NaN weights fail the PCA's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = patch_n @ cls_n
+        sims = sims - sims.max()
+        weights = np.exp(sims)
+        weights /= weights.sum()
     weights = weights * (x.shape[0] - 1)
     out = x.copy()
     out[1:] *= weights[:, None]

@@ -53,8 +53,8 @@ class SyntheticSpec:
 @dataclass
 class Dataset:
     """Labeled raw token matrices of one ``shape`` (T, D), D the label table's dim (None
-    if empty). Construction rejects a compressed sample, a sample of another shape and a
-    label outside the table.
+    if empty). Construction rejects a compressed sample, a sample of another shape, a
+    label outside the table and a CLS row of zero norm, which no scorer can score.
 
     ``label_ids`` is the (N,) array of the sample labels and ``token_rows`` one
     (N, T, D) float32 array of the token matrices, each sample holding its row as a
@@ -80,6 +80,8 @@ class Dataset:
                 row[...] = payload
         elif rows.dtype != np.float32 or rows.shape != shape:
             raise ValueError(f"rows of {rows.dtype} {rows.shape} do not hold the samples")
+        if (zero := np.flatnonzero(~rows[:, :1].any(axis=(1, 2)))).size:
+            raise ValueError(f"sample {zero[0]}: CLS row has zero norm")
         self.token_rows = rows
         self.samples = list(zip(rows, self.label_ids.tolist()))
 
@@ -160,8 +162,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # u32 sample count, u32 task count; label block (u32 id + D float32 each);
 # task block (u32 task id, u32 size, u32 sample indices); sample records
 # (u32 label id + payload record per ovstream.compression), each a raw record of
-# token shape (T, D) and with a label of the label block; ``load`` rejects a
-# compressed record. Little-endian.
+# token shape (T, D), with a label of the label block and a nonzero CLS row; ``load``
+# rejects a compressed record. Little-endian.
 
 _MAGIC = b"OVDS"
 _VERSION = 1
@@ -223,6 +225,8 @@ def load(path) -> Dataset:
             payload, end = compression.payload_from_bytes(data, off + 4)
             if problem := _mismatch(payload, label, entries, (tokens, dim)):
                 raise FormatError(f"bad dataset record {i} at offset {off}: {problem}")
+            if not payload[0].any():
+                raise FormatError(f"bad dataset record {i} at offset {off}: CLS row has zero norm")
             samples.append((payload, label))
             off = end
         return Dataset(LabelEmbeddingTable(entries), samples, task_map)

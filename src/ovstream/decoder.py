@@ -2,8 +2,7 @@
 
 Two variants map a token matrix to an output embedding:
 
-* ``linear`` -- ``weight @ cls + bias`` on the CLS row only (also covers
-  dimension-matching between encoder and label-embedding spaces).
+* ``linear`` -- ``weight @ cls + bias`` on the CLS row only.
 * ``block`` -- a pre-norm single-head transformer block (self-attention plus
   a 2-layer GELU MLP, both with residuals); the post-block CLS row is the
   output. Layer norm and the MLP act row by row, so that row depends only
@@ -23,14 +22,17 @@ never holds more float64 working set than a training step's forward.
 
 Both carry one extra learnable scalar, the "other" logit: an
 input-independent none-of-the-above score. ``augmented_logits`` appends it
-after the candidates' cosine logits for the loss. Parameters live in one
-float64 vector, which ``DecoderParams.tensors`` views by name.
+after the candidates' cosine logits for the loss. A decoder has one width D, the
+token and label-embedding dimension. Its parameters, and its gradients, each live
+only in one float64 vector, which ``DecoderParams.tensors`` views by name.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import erf
@@ -50,13 +52,14 @@ _NO_DECAY = {"other_logit"}
 
 @dataclass
 class DecoderParams:
-    """Named parameter tensors for one decoder variant, as views of one float64 vector
-    ``flat``; ``_NO_DECAY`` tensors come last, so weight decay covers ``flat[:n_decay]``."""
+    """Named parameter tensors of one decoder variant and width ``dim``, copied at
+    construction into one float64 vector ``flat``, their only storage. ``tensors`` is a
+    read-only map of fixed views into ``flat``: a tensor is written in place, never
+    replaced. ``_NO_DECAY`` tensors come last, so weight decay covers ``flat[:n_decay]``."""
 
     variant: str  # "linear" | "block"
-    d_in: int
-    d_out: int
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    dim: int
+    tensors: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
         names = sorted(self.tensors, key=lambda k: k in _NO_DECAY)  # stable
@@ -64,44 +67,27 @@ class DecoderParams:
         ends = np.cumsum([0] + [math.prod(shape) for _, shape in self.layout])
         self.n_decay = int(ends[sum(k not in _NO_DECAY for k in names)])
         self.flat = np.concatenate([np.zeros(0)] + [np.ravel(self.tensors[k]) for k in names])
-        self._views = [self.flat[a:b].reshape(shape)
-                       for (_, shape), a, b in zip(self.layout, ends, ends[1:])]
-        self.tensors = dict(zip(names, self._views))
-
-    def buffer(self) -> np.ndarray:
-        """``flat``, after copying back each tensor replaced by assignment."""
-        layout = tuple((k, np.shape(t)) for k, t in self.tensors.items())
-        if layout != self.layout:
-            raise ValueError(f"tensor shapes {layout} do not match the buffer's {self.layout}")
-        for (name, _), view in zip(self.layout, self._views):
-            if self.tensors[name] is not view:
-                view[...], self.tensors[name] = self.tensors[name], view
-        return self.flat
-
-    def copy(self) -> "DecoderParams":
-        return DecoderParams(self.variant, self.d_in, self.d_out, dict(self.tensors))
+        self.tensors = MappingProxyType({k: self.flat[a:b].reshape(shape) for (k, shape), a, b
+                                         in zip(self.layout, ends, ends[1:])})
 
     @property
     def other_logit(self) -> float:
         return float(self.tensors["other_logit"])
 
     def validate(self) -> None:
-        if not np.isfinite(self.buffer()).all():
+        if not np.isfinite(self.flat).all():
             name = next(k for k, t in self.tensors.items() if not np.isfinite(t).all())
             raise ValueError(f"parameter {name} contains non-finite entries")
 
 
-def linear_params(d_in: int, d_out: int | None = None, identity: bool = True,
-                  rng: np.random.Generator | None = None, scale: float = 0.02) -> DecoderParams:
-    """Linear decoder; identity-initialized when square (the frozen decoder is a no-op)."""
-    d_out = d_in if d_out is None else d_out
-    if identity and d_in == d_out:
-        weight = np.eye(d_out, d_in)
-    else:
-        rng = rng or np.random.default_rng(0)
-        weight = scale * rng.standard_normal((d_out, d_in))
-    return DecoderParams("linear", d_in, d_out,
-                         {"weight": weight, "bias": np.zeros(d_out), "other_logit": np.zeros(())})
+def linear_params(dim: int, identity: bool = True, rng: np.random.Generator | None = None,
+                  scale: float = 0.02) -> DecoderParams:
+    """Linear decoder; identity-initialized (the frozen decoder is a no-op) unless
+    ``identity`` is false, then drawn from ``rng`` at ``scale``."""
+    weight = (np.eye(dim) if identity
+              else scale * (rng or np.random.default_rng(0)).standard_normal((dim, dim)))
+    return DecoderParams("linear", dim,
+                         {"weight": weight, "bias": np.zeros(dim), "other_logit": np.zeros(())})
 
 
 def block_params(dim: int, rng: np.random.Generator | None = None,
@@ -120,11 +106,11 @@ def block_params(dim: int, rng: np.random.Generator | None = None,
     tensors = {name: (scale * rng.standard_normal(shape) if name[0] == "w"
                       else np.ones(shape) if name.endswith("gain") else np.zeros(shape))
                for name, shape in shapes.items()}
-    return DecoderParams("block", dim, dim, tensors)
+    return DecoderParams("block", dim, tensors)
 
 
 def zeros_like_params(params: DecoderParams) -> DecoderParams:
-    return DecoderParams(params.variant, params.d_in, params.d_out,
+    return DecoderParams(params.variant, params.dim,
                          {k: np.zeros_like(v) for k, v in params.tensors.items()})
 
 
@@ -164,15 +150,15 @@ def _gelu_grad(z, s):
 
 
 def _forward(tokens, params: DecoderParams):
-    """Output embeddings (B x D_out) of a B x T x D token array, plus the backward cache.
+    """Output embeddings (B x D) of a B x T x D token array, plus the backward cache.
 
     The block attends with the CLS query only (exact; see the module docstring).
     """
     x = np.asarray(tokens)
     if x.ndim != 3 or x.shape[1] < 1:
         raise ValueError(f"token matrix must be 2-D, got shape {x.shape[1:]}")
-    if x.shape[2] != params.d_in:
-        raise ValueError(f"token dimension {x.shape[2]} != decoder d_in {params.d_in}")
+    if x.shape[2] != params.dim:
+        raise ValueError(f"token dimension {x.shape[2]} != decoder dim {params.dim}")
     t = params.tensors
     if params.variant == "linear":  # reads the CLS rows alone, so converts only those
         cls = np.asarray(x[:, 0], dtype=np.float64)
@@ -196,56 +182,57 @@ def _forward(tokens, params: DecoderParams):
     return out, (y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a, erf1)
 
 
-def _backward(d_out: np.ndarray, params: DecoderParams, cache, grads: DecoderParams) -> None:
-    """Accumulate parameter gradients for dL/d(output embeddings) = d_out (B x D_out)."""
+def _backward(d_e: np.ndarray, params: DecoderParams, cache, grads: DecoderParams) -> None:
+    """Write every parameter gradient but the OTHER logit's into ``grads``, once each,
+    for dL/d(output embeddings) = d_e (B x D)."""
     t = params.tensors
     g = grads.tensors
     if params.variant == "linear":
         (cls,) = cache
-        g["weight"] += d_out.T @ cls
-        g["bias"] += d_out.sum(axis=0)
+        g["weight"][...] = d_e.T @ cls
+        g["bias"][...] = d_e.sum(axis=0)
         return
 
     y1, xhat1, inv1, q, qk, scale, attn_w, pooled, attn, y2, xhat2, inv2, z, a, erf1 = cache
 
     # MLP branch
-    g["w2"] += a.T @ d_out
-    g["b2"] += d_out.sum(axis=0)
-    dz = (d_out @ t["w2"].T) * _gelu_grad(z, erf1)
-    g["w1"] += y2.T @ dz
-    g["b1"] += dz.sum(axis=0)
+    g["w2"][...] = a.T @ d_e
+    g["b2"][...] = d_e.sum(axis=0)
+    dz = (d_e @ t["w2"].T) * _gelu_grad(z, erf1)
+    g["w1"][...] = y2.T @ dz
+    g["b1"][...] = dz.sum(axis=0)
     dy2 = dz @ t["w1"].T
-    g["ln2_gain"] += (dy2 * xhat2).sum(axis=0)
-    g["ln2_bias"] += dy2.sum(axis=0)
+    g["ln2_gain"][...] = (dy2 * xhat2).sum(axis=0)
+    g["ln2_bias"][...] = dy2.sum(axis=0)
     dxhat = dy2 * t["ln2_gain"]
-    dh = d_out + inv2 * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                         - xhat2 * (dxhat * xhat2).mean(axis=-1, keepdims=True))
+    dh = d_e + inv2 * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                       - xhat2 * (dxhat * xhat2).mean(axis=-1, keepdims=True))
 
     # Attention branch. Per sample, dL/dk_t = ds_t q and dL/dv_t = w_t dattn
     # are rank one, so every sum over tokens is a weighted sum of LN1 rows.
-    g["wo"] += attn.T @ dh
-    g["bo"] += dh.sum(axis=0)
+    g["wo"][...] = attn.T @ dh
+    g["bo"][...] = dh.sum(axis=0)
     dattn = dh @ t["wo"].T
     dw = (y1 @ (dattn @ t["wv"].T)[:, :, None])[:, :, 0] + (dattn @ t["bv"])[:, None]  # v_t . dattn
     ds = attn_w * (dw - (dw * attn_w).sum(axis=-1, keepdims=True)) * scale
     ds_y1 = (ds[:, None, :] @ y1)[:, 0]  # sum_t ds_t y1_t
     dq = ds_y1 @ t["wk"]
-    g["wq"] += y1[:, 0].T @ dq
-    g["bq"] += dq.sum(axis=0)
-    g["wk"] += ds_y1.T @ q
-    g["wv"] += pooled.T @ dattn
-    g["bv"] += attn_w.sum(axis=1) @ dattn
+    g["wq"][...] = y1[:, 0].T @ dq
+    g["bq"][...] = dq.sum(axis=0)
+    g["wk"][...] = ds_y1.T @ q
+    g["wv"][...] = pooled.T @ dattn
+    g["bv"][...] = attn_w.sum(axis=1) @ dattn
     # dL/dy1_t = ds_t (wk q) + w_t (wv dattn), plus wq dq on the CLS row.
     dv_y = dattn @ t["wv"].T
     dq_y = dq @ t["wq"].T
-    g["ln1_gain"] += (((ds[:, None, :] @ xhat1)[:, 0] * qk).sum(axis=0)
-                      + ((attn_w[:, None, :] @ xhat1)[:, 0] * dv_y).sum(axis=0)
-                      + (xhat1[:, 0] * dq_y).sum(axis=0))
-    g["ln1_bias"] += ds.sum(axis=1) @ qk + attn_w.sum(axis=1) @ dv_y + dq_y.sum(axis=0)
+    g["ln1_gain"][...] = (((ds[:, None, :] @ xhat1)[:, 0] * qk).sum(axis=0)
+                          + ((attn_w[:, None, :] @ xhat1)[:, 0] * dv_y).sum(axis=0)
+                          + (xhat1[:, 0] * dq_y).sum(axis=0))
+    g["ln1_bias"][...] = ds.sum(axis=1) @ qk + attn_w.sum(axis=1) @ dv_y + dq_y.sum(axis=0)
 
 
 def decode(tokens, params: DecoderParams) -> np.ndarray:
-    """Output embedding (float32) of a T x D token matrix, or B x D_out of a B x T x D array."""
+    """Output embedding (float32) of a T x D token matrix, or B x D of a B x T x D array."""
     x = np.asarray(tokens)
     e, _ = _forward(x if x.ndim == 3 else x[None], params)
     with np.errstate(over="ignore"):  # inf from a diverged decoder: the scorer raises on it
@@ -293,17 +280,16 @@ def combined_loss(batch: TrainingBatch, params: DecoderParams,
 
 def loss_gradients(batch: TrainingBatch, params: DecoderParams, table: LabelEmbeddingTable,
                    beta: float, out: DecoderParams | None = None) -> DecoderParams:
-    """Analytic gradients of :func:`combined_loss` wrt every parameter, in new
-    arrays or, zeroed first, in ``out``'s buffer."""
+    """Analytic gradients of :func:`combined_loss` wrt every parameter, in new arrays
+    or in ``out``'s buffer, whose every entry is written."""
     out = zeros_like_params(params) if out is None else out
-    out.flat.fill(0)
     _loss_and_grads(batch, params, table, beta, out)
     return out
 
 
 def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
-    """Loss, plus gradients added into ``grads`` if given, from one forward and one
-    backward pass over the batch.
+    """Loss, plus every gradient written once into ``grads`` if given, from one forward
+    and one backward pass over the batch.
 
     Term 1: cross-entropy with the true label over candidates + OTHER.
     Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
@@ -338,7 +324,7 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
     if grads is None:
         return total
 
-    grads.tensors["other_logit"] += inv_n * dlogits[:, n].sum()
+    grads.tensors["other_logit"][...] = inv_n * dlogits[:, n].sum()
     # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
     dl = dlogits[:, :n]
     d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
@@ -364,10 +350,9 @@ class OptimizerState:
     grads: DecoderParams | None = field(default=None, repr=False)
 
 
-def optimizer_step(params: DecoderParams, grads: DecoderParams,
-                   state: OptimizerState) -> tuple[DecoderParams, OptimizerState]:
+def optimizer_step(params: DecoderParams, grads: DecoderParams, state: OptimizerState) -> None:
     """One decoupled-weight-decay adaptive-moment update, in place, on ``params.flat``."""
-    theta, g = params.buffer(), grads.buffer()
+    theta, g = params.flat, grads.flat
     if grads.layout != params.layout:
         raise ValueError("gradient tensors do not match the parameter tensors")
     if state.m is None:  # rows: m, v and two scratch rows
@@ -387,7 +372,6 @@ def optimizer_step(params: DecoderParams, grads: DecoderParams,
     update /= s
     update[:k] += np.multiply(state.weight_decay, theta[:k], out=s[:k])
     theta -= np.multiply(state.lr, update, out=update)
-    return params, state
 
 
 def online_update(new_id: int, store, params: DecoderParams,

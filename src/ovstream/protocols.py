@@ -249,12 +249,9 @@ class Engine:
     # -- training -----------------------------------------------------------
 
     def _payload(self, tokens: np.ndarray):
-        gain = bias = None
-        if self.params.variant == "block":
-            gain = self.params.tensors["ln1_gain"]
-            bias = self.params.tensors["ln1_bias"]
-        return compression.encode(tokens, self.config.compression,
-                                  self.config.pca_components, gain, bias)
+        t = self.params.tensors  # without LN1 (linear), CLS weighting uses gain 1, bias 0
+        return compression.encode(tokens, self.config.compression, self.config.pca_components,
+                                  t.get("ln1_gain"), t.get("ln1_bias"))
 
     def frozen_probabilities(self, tokens, candidates) -> dict[int, float]:
         return zero_shot_probabilities(np.asarray(tokens)[0], self.table, candidates)
@@ -436,7 +433,7 @@ class Engine:
         """Write the engine's whole state to one file, which ``restore`` reads back exactly."""
         header = json.dumps({"config": asdict(self.config),
                              "rng": self.rng.bit_generator.state}, sort_keys=True).encode()
-        theta = self.params.buffer()
+        theta = self.params.flat
         m, v = (np.zeros_like(theta) if a is None else a for a in (self.opt.m, self.opt.v))
         parts = [_SNAPSHOT_MAGIC, struct.pack("<II", _SNAPSHOT_VERSION, len(header)), header,
                  struct.pack("<I", theta.size), theta.astype("<f8").tobytes(),
@@ -471,7 +468,7 @@ class Engine:
             engine = cls(dataset, _typed(EngineConfig, header["config"]))
             engine.rng.bit_generator.state = header["rng"]
             off += size
-            theta = engine.params.buffer()
+            theta = engine.params.flat
             (n,) = struct.unpack_from("<I", data, off)
             if n != theta.size:
                 raise FormatError(f"{n} parameters at offset {off}, the decoder has {theta.size}")

@@ -40,7 +40,8 @@ class ClassAccuracyTracker:
         """Fold one correctness observation into both estimates of ``label``.
 
         The first floor(1/(1-decay)) observations of a label use the running
-        arithmetic mean; afterwards the standard EMA recursion applies.
+        arithmetic mean; afterwards the standard EMA recursion applies. In float64,
+        1/(1-0.99) is 99.99999999999991, so at decay 0.99 that is 99 observations.
         """
         cold_start = int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
         (row,) = self.table.rows([label])

@@ -1,0 +1,99 @@
+"""Engine outputs and state pinned to recorded sha256 digests.
+
+``tests/data/bit_digests.json`` holds one digest per (config, weighting, seed), taken
+over a whole stream: every ``evaluate_suite``'s ``probs`` bytes, winners and accuracy,
+then the final decoder parameters and both optimizer moments, then every stored
+payload record. A change meant to keep every bit keeps these digests; a change that
+moves bits on purpose rewrites the fixture with
+
+    python tests/test_bits.py
+
+and says why. ``tests/test_golden_runs.py`` pins command outputs, whose accuracies are
+text; this file pins the float64 bytes under them.
+"""
+
+import hashlib
+import json
+import struct
+import sys
+from pathlib import Path
+
+import pytest
+
+from ovstream.compression import payload_to_bytes
+from ovstream.data import SyntheticSpec, generate
+from ovstream.protocols import WEIGHTINGS, Engine, EngineConfig, EvalSuite, build_stream
+from ovstream.replay import SamplerConfig
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "bit_digests.json"
+
+SMALL = {"num_classes": 4, "samples_per_class": 8, "dim": 16, "tokens": 6, "noise": 0.3,
+         "label_alignment": 0.6}
+# name -> (synthetic spec, engine config, protocol, fractions). The class-incremental
+# configs leave candidates untrained in early stages and score a second suite over
+# half the labels.
+CONFIGS = {
+    "linear-none": (SMALL, {"compression": "none", "lr": 1e-2}, "data_incremental", [25, 50, 100]),
+    "linear-pcaq": (SMALL, {"compression": "pca-cls-quant", "pca_components": 2, "lr": 1e-2},
+                    "class_incremental", [100]),
+    "block-none": (SMALL, {"decoder_variant": "block", "compression": "none", "lr": 1e-3,
+                           "sampler": {"strategy": "fws", "batch_size": 8}},
+                   "class_incremental", [100]),
+    "block-pcaq": (SMALL, {"decoder_variant": "block", "compression": "pca-cls-quant",
+                           "pca_components": 2, "lr": 1e-3,
+                           "sampler": {"strategy": "fws", "batch_size": 8}},
+                   "data_incremental", [25, 50, 100]),
+    # One label observed more than 99 times, so the tracker's EMA branch runs.
+    "cold-start": ({"num_classes": 2, "samples_per_class": 105, "dim": 8, "tokens": 3,
+                    "noise": 0.3, "label_alignment": 0.6}, {"lr": 1e-2}, "data_incremental",
+                   [50, 100]),
+}
+RUNS = ([(name, w, seed) for name in CONFIGS if name != "cold-start"
+         for w in WEIGHTINGS for seed in (0, 1)] + [("cold-start", "ocw", 0)])
+
+
+def run_engine(name: str, weighting: str, seed: int) -> tuple[Engine, str]:
+    """The engine after its whole stream, and the stream's sha256."""
+    spec, config, protocol, fractions = CONFIGS[name]
+    dataset = generate(SyntheticSpec(**spec, seed=seed))
+    config = dict(config, weighting=weighting, seed=seed,
+                  sampler=SamplerConfig(**config.get("sampler", {"batch_size": 8})))
+    engine = Engine(dataset, EngineConfig(**config))
+    labels = dataset.labels()
+    suites = [EvalSuite("all", list(range(len(dataset.samples))), set(labels))]
+    if protocol == "class_incremental":
+        half = set(labels[::2])
+        suites.append(EvalSuite("even", [i for i, (_, y) in enumerate(dataset.samples)
+                                         if y in half], half))
+    stream = build_stream(dataset, protocol, seed=seed, fractions=fractions,
+                          class_groups=2, suites=suites)
+    h = hashlib.sha256()
+    for stage in [None, *stream]:
+        for idx in stage.sample_ids if stage else ():
+            engine.process(idx)
+        for suite in stage.suites if stage else suites:
+            acc, result = engine.evaluate_suite(suite)
+            h.update(result.probs.tobytes())
+            h.update(result.winners.tobytes())
+            h.update(struct.pack("<d", acc))
+    for vector in (engine.params.flat, engine.opt.m, engine.opt.v):
+        h.update(vector.tobytes())
+    for sid in range(len(engine.store)):
+        h.update(payload_to_bytes(engine.store.sample(sid).payload))
+    return engine, h.hexdigest()
+
+
+@pytest.mark.parametrize("name, weighting, seed", RUNS,
+                         ids=[f"{n}-{w}-seed{s}" for n, w, s in RUNS])
+def test_stream_keeps_the_recorded_bits(name, weighting, seed):
+    engine, digest = run_engine(name, weighting, seed)
+    assert digest == json.loads(FIXTURE.read_text())[f"{name}/{weighting}/{seed}"]
+    if name == "cold-start":
+        assert engine.tracker.n_seen.max() > 99
+
+
+if __name__ == "__main__":
+    digests = {f"{n}/{w}/{s}": run_engine(n, w, s)[1] for n, w, s in RUNS}
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}: {len(digests)} digests", file=sys.stderr)

@@ -133,6 +133,20 @@ class TestDatasetShape:
         with pytest.raises(ValueError, match=match):
             Dataset(self._table(), [(np.ones((4, 2)), 0), second])
 
+    def test_zero_norm_cls_row_rejected_in_memory(self):
+        zero_cls = np.ones((4, 2))
+        zero_cls[0] = 0.0
+        with pytest.raises(ValueError, match="sample 1: CLS row has zero norm"):
+            Dataset(self._table(), [(np.ones((4, 2)), 0), (zero_cls, 1)])
+
+    def test_zero_norm_cls_row_rejected_at_load(self, edited_dataset):
+        # Records start at offset 300 and each raw one is 397 bytes, so record 2
+        # starts at 1094.
+        tokens = np.random.default_rng(1).standard_normal((6, 16)).astype(np.float32)
+        tokens[0] = 0.0
+        with pytest.raises(FormatError, match="record 2 at offset 1094: CLS row has zero norm"):
+            load(edited_dataset({2: (tokens, 1)}))
+
     def test_token_dimension_is_the_tables(self):
         with pytest.raises(ValueError, match=r"sample 0: token shape \(4, 3\)"):
             Dataset(self._table(), [(np.ones((4, 3)), 0)])

@@ -85,7 +85,7 @@ def test_gradient_vanishes_at_constructed_minimum():
     tokens[0, 0] = 1.0  # CLS aligned with label 0
     batch = TrainingBatch(tokens[None], [0], {0, 1})
     params = linear_params(dim)
-    params.tensors["other_logit"] = np.array(-50.0)
+    params.tensors["other_logit"][...] = -50.0
     grads = loss_gradients(batch, params, table, beta=0.0)
     del rng
     for name, g in grads.tensors.items():

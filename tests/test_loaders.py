@@ -267,6 +267,17 @@ class TestEngineSnapshot:
         except ValueError as exc:
             assert "non-finite" in str(exc)
 
+    def test_huge_norm_gain_raises_non_finite_without_a_warning(self):
+        # A finite LN1 gain near the float64 limit, as a flipped exponent bit leaves it:
+        # the CLS weighting of the next sample overflows, quietly, and its encode
+        # rejects the NaN tokens.
+        engine = _trained_engine(SNAPSHOT_CONFIGS[0])
+        engine.params.tensors["ln1_gain"][0] = 1e303
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.process(2)
+
     # Each edit leaves the engine in a state that no stream could reach.
     @pytest.mark.parametrize("edit, match", [
         (lambda e: e.params.tensors["other_logit"].fill(np.nan), "non-finite"),

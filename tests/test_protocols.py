@@ -472,15 +472,12 @@ class TestEngineRun:
         # Sample 4's CLS row has zero norm, so scoring it raises. It is scored before it
         # is stored: the engine keeps its store, step, parameters, tracker and RNG
         # state, and goes on to train and evaluate (nn-loo extends its neighbours).
-        base = _dataset(num_classes=3, samples_per_class=3, seed=25)
-        samples = list(base.samples)
-        zero_cls = samples[4][0].copy()
-        zero_cls[0] = 0.0
-        samples[4] = (zero_cls, samples[4][1])
-        ds = Dataset(base.label_table, samples)
+        # A dataset rejects such a row, so it is written into the dataset's tokens.
+        ds = _dataset(num_classes=3, samples_per_class=3, seed=25)
+        ds.token_rows[4, 0] = 0.0
 
         def state(engine):
-            return (len(engine.store), engine.opt.step, engine.params.buffer().tobytes(),
+            return (len(engine.store), engine.opt.step, engine.params.flat.tobytes(),
                     engine.tracker.acc.tobytes(), engine.tracker.n_seen.tolist(),
                     engine.rng.bit_generator.state)
 
@@ -759,7 +756,7 @@ class TestSnapshot:
         b, rows_b, dists_b = self._stream_run(ds, config, 10, tmp_path / "engine.snap")
         assert rows_a == rows_b
         assert dists_a == dists_b
-        assert a.params.buffer().tobytes() == b.params.buffer().tobytes()
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert (a.opt.m.tobytes(), a.opt.v.tobytes()) == (b.opt.m.tobytes(), b.opt.v.tobytes())
         assert a.opt.step == b.opt.step == len(ds.samples)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
