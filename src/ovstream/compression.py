@@ -208,13 +208,14 @@ MODES = ("none", "pca", "pca-cls", "pca-cls-quant")
 def encode(tokens, mode: str, n: int, norm_gain=None, norm_bias=None):
     """Payload that stores one token matrix under a storage mode from ``MODES``.
 
-    ``"none"`` keeps the validated token matrix; the PCA modes compress it to
+    ``"none"`` keeps the token matrix as float32, checked where it is stored
+    (``ReplayStore.insert``) rather than twice; the PCA modes compress it to
     ``n`` components, with CLS weighting for ``"pca-cls"`` and
     ``"pca-cls-quant"`` (normalized by ``norm_gain``/``norm_bias``) and
     quantization for ``"pca-cls-quant"``.
     """
     if mode == "none":
-        return as_token_matrix(tokens)
+        return np.asarray(tokens, dtype=np.float32)
     if mode not in MODES:
         raise ValueError(f"unknown compression mode {mode!r}")
     return compress(tokens, n, quantized=(mode == "pca-cls-quant"),

@@ -35,7 +35,7 @@ def as_embedding(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float32)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"embedding must be a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("embedding contains non-finite entries")
     return v
 
@@ -45,7 +45,7 @@ def as_token_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=np.float32)
     if m.ndim != 2 or m.shape[0] < 2:
         raise ValueError(f"token matrix must be 2-D with T >= 2, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("token matrix contains non-finite entries")
     return m
 
@@ -111,13 +111,17 @@ class LabelEmbeddingTable:
         except KeyError:
             raise KeyError(f"unknown label id {label}") from None
 
+    def row(self, label: int) -> int:
+        """The table row of one label."""
+        try:
+            return self._rows[label]
+        except KeyError:
+            raise KeyError(f"unknown label id {label}") from None
+
     def rows(self, labels) -> np.ndarray:
         """The table row of each of the given labels, in order, as an int array; every
         per-label array (the tracker's, the nn-loo confidences) is indexed by it."""
-        try:
-            return np.array([self._rows[y] for y in labels], np.int64)
-        except KeyError as exc:
-            raise KeyError(f"unknown label id {exc.args[0]}") from None
+        return np.array([self.row(y) for y in labels], np.int64)
 
     def matrix(self, candidates) -> np.ndarray:
         """Stacked unit embeddings for the given labels, one per row, float64."""
@@ -125,6 +129,35 @@ class LabelEmbeddingTable:
         if not labels:
             raise ValueError("empty candidate set")
         return self._matrix[self.rows(labels)]
+
+
+class CandidateSet:
+    """One candidate label set of a label table, as every scorer reads it: the sorted
+    ``labels``, their (C, D) float64 unit rows ``matrix`` (``table.matrix``, worked out
+    once here) and each label's ``column`` in both. Iterates, sizes and tests membership
+    as its labels do, so it stands wherever a candidate collection does."""
+
+    def __init__(self, table: LabelEmbeddingTable, candidates):
+        self.table = table
+        self.labels = sorted(candidates)
+        self.matrix = table.matrix(self.labels)
+        self.column = {label: j for j, label in enumerate(self.labels)}
+
+    @classmethod
+    def of(cls, table: LabelEmbeddingTable, candidates) -> "CandidateSet":
+        """``candidates`` as a candidate set of ``table``: itself when it is one already."""
+        if isinstance(candidates, cls) and candidates.table is table:
+            return candidates
+        return cls(table, candidates)
+
+    def __iter__(self):
+        return iter(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __contains__(self, label) -> bool:
+        return label in self.column
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -144,7 +177,7 @@ def unit_rows(embeddings):
     """
     e = np.asarray(embeddings, dtype=np.float64)
     norms = np.sqrt(e[..., None, :] @ e[..., :, None])[..., 0]
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ValueError("zero-norm embedding")
     return e / norms, norms
 
@@ -161,7 +194,8 @@ def label_cosines(embeddings, label_matrix: np.ndarray):
         raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
     unit, norms = unit_rows(e)
     cos = np.einsum("...d,cd->...c", unit, label_matrix)
-    return np.clip(cos, -1.0, 1.0, out=cos), unit, norms
+    # np.clip's values, in place, without its Python-level argument handling.
+    return np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos), unit, norms
 
 
 def candidate_probabilities(embeddings, label_matrix: np.ndarray):
@@ -170,19 +204,20 @@ def candidate_probabilities(embeddings, label_matrix: np.ndarray):
     e = np.asarray(embeddings, dtype=np.float32)
     if e.ndim != 2:
         e = as_embedding(e)
-    elif not np.all(np.isfinite(e)):
+    elif not np.isfinite(e).all():
         raise NumericError("embeddings contain non-finite entries")
     cos, _, _ = label_cosines(e, label_matrix)
     cos *= TEMPERATURE
     return softmax(cos)
 
 
-def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates) -> dict:
+def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates):
     """Softmax over temperature-scaled cosine similarities for each candidate:
-    ``{label: float}`` for a D vector, ``{label: (B,) column}`` for a B x D matrix."""
-    labels = sorted(candidates)
-    probs = candidate_probabilities(e_x, table.matrix(labels))
-    return dict(zip(labels, probs.tolist() if probs.ndim == 1 else probs.T))
+    ``{label: float}`` for a D vector, the (B, C) array over the sorted candidates for
+    a B x D matrix."""
+    candidates = CandidateSet.of(table, candidates)
+    probs = candidate_probabilities(e_x, candidates.matrix)
+    return dict(zip(candidates.labels, probs.tolist())) if probs.ndim == 1 else probs
 
 
 def argmax_label(dist: dict[int, float]) -> int:

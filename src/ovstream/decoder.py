@@ -30,14 +30,14 @@ only in one float64 vector, which ``DecoderParams.tensors`` views by name.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 from scipy.special import erf
 
-from .core import TEMPERATURE, LabelEmbeddingTable, label_cosines, softmax
+from .core import TEMPERATURE, CandidateSet, LabelEmbeddingTable, label_cosines, softmax
 
 LN_EPS = 1e-5
 
@@ -245,21 +245,13 @@ def decode(tokens, params: DecoderParams) -> np.ndarray:
 
 @dataclass
 class TrainingBatch:
-    """A B x T x D token array, its B true label ids and the candidate label set
-    used by the loss."""
+    """A B x T x D token array, its B true label ids and the candidate labels the loss
+    scores over: any collection of labels, or a ``CandidateSet`` of the loss's table,
+    which the loss then reads as it is."""
 
     tokens: np.ndarray
     labels: list
-    candidates: set
-
-    def validate(self) -> None:
-        if not len(self.labels):
-            raise ValueError("empty training batch")
-        if len(self.labels) != len(self.tokens):
-            raise ValueError(f"{len(self.labels)} labels for {len(self.tokens)} token matrices")
-        for label in self.labels:
-            if label not in self.candidates:
-                raise ValueError(f"true label {label} missing from candidate set")
+    candidates: Collection
 
 
 def augmented_logits(cos, other_logit: float) -> np.ndarray:
@@ -267,7 +259,7 @@ def augmented_logits(cos, other_logit: float) -> np.ndarray:
     ``TEMPERATURE * cos``, then the input-independent OTHER logit in the last column."""
     cos = np.asarray(cos, dtype=np.float64)
     logits = np.empty(cos.shape[:-1] + (cos.shape[-1] + 1,))
-    logits[..., :-1] = TEMPERATURE * cos
+    np.multiply(TEMPERATURE, cos, out=logits[..., :-1])
     logits[..., -1] = other_logit
     return logits
 
@@ -287,9 +279,10 @@ def loss_gradients(batch: TrainingBatch, params: DecoderParams, table: LabelEmbe
     return out
 
 
-def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
-    """Loss, plus every gradient written once into ``grads`` if given, from one forward
-    and one backward pass over the batch.
+def _loss_and_grads(batch, params, table, beta, grads=None) -> float | None:
+    """The loss without ``grads``; with them, every gradient written once into ``grads``
+    and no loss, which no caller of the gradients reads. One forward pass, and one
+    backward pass for the gradients.
 
     Term 1: cross-entropy with the true label over candidates + OTHER.
     Term 2: cross-entropy with OTHER as target over (candidates + OTHER) \\ label;
@@ -297,39 +290,43 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float:
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    batch.validate()
-    candidates = sorted(batch.candidates)
+    if not len(batch.labels):
+        raise ValueError("empty training batch")
+    if len(batch.labels) != len(batch.tokens):
+        raise ValueError(f"{len(batch.labels)} labels for {len(batch.tokens)} token matrices")
+    candidates = CandidateSet.of(table, batch.candidates)
+    try:
+        idx = np.array([candidates.column[label] for label in batch.labels])
+    except KeyError as exc:
+        raise ValueError(f"true label {exc.args[0]} missing from candidate set") from None
     e, cache = _forward(batch.tokens, params)
     rows = np.arange(len(e))
-    col = {label: j for j, label in enumerate(candidates)}
-    idx = np.array([col[label] for label in batch.labels])
 
-    mat = table.matrix(candidates)
+    mat = candidates.matrix
     n = len(candidates)
     cos, e_hat, norms = label_cosines(e, mat)
     logits = augmented_logits(cos, params.other_logit)  # column n = OTHER
     p1 = softmax(logits)
-    loss = -np.log(np.maximum(p1[rows, idx], 1e-300))
+    if n > 1:  # the logits are spent once p1 is out, so they take the true label's -inf
+        logits[rows, idx] = -np.inf
+        p2 = softmax(logits)
+    inv_n = 1.0 / len(e)
+    if grads is None:
+        loss = -np.log(np.maximum(p1[rows, idx], 1e-300))
+        if n > 1:
+            loss += beta * -np.log(np.maximum(p2[:, n], 1e-300))
+        return float(loss.sum() * inv_n)
+
     dlogits = p1
     dlogits[rows, idx] -= 1.0
     if n > 1:
-        reduced = logits.copy()
-        reduced[rows, idx] = -np.inf
-        p2 = softmax(reduced)
-        loss += beta * -np.log(np.maximum(p2[:, n], 1e-300))
         p2[:, n] -= 1.0
         dlogits += beta * p2
-    inv_n = 1.0 / len(e)
-    total = float(loss.sum() * inv_n)
-    if grads is None:
-        return total
-
     grads.tensors["other_logit"][...] = inv_n * dlogits[:, n].sum()
     # d(T * cos_k)/de = T * (m_k - cos_k * e_hat) / |e|
     dl = dlogits[:, :n]
     d_e = (inv_n * TEMPERATURE) * (dl @ mat - (dl * cos).sum(axis=1, keepdims=True) * e_hat) / norms
     _backward(d_e, params, cache, grads)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +372,18 @@ def optimizer_step(params: DecoderParams, grads: DecoderParams, state: Optimizer
 
 
 def online_update(new_id: int, store, params: DecoderParams,
-                  state: OptimizerState, table: LabelEmbeddingTable,
+                  state: OptimizerState, candidates: CandidateSet,
                   sampler_config, rng: np.random.Generator,
                   beta: float = 0.1) -> list[int]:
     """One training iteration on a batch built around a just-inserted sample.
 
-    The store must already hold ``new_id``. Returns the batch sample ids.
+    The store must already hold ``new_id``, and ``candidates`` must be its stored
+    labels as a ``CandidateSet`` of the label table: the loss's candidates, which change
+    only when a label is first stored. Returns the batch sample ids.
     """
     ids = store.compose_batch(new_id, sampler_config, rng)
     store.record_batched(ids, sampler_config)
-    batch = TrainingBatch(store.tokens(ids), store.labels(ids), set(store.seen_labels()))
-    state.grads = loss_gradients(batch, params, table, beta, state.grads)
+    batch = TrainingBatch(store.tokens(ids), store.labels(ids), candidates)
+    state.grads = loss_gradients(batch, params, candidates.table, beta, state.grads)
     optimizer_step(params, state.grads, state)
     return ids

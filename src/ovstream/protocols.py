@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compression
-from .core import FormatError, candidate_probabilities, zero_shot_probabilities
+from .core import CandidateSet, FormatError, candidate_probabilities, zero_shot_probabilities
 from .data import Dataset
 from .decoder import (
     OptimizerState,
@@ -241,6 +241,7 @@ class Engine:
         self.opt = OptimizerState(lr=config.lr, weight_decay=config.weight_decay)
         self.tracker = ClassAccuracyTracker(self.table, decay=config.ema_decay)
         self.store = ReplayStore()
+        self._stored = None  # CandidateSet of the stored labels, as of the last insert
         self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
         self._neighbours = FrozenNeighbours(dim)  # of the stored CLS rows, for nn-loo
         self._mix = (None, None)  # (sorted candidates, store size, optimizer step), _Mix
@@ -256,6 +257,16 @@ class Engine:
     def frozen_probabilities(self, tokens, candidates) -> dict[int, float]:
         return zero_shot_probabilities(np.asarray(tokens)[0], self.table, candidates)
 
+    def _candidates(self, label: int) -> CandidateSet:
+        """The labels stored once a sample of ``label`` is: the set ``process`` scores it
+        over, and the loss's candidates after its insert. The last insert's set is kept
+        while it holds ``label`` and every stored label, so it is worked out again only
+        for a label new to the store. Derived, so no snapshot holds it."""
+        stored = self._stored
+        if stored is None or label not in stored or len(stored) != len(self.store.seen_labels()):
+            stored = CandidateSet(self.table, {label, *self.store.seen_labels()})
+        return stored
+
     def process(self, sample_index: int) -> None:
         """Score one incoming sample, store it, update accuracy estimates, train one step.
         The sample is encoded and scored before it is stored, so a sample that raises
@@ -263,16 +274,16 @@ class Engine:
         tokens = self.dataset.tokens(sample_index)
         label = self.dataset.samples[sample_index][1]
         payload = self._payload(tokens)
-        # The decoded embedding and the CLS row, scored as one two-row batch over the
-        # labels stored once this sample is.
-        columns = zero_shot_probabilities(np.stack([decode(tokens, self.params), tokens[0]]),
-                                          self.table, {label, *self.store.seen_labels()})
-        labels = list(columns)
-        # argmax takes the first maximum: ties go to the lowest label id.
-        tuned, frozen = np.array(list(columns.values())).argmax(axis=0)
+        candidates = self._candidates(label)
+        # The decoded embedding and the CLS row, scored as one two-row batch. argmax takes
+        # the first maximum: ties go to the lowest label id.
+        tuned, frozen = zero_shot_probabilities(np.array([decode(tokens, self.params), tokens[0]]),
+                                                self.table, candidates).argmax(axis=1)
         sid = self.store.insert(label, payload)
+        self._stored = candidates
+        labels = candidates.labels
         self.tracker.ema_update(label, labels[tuned] == label, labels[frozen] == label)
-        online_update(sid, self.store, self.params, self.opt, self.table,
+        online_update(sid, self.store, self.params, self.opt, candidates,
                       self.config.sampler, self.rng, beta=self.config.beta)
 
     # -- evaluation ---------------------------------------------------------
@@ -309,10 +320,7 @@ class Engine:
         changes only where the store does); its alphas are filled in by ``predict``."""
         key = (tuple(sorted(candidates)), len(self.store), self.opt.step)
         if self._mix[0] != key:
-            labels = list(key[0])
-            seen = set(self.store.seen_labels())  # the labels the decoder has trained on
-            self._mix = (key, _Mix(labels, self.table.matrix(labels), seen,
-                                   seen.isdisjoint(labels)))
+            self._mix = (key, _Mix(self.table, key[0], set(self.store.seen_labels())))
         return self._mix[1]
 
     def _alphas(self, mix: _Mix) -> np.ndarray:
@@ -521,15 +529,15 @@ class Engine:
         return engine
 
 
-@dataclass
-class _Mix:
-    """An ``Engine``'s mix set-up for one sorted candidate set in one store state."""
+class _Mix(CandidateSet):
+    """An ``Engine``'s mix set-up for one candidate set in one store state: the set, the
+    ``seen`` labels (those the decoder has trained on), whether it is ``untrained`` on
+    every candidate, and the (C,) ``alphas``, once ``predict`` needs them."""
 
-    labels: list[int]
-    matrix: np.ndarray            # (C, D) label rows
-    seen: set[int]                # the labels the decoder has trained on
-    untrained: bool               # on none of ``labels``
-    alphas: np.ndarray | None = None  # (C,), once ``predict`` needs them
+    def __init__(self, table, candidates, seen: set[int]):
+        super().__init__(table, candidates)
+        self.seen, self.untrained = seen, seen.isdisjoint(self.labels)
+        self.alphas = None
 
 
 class SuitePredictions(Mapping):

@@ -3,8 +3,9 @@
 Payloads are whatever :func:`ovstream.compression.encode` stored (raw token
 matrices or compressed records), kept columnar: their arrays are stacked on a
 leading sample axis, and a sample's id is its row. Labels, batch counts and
-FWS weights stay in Python lists, with one id list per class. The first insert
-fixes the token shape (T, D) and the payload layout (raw, or the record's
+FWS weights stay in Python lists, with one id list per class and the stored
+labels kept sorted. The first insert fixes the token shape (T, D) and the
+payload layout (raw, or the record's
 component count and block kinds), as an engine's storage mode does; an insert
 of another shape or layout, or of a record whose blocks do not fit it, raises.
 ``tokens(ids)`` gathers the rows with one index array and reads them back
@@ -20,7 +21,7 @@ class, so its ids and the generator's state after it match those calls.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import islice
 
@@ -131,22 +132,21 @@ class StoredSample:
 # one stream of 32-bit words however the draws are grouped, and a bound of 1
 # consumes nothing. So one ``integers`` call over the bounds ``choice`` would
 # draw, for every class of a batch, followed by a replay of its algorithms,
-# gives the same positions and leaves the generator in the same state.
+# gives the same positions and leaves the generator in the same state. For one
+# pick, or with replacement, ``choice`` draws once per pick with bound n and the
+# position is the draw; the two functions below replay the other case, 2 <= count
+# <= n.
 
 def _choice_bounds(n: int, count: int) -> list[int]:
-    """Bounds of the integers ``choice`` draws, in its order."""
-    if n < count:                              # with replacement
-        return [n] * count
+    """Bounds of the integers ``choice`` draws for ``2 <= count <= n``, in its order."""
     if n <= 10000 or count <= n // 50:         # Floyd's picks, then their shuffle
         return [*range(n - count + 1, n + 1), *range(count, 1, -1)]
     return list(range(n, max(n - count, 1), -1))  # a tail shuffle of range(n)
 
 
 def _choice_positions(n: int, count: int, draws) -> list[int]:
-    """The positions ``choice`` returns, from an iterator over the integers
-    drawn with ``_choice_bounds(n, count)``; consumes exactly those."""
-    if n < count:
-        return list(islice(draws, count))
+    """The positions ``choice`` returns for ``2 <= count <= n``, from an iterator over
+    the integers drawn with ``_choice_bounds(n, count)``; consumes exactly those."""
     if n <= 10000 or count <= n // 50:
         # Floyd (Bentley & Floyd 1987): for j from n - count to n - 1, pick the
         # draw (bound j + 1), or j when the draw is picked already.
@@ -176,7 +176,9 @@ class ReplayStore:
         self._labels: list[int] = []
         self._counts: list[int] = []
         self._weights: list[float] = []
+        self._classes: list[int] = []          # the stored labels, ascending
         self._by_class: dict[int, list[int]] = {}
+        self._fws = (None, [])                 # (decay, floor), FWS weight of each count
         self._layout = None                    # payload layout key, fixed by the first insert
         self._columns: list[_Column] = []      # payload arrays, row = sample id
 
@@ -203,6 +205,8 @@ class ReplayStore:
         self._labels.append(label)
         self._counts.append(0)
         self._weights.append(1.0)
+        if label not in self._by_class:
+            insort(self._classes, label)
         self._by_class.setdefault(label, []).append(sid)
         return sid
 
@@ -213,7 +217,8 @@ class ReplayStore:
 
     def _ids(self, ids) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
+        # Read as unsigned, a negative id exceeds every valid one: one bound checks both ends.
+        if ids.size and ids.view(np.uint64).max() >= len(self):
             raise ValueError(f"unknown sample id in {ids.tolist()}")
         return ids
 
@@ -239,7 +244,7 @@ class ReplayStore:
         return compression.to_tokens(self._payloads(ids))
 
     def seen_labels(self) -> list[int]:
-        return sorted(self._by_class)
+        return list(self._classes)
 
     # -- batching -----------------------------------------------------------
 
@@ -279,9 +284,10 @@ class ReplayStore:
         return [new_id] + companions
 
     def _class_balanced(self, new_id: int, want: int, rng) -> list[int]:
-        classes = self.seen_labels()
+        classes = self._classes
         k = min(want, len(classes))
-        chosen = rng.choice(classes, size=k, replace=False).tolist()
+        # Choosing k class positions draws as choosing k of the labels, without the array.
+        chosen = [classes[c] for c in rng.choice(len(classes), size=k, replace=False).tolist()]
         base, extra = divmod(want, k)
         new_label = self._labels[new_id]
         plans, bounds = [], []
@@ -294,20 +300,27 @@ class ReplayStore:
             if label == new_label:
                 skip = bisect_left(members, new_id)
                 n -= 1
-            if n and count:
-                bounds += _choice_bounds(n, count)
-                plans.append((members, skip, n, count))
+            if n:
+                replay = 1 < count <= n  # else each position is its draw, bound n
+                bounds += _choice_bounds(n, count) if replay else [n] * count
+                plans.append((members, skip, n, count, replay))
         draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64)).tolist())
-        companions = []
-        for members, skip, n, count in plans:
-            companions += [members[p + (p >= skip)]
-                           for p in _choice_positions(n, count, draws)]
-        return companions
+        return [members[p + (p >= skip)] for members, skip, n, count, replay in plans
+                for p in (_choice_positions(n, count, draws) if replay
+                          else islice(draws, count))]
 
     def record_batched(self, ids, config: SamplerConfig) -> None:
-        """Bump batch counts (twice for an id batched twice) and decay FWS weights."""
+        """Bump batch counts (twice for an id batched twice) and set each FWS weight
+        from its count, free of accumulation error. Every id is checked before the
+        first write, so a rejected batch leaves the store as it was."""
+        ids = self._ids(ids).tolist()
+        if self._fws[0] != (config.decay, config.weight_floor):
+            self._fws = ((config.decay, config.weight_floor), [])
+        counts, weights, table = self._counts, self._weights, self._fws[1]
         for sid in ids:
-            sid = self._check(sid)
-            self._counts[sid] += 1
-            # Recomputed from the count, free of accumulation error.
-            self._weights[sid] = config.fws_weight(self._counts[sid])
+            counts[sid] += 1
+            # ``config.fws_weight`` of each count, once: Python's ``pow`` (numpy's
+            # ``power`` rounds some of them otherwise).
+            while len(table) <= counts[sid]:
+                table.append(config.fws_weight(len(table)))
+            weights[sid] = table[counts[sid]]

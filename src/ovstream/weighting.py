@@ -44,13 +44,14 @@ class ClassAccuracyTracker:
         1/(1-0.99) is 99.99999999999991, so at decay 0.99 that is 99 observations.
         """
         cold_start = int(math.floor(1.0 / (1.0 - self.decay))) if self.decay < 1.0 else 0
-        (row,) = self.table.rows([label])
-        n, ind = self.n_seen[row], np.array([tuned_correct, frozen_correct], float)
-        if n < cold_start:
-            self.acc[row] = (self.acc[row] * n + ind) / (n + 1)
-        else:
-            self.acc[row] = self.decay * self.acc[row] + (1.0 - self.decay) * ind
-        self.n_seen[row] += 1
+        row = self.table.row(label)
+        n, decay = int(self.n_seen[row]), self.decay
+        # Python floats: the IEEE operations numpy's would do, without its call overhead.
+        hits = (float(tuned_correct), float(frozen_correct))
+        self.acc[row] = [(c * n + hit) / (n + 1) if n < cold_start
+                         else decay * c + (1.0 - decay) * hit
+                         for c, hit in zip(self.acc[row].tolist(), hits)]
+        self.n_seen[row] = n + 1
 
 
 def alpha(confidence, all_candidates_seen: bool = False) -> np.ndarray:

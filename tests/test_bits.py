@@ -47,9 +47,15 @@ CONFIGS = {
     "cold-start": ({"num_classes": 2, "samples_per_class": 105, "dim": 8, "tokens": 3,
                     "noise": 0.3, "label_alignment": 0.6}, {"lr": 1e-2}, "data_incremental",
                    [50, 100]),
+    # More classes than batch slots, so a class-balanced batch can give every chosen
+    # class one pick; early batches draw with replacement, middle ones Floyd's picks.
+    "many-classes": ({"num_classes": 12, "samples_per_class": 4, "dim": 16, "tokens": 6,
+                      "noise": 0.3, "label_alignment": 0.6}, {"compression": "none", "lr": 1e-2},
+                     "data_incremental", [25, 50, 100]),
 }
-RUNS = ([(name, w, seed) for name in CONFIGS if name != "cold-start"
-         for w in WEIGHTINGS for seed in (0, 1)] + [("cold-start", "ocw", 0)])
+RUNS = ([(name, w, seed) for name in CONFIGS if name not in ("cold-start", "many-classes")
+         for w in WEIGHTINGS for seed in (0, 1)] + [("cold-start", "ocw", 0)]
+        + [("many-classes", w, seed) for w in ("ocw", "nn-loo") for seed in (0, 1)])
 
 
 def run_engine(name: str, weighting: str, seed: int) -> tuple[Engine, str]:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ovstream.core import (
+    CandidateSet,
     LabelEmbeddingTable,
     NumericError,
     argmax_label,
@@ -99,6 +100,22 @@ class TestLabelTable:
         assert small_table.matrix([0])[0, 0] != 99.0
 
 
+class TestCandidateSet:
+    def test_sorted_labels_rows_and_columns(self, small_table):
+        got = CandidateSet(small_table, {3, 0, 2})
+        assert got.labels == list(got) == [0, 2, 3] and len(got) == 3
+        assert got.column == {0: 0, 2: 1, 3: 2} and 2 in got and 1 not in got
+        np.testing.assert_array_equal(got.matrix, small_table.matrix([0, 2, 3]))
+
+    def test_of_reuses_a_set_of_the_same_table_only(self, small_table):
+        built = CandidateSet(small_table, [1, 0])
+        assert CandidateSet.of(small_table, built) is built
+        other = LabelEmbeddingTable({0: [1.0] * 8, 1: [0.5] * 8})
+        rebuilt = CandidateSet.of(other, built)
+        assert rebuilt.table is other and rebuilt.labels == [0, 1]
+        np.testing.assert_array_equal(rebuilt.matrix, other.matrix([0, 1]))
+
+
 class TestZeroShotProbabilities:
     def test_identical_candidates_split_evenly(self):
         table = LabelEmbeddingTable({0: [1.0, 0.0], 1: [1.0, 0.0]})
@@ -163,13 +180,13 @@ class TestZeroShotProbabilities:
             zero_shot_probabilities([1.0] * 8, small_table, [0, 99])
 
 
-    def test_matrix_gives_columns_of_the_vector_results(self, small_table, rng):
+    def test_matrix_gives_rows_of_the_vector_results(self, small_table, rng):
         batch = rng.standard_normal((7, small_table.dim)).astype(np.float32)
-        labels = small_table.labels()
-        columns = zero_shot_probabilities(batch, small_table, labels)
-        assert list(columns) == sorted(labels)
+        labels = small_table.labels()[::-1]
+        probs = zero_shot_probabilities(batch, small_table, labels)
+        assert probs.shape == (7, len(labels))
         for i, row in enumerate(batch):
-            assert {y: float(col[i]) for y, col in columns.items()} == \
+            assert dict(zip(sorted(labels), probs[i].tolist())) == \
                 zero_shot_probabilities(row, small_table, labels)
         with pytest.raises(ValueError):
             zero_shot_probabilities(np.full((2, small_table.dim), np.nan), small_table, labels)

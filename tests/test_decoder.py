@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from ovstream.core import TEMPERATURE, LabelEmbeddingTable, label_cosines
+from ovstream.core import TEMPERATURE, CandidateSet, LabelEmbeddingTable, label_cosines
 from ovstream.decoder import (
     DecoderParams,
     OptimizerState,
@@ -19,6 +19,11 @@ from ovstream.decoder import (
     zeros_like_params,
 )
 from ovstream.replay import ReplayStore, SamplerConfig
+
+
+def _stored(table, store):
+    """The store's labels as the candidate set ``online_update`` trains over."""
+    return CandidateSet(table, store.seen_labels())
 
 
 class TestDecode:
@@ -331,8 +336,8 @@ class TestFlatBuffer:
         state = OptimizerState(lr=1e-3)
         for label in range(3):
             sid = store.insert(label, rng.standard_normal((4, 8)).astype(np.float32))
-        online_update(sid, store, params, state, table, SamplerConfig(batch_size=4),
-                      np.random.default_rng(0))
+        online_update(sid, store, params, state, _stored(table, store),
+                      SamplerConfig(batch_size=4), np.random.default_rng(0))
         batch = TrainingBatch(rng.standard_normal((1, 4, 8)), [1], {0, 1, 2})
         first = loss_gradients(batch, params, table, 0.1)
         want = first.flat.copy()
@@ -378,7 +383,7 @@ class TestOnlineUpdate:
         table, store, params, state = self._setup(rng)
         tokens = rng.standard_normal((3, 6)).astype(np.float32)
         sid = store.insert(0, tokens)
-        ids = online_update(sid, store, params, state, table,
+        ids = online_update(sid, store, params, state, _stored(table, store),
                             SamplerConfig(batch_size=4),
                             np.random.default_rng(0))
         assert ids == [sid]
@@ -389,7 +394,7 @@ class TestOnlineUpdate:
         for label in range(10):
             store.insert(label, rng.standard_normal((3, 6)).astype(np.float32))
         new = store.insert(0, rng.standard_normal((3, 6)).astype(np.float32))
-        ids = online_update(new, store, params, state, table,
+        ids = online_update(new, store, params, state, _stored(table, store),
                             SamplerConfig(strategy="class_balanced", batch_size=4),
                             np.random.default_rng(1))
         assert ids[0] == new
@@ -407,7 +412,7 @@ class TestOnlineUpdate:
                 sid = store.insert(step % 3, gen.standard_normal((3, 6)).astype(np.float32))
                 config, draws = SamplerConfig(batch_size=4), np.random.default_rng(step)
                 if reuse:
-                    online_update(sid, store, params, state, table, config, draws)
+                    online_update(sid, store, params, state, _stored(table, store), config, draws)
                     continue
                 ids = store.compose_batch(sid, config, draws)
                 store.record_batched(ids, config)
@@ -425,7 +430,7 @@ class TestOnlineUpdate:
             for step in range(20):
                 tokens = gen.standard_normal((3, 6)).astype(np.float32)
                 sid = store.insert(step % 3, tokens)
-                online_update(sid, store, params, state, table,
+                online_update(sid, store, params, state, _stored(table, store),
                               SamplerConfig(batch_size=4),
                               np.random.default_rng(1000 + step))
             runs.append({k: v.copy() for k, v in params.tensors.items()})
@@ -605,6 +610,24 @@ class TestBatchedMatchesPerSampleReference:
         assert sorted(grads.tensors) == sorted(want_grads)
         for name, want in want_grads.items():
             _assert_rel_close(grads.tensors[name], want)
+
+    @pytest.mark.parametrize("variant", ["linear", "block"])
+    def test_any_candidate_collection_gives_the_same_bytes(self, variant):
+        # A set, a sorted list, a reversed tuple or a CandidateSet: the loss scores the
+        # sorted candidates from each, so the gradients are the same bytes. combined_loss
+        # still returns the loss, which the gradient path no longer computes.
+        table, params, rng = _instance(variant, seed=5)
+        tokens = rng.standard_normal((6, 4, 8)).astype(np.float32)
+        labels = [3, 0, 3, 1, 4, 0]
+        forms = [{0, 1, 3, 4}, [0, 1, 3, 4], (4, 3, 1, 0), CandidateSet(table, {4, 0, 3, 1})]
+        grads = {loss_gradients(TrainingBatch(tokens, labels, c), params, table, 0.3)
+                 .flat.tobytes() for c in forms}
+        assert len(grads) == 1
+        losses = {combined_loss(TrainingBatch(tokens, labels, c), params, table, 0.3)
+                  for c in forms}
+        assert len(losses) == 1
+        want, _ = _ref_loss_and_grads(TrainingBatch(tokens, labels, forms[0]), params, table, 0.3)
+        _assert_rel_close(losses.pop(), want)
 
     def test_block_decode_is_the_full_block_cls_row(self):
         _, params, rng = _instance("block", seed=4)

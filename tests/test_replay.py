@@ -165,6 +165,16 @@ class TestFws:
         assert store.sample(1).fws_weight == 0.99 ** 7
         assert store.sample(0).fws_weight == 1.0
 
+    def test_rejected_batch_leaves_the_store_as_it_was(self):
+        # Every id is checked before the first count or weight is written.
+        store = _store_with([0, 1, 2])
+        config = SamplerConfig(strategy="fws", decay=0.99)
+        for bad in ([0, 1, 99], [2, -1], [3]):
+            with pytest.raises(ValueError, match="unknown sample id"):
+                store.record_batched(bad, config)
+        assert [store.sample(i).batch_count for i in range(3)] == [0, 0, 0]
+        assert [store.sample(i).fws_weight for i in range(3)] == [1.0, 1.0, 1.0]
+
     def test_weight_floor_applies(self):
         store = _store_with([0])
         config = SamplerConfig(strategy="fws", decay=0.5, weight_floor=0.01)

@@ -1,0 +1,124 @@
+"""Paired benchmark runs: a base commit against the working tree, interleaved.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/bench_pairs.py --workload NAME [--pairs N] [--seconds S]
+                                 [--base REF | --base-dir DIR]
+
+Runs ``perfbench/run.py --trace 0`` on seeds 1..N, once in a checkout of the
+base (``--base``, default ``HEAD``, checked out into a temporary ``git
+worktree`` that is removed afterwards; or ``--base-dir``, an existing
+checkout) and once in the working tree. The two runs of a seed form a pair;
+the base runs first on odd seeds and second on even ones, so a drift in the
+machine's speed falls on both sides alike. It then prints, for every
+end-to-end metric of ``BENCHMARK.json``, the base and working-tree medians,
+their ratio, the base's interquartile range over its median, and in how many
+pairs the working tree was better. It gates nothing: the exit code is 1 only
+when a run failed to produce a result. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_result(stdout: str) -> dict[str, float]:
+    """``{metric: value}`` from the last line ``perfbench/run.py`` prints."""
+    last = json.loads(stdout.strip().splitlines()[-1])
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def summarize(pairs, better: dict[str, str]) -> list[dict]:
+    """One row per metric of ``better`` (its ``"lower"`` or ``"higher"``) from a list of
+    ``(base, new)`` metric dicts: both medians, new over base, the base's IQR over its
+    median, and the pairs in which new is strictly better."""
+    rows = []
+    for name, direction in better.items():
+        got = [(b[name], n[name]) for b, n in pairs
+               if b.get(name) is not None and n.get(name) is not None]
+        if not got:
+            continue
+        base, new = [b for b, _ in got], [n for _, n in got]
+        base_med, new_med = statistics.median(base), statistics.median(new)
+        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
+        wins = sum((n < b) if direction == "lower" else (n > b) for b, n in got)
+        rows.append({"metric": name, "base": base_med, "new": new_med,
+                     "ratio": new_med / base_med if base_med else float("nan"),
+                     "base_iqr": (q3 - q1) / base_med if base_med else float("nan"),
+                     "wins": wins, "pairs": len(got)})
+    return rows
+
+
+def format_table(rows: list[dict]) -> str:
+    lines = ["| metric | base median | new median | new / base | base IQR / median | wins |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    for r in rows:
+        lines.append(f"| {r['metric']} | {r['base']:.6g} | {r['new']:.6g} | {r['ratio']:.3f} "
+                     f"| {r['base_iqr']:.3f} | {r['wins']}/{r['pairs']} |")
+    return "\n".join(lines)
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    if not proc.stdout.strip():
+        raise RuntimeError(f"no result from {checkout} seed {seed}: {proc.stderr[-500:]}")
+    if proc.returncode:
+        print(f"warning: {checkout} seed {seed} failed an output check", file=sys.stderr)
+    return parse_result(proc.stdout)
+
+
+def run_pairs(base: Path, workload: str, pairs: int, seconds: float) -> list[tuple]:
+    results = []
+    for seed in range(1, pairs + 1):
+        order = [base, ROOT] if seed % 2 else [ROOT, base]
+        got = {checkout: run_once(checkout, workload, seed, seconds) for checkout in order}
+        results.append((got[base], got[ROOT]))
+        print(f"seed {seed}: base {json.dumps(got[base])}", file=sys.stderr)
+        print(f"seed {seed}: new  {json.dumps(got[ROOT])}", file=sys.stderr)
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=55.0)
+    where = parser.add_mutually_exclusive_group()
+    where.add_argument("--base", default="HEAD", help="git ref to compare against")
+    where.add_argument("--base-dir", type=Path, help="an existing checkout of the base")
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    try:
+        if args.base_dir is not None:
+            results = run_pairs(args.base_dir.resolve(), args.workload, args.pairs, args.seconds)
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                base = Path(tmp) / "base"
+                subprocess.run(["git", "worktree", "add", "--detach", str(base), args.base],
+                               cwd=ROOT, check=True, capture_output=True)
+                try:
+                    results = run_pairs(base, args.workload, args.pairs, args.seconds)
+                finally:
+                    subprocess.run(["git", "worktree", "remove", "--force", str(base)],
+                                   cwd=ROOT, capture_output=True)
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds 1-{args.pairs}")
+    print(format_table(summarize(results, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
