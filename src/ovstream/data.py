@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .core import FormatError, LabelEmbeddingTable
+from .core import FormatError, LabelEmbeddingTable, unit_rows
 from . import compression
 
 
@@ -58,9 +58,10 @@ class Dataset:
 
     ``label_ids`` is the (N,) array of the sample labels and ``token_rows`` one
     (N, T, D) float32 array of the token matrices, each sample holding its row as a
-    view, so ``tokens`` reads a batch with one gather; ``rows``, when given, is that
-    array already filled (``generate`` writes into it), else the matrices are copied
-    into a new one."""
+    view, so ``tokens`` reads a batch with one gather. ``rows``, when given, is that
+    array already filled (``generate`` writes into it) and holds the samples' matrices,
+    so only their labels are checked, as one set; else each sample is checked and
+    copied into a new one."""
 
     label_table: LabelEmbeddingTable
     samples: list            # of (token matrix, label id)
@@ -69,17 +70,20 @@ class Dataset:
 
     def __post_init__(self, rows) -> None:
         self.shape = (self.samples[0][0].shape[0], self.label_table.dim) if self.samples else None
-        for i, (payload, label) in enumerate(self.samples):
-            if problem := _mismatch(payload, label, self.label_table, self.shape):
-                raise ValueError(f"sample {i}: {problem}")
-        self.label_ids = np.array([label for _, label in self.samples], np.int64)
-        shape = (len(self.samples), *(self.shape or (0, 0)))
+        labels = [label for _, label in self.samples]
+        shape = (len(labels), *(self.shape or (0, 0)))
         if rows is None:
             rows = np.empty(shape, np.float32)
-            for row, (payload, _) in zip(rows, self.samples):
+            for i, (row, (payload, label)) in enumerate(zip(rows, self.samples)):
+                if problem := _mismatch(payload, label, self.label_table, self.shape):
+                    raise ValueError(f"sample {i}: {problem}")
                 row[...] = payload
         elif rows.dtype != np.float32 or rows.shape != shape:
             raise ValueError(f"rows of {rows.dtype} {rows.shape} do not hold the samples")
+        elif not set(labels).issubset(self.label_table.labels()):
+            i = next(i for i, y in enumerate(labels) if y not in self.label_table)
+            raise ValueError(f"sample {i}: label {labels[i]} is not in the label table")
+        self.label_ids = np.array(labels, np.int64)
         if (zero := np.flatnonzero(~rows[:, :1].any(axis=(1, 2)))).size:
             raise ValueError(f"sample {zero[0]}: CLS row has zero norm")
         self.token_rows = rows
@@ -105,8 +109,9 @@ def _mismatch(payload, label: int, labels, shape: tuple) -> str:
     return ""
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+# ``generate`` draws at most this many bytes of float64 noise per call, in whole
+# samples and at least one.
+GENERATE_CHUNK_BYTES = 1 << 18
 
 
 def _draw_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
@@ -132,29 +137,32 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     centers = _draw_centers(spec, rng_centers)
 
-    entries = {}
-    for y in range(spec.num_classes):
-        if spec.label_alignment >= 1.0:
-            emb = centers[y]
-        else:
-            drift = _unit(rng_labels.standard_normal(spec.dim))
-            emb = _unit(spec.label_alignment * centers[y]
-                        + (1.0 - spec.label_alignment) * drift)
-        entries[y] = emb.astype(np.float32)
-    table = LabelEmbeddingTable(entries)
+    emb = centers
+    if spec.label_alignment < 1.0:  # one drift draw per class, in class order
+        drift = unit_rows(rng_labels.standard_normal((spec.num_classes, spec.dim)))[0]
+        emb = unit_rows(spec.label_alignment * centers
+                        + (1.0 - spec.label_alignment) * drift)[0]
+    table = LabelEmbeddingTable(dict(enumerate(emb.astype(np.float32))))
 
-    labels = [y for y in range(spec.num_classes) for _ in range(spec.samples_per_class)]
-    rows = np.empty((len(labels), spec.tokens, spec.dim), np.float32)
-    patch_rank = min(3, spec.dim)
-    for row, y in zip(rows, labels):
-        cls = _unit(centers[y] + spec.noise * rng_noise.standard_normal(spec.dim))
-        basis = rng_noise.standard_normal((patch_rank, spec.dim))
-        basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-        coeffs = 0.05 * rng_noise.standard_normal((spec.tokens - 1, patch_rank))
-        patches = cls + coeffs @ basis
-        patches += 1e-3 * rng_noise.standard_normal(patches.shape)
-        row[0], row[1:] = cls, patches  # rounded to float32 on assignment
-    return Dataset(table, list(zip(rows, labels)), rows=rows)
+    labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
+    n, t, d, r = len(labels), spec.tokens, spec.dim, min(3, spec.dim)
+    rows = np.empty((n, t, d), np.float32)
+    # A sample's draws, in order: CLS noise, patch basis, coefficients, patch noise.
+    # One standard_normal call per chunk fills them as one call per sample would.
+    widths = (d, r * d, (t - 1) * r, (t - 1) * d)
+    step = max(1, GENERATE_CHUNK_BYTES // (8 * sum(widths)))
+    for start in range(0, n, step):
+        draws = rng_noise.standard_normal((min(step, n - start), sum(widths)))
+        v, basis, coeffs, noise = np.split(draws, np.cumsum(widths[:-1]), axis=1)
+        v = centers[labels[start:start + len(v)]] + spec.noise * v
+        cls = unit_rows(v)[0]  # norms by np.linalg.norm's ddot, row by row
+        basis = basis.reshape(-1, r, d)
+        basis /= np.linalg.norm(basis, axis=-1, keepdims=True)
+        patches = cls[:, None] + (0.05 * coeffs.reshape(-1, t - 1, r)) @ basis
+        patches += 1e-3 * noise.reshape(patches.shape)
+        out = rows[start:start + len(v)]
+        out[:, 0], out[:, 1:] = cls, patches  # rounded to float32 on assignment
+    return Dataset(table, list(zip(rows, labels.tolist())), rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,8 @@ def _backward(d_e: np.ndarray, params: DecoderParams, cache, grads: DecoderParam
 def decode(tokens, params: DecoderParams) -> np.ndarray:
     """Output embedding (float32) of a T x D token matrix, or B x D of a B x T x D array."""
     x = np.asarray(tokens)
-    e, _ = _forward(x if x.ndim == 3 else x[None], params)
-    with np.errstate(over="ignore"):  # inf from a diverged decoder: the scorer raises on it
+    with np.errstate(over="ignore", invalid="ignore"):  # the scorer raises on inf and NaN
+        e, _ = _forward(x if x.ndim == 3 else x[None], params)
         return (e if x.ndim == 3 else e[0]).astype(np.float32)
 
 

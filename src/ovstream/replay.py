@@ -181,6 +181,7 @@ class ReplayStore:
         self._fws = (None, [])                 # (decay, floor), FWS weight of each count
         self._layout = None                    # payload layout key, fixed by the first insert
         self._columns: list[_Column] = []      # payload arrays, row = sample id
+        self._checked = (None, None)           # (the id list last checked, its array)
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -216,11 +217,16 @@ class ReplayStore:
         return sid
 
     def _ids(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
+        # The store only grows, so an id list once checked stays valid: the last is kept.
+        if isinstance(ids, list) and ids == self._checked[0]:
+            return self._checked[1]
+        checked = np.asarray(ids, dtype=np.int64)
         # Read as unsigned, a negative id exceeds every valid one: one bound checks both ends.
-        if ids.size and ids.view(np.uint64).max() >= len(self):
-            raise ValueError(f"unknown sample id in {ids.tolist()}")
-        return ids
+        if checked.size and checked.view(np.uint64).max() >= len(self):
+            raise ValueError(f"unknown sample id in {checked.tolist()}")
+        if isinstance(ids, list):
+            self._checked = (list(ids), checked)
+        return checked
 
     def label(self, sid: int) -> int:
         return self._labels[self._check(sid)]

@@ -38,3 +38,37 @@ def test_summary_of_canned_pairs():
     table = bench_pairs.format_table(list(rows.values()))
     assert table.splitlines()[2].startswith("| rate | 102.5 | 122.5 | 1.195 |")
     assert table.splitlines()[2].endswith("| 3/4 |")
+
+
+def test_per_pair_ratio_range():
+    pairs = [({"rate": b}, {"rate": n}) for b, n in ((100.0, 130.0), (110.0, 99.0),
+                                                     (90.0, 99.0))]
+    (row,) = bench_pairs.summarize(pairs, {"rate": "higher"})
+    assert (row["ratio_min"], row["ratio_max"]) == (0.9, 1.3)
+    assert "| 0.900–1.300 |" in bench_pairs.format_table([row])
+
+
+def test_one_table_per_workload(monkeypatch, capsys, tmp_path):
+    # Without --workload every workload of BENCHMARK.json runs, each with its table.
+    ran = []
+
+    def fake_run_pairs(base, workload, pairs, seconds):
+        ran.append((base, workload, pairs, seconds))
+        return [(bench_pairs.parse_result(_stdout(setup_s=2.0)),
+                 bench_pairs.parse_result(_stdout(setup_s=1.0)))] * pairs
+
+    monkeypatch.setattr(bench_pairs, "run_pairs", fake_run_pairs)
+    names = [w["name"] for w in json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert bench_pairs.main(["--base-dir", str(tmp_path), "--pairs", "3"]) == 0
+    assert [w for _, w, _, _ in ran] == names
+    assert {(b, p) for b, _, p, _ in ran} == {(tmp_path.resolve(), 3)}
+    out = capsys.readouterr().out
+    for name in names:
+        assert f"{name}: 3 pairs of 55 s runs, seeds 1-3" in out
+    assert out.count("| setup_s | 2 | 1 | 0.500 | 0.500–0.500 | 0.000 | 3/3 |") == len(names)
+
+    ran.clear()
+    assert bench_pairs.main(["--base-dir", str(tmp_path), "--workload", "b", "a",
+                             "--pairs", "1", "--seconds", "2"]) == 0
+    assert [(w, s) for _, w, _, s in ran] == [("b", 2.0), ("a", 2.0)]

@@ -2,13 +2,14 @@
 
 import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ovstream.compression import compress
 from ovstream.core import FormatError, LabelEmbeddingTable, argmax_label, zero_shot_probabilities
-from ovstream.data import Dataset, SyntheticSpec, generate, load, save
+from ovstream.data import GENERATE_CHUNK_BYTES, Dataset, SyntheticSpec, generate, load, save
 
 
 def _zero_shot_accuracy(dataset):
@@ -109,6 +110,55 @@ class TestGenerate:
             s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
             assert np.sum(s[:5] ** 2) / np.sum(s ** 2) >= 0.95
 
+    # name -> (spec, sha256 over token_rows, label_ids and the table's embeddings),
+    # recorded from the per-sample generation loop that chunked generation replaced.
+    # "many-chunks" draws its 120 samples in four chunks of GENERATE_CHUNK_BYTES.
+    PINNED = {
+        "dim-1": (dict(num_classes=2, samples_per_class=3, dim=1, tokens=4, seed=1),
+                  "5d7b1a4fb79a4dd516b459e9da343a6f576b57ce445c660883a098588dae2cde"),
+        "dim-2": (dict(num_classes=3, samples_per_class=3, dim=2, tokens=4, seed=2),
+                  "bfea3599ec51bf8e27dd55a915ebf376784b4837aa270973b3a4dc1f7c02c03f"),
+        "tokens-2": (dict(num_classes=3, samples_per_class=4, dim=8, tokens=2, seed=3),
+                     "86a5c002c146e8e55b70bcd8c7e6fd8749ee49a4cdca143984c5766398ee69a9"),
+        "noise-0": (dict(num_classes=3, samples_per_class=4, dim=8, tokens=5, noise=0.0,
+                         seed=4),
+                    "90491d852cb7995c87c4cffc8ebdfa3a0a36515cc27eab7e23c71fb9f2d3df96"),
+        "aligned": (dict(num_classes=3, samples_per_class=4, dim=8, tokens=5, noise=0.3,
+                         label_alignment=1.0, seed=5),
+                    "e6eb930d646b3fff8b481cf13905b8922fd8aadf6932af7e4fb5588045736d79"),
+        "drifted": (dict(num_classes=3, samples_per_class=4, dim=8, tokens=5, noise=0.3,
+                         label_alignment=0.8, seed=5),
+                    "762a3f0bbc37d02bd8868fd32f877a5d2709942c79337528d4c96aa260d90374"),
+        "one-class": (dict(num_classes=1, samples_per_class=5, dim=8, tokens=5, seed=6),
+                      "e0708efa15c431e62652d827260a5614d72aa043bc475eff6f20bfeec90c1954"),
+        "many-chunks": (dict(num_classes=4, samples_per_class=30, dim=64, tokens=10, seed=7),
+                        "7d854800d35b905998507f3d685d49f53825111ea759f88c02fb5544532a1b57"),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_generated_bytes_are_pinned(self, name):
+        spec, want = self.PINNED[name]
+        ds = generate(SyntheticSpec(**spec))
+        h = hashlib.sha256(ds.token_rows.tobytes())
+        h.update(ds.label_ids.tobytes())
+        for y in ds.labels():
+            h.update(ds.label_table.embedding(y).tobytes())
+        assert h.hexdigest() == want
+
+    def test_working_set_is_the_output_and_a_few_chunks(self):
+        # One draw for all 2000 samples would hold 2000 x 859 float64 values, 13.7 MB,
+        # beside the 5.1 MB of token rows; chunks of GENERATE_CHUNK_BYTES hold 38.
+        generate(SyntheticSpec(num_classes=2, samples_per_class=2))
+        tracemalloc.start()
+        try:
+            ds = generate(SyntheticSpec(num_classes=20, samples_per_class=100, dim=64,
+                                        tokens=10, seed=1))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held >= ds.token_rows.nbytes
+        assert peak - held <= 4 * GENERATE_CHUNK_BYTES
+
     def test_cls_row_is_unit_norm(self):
         ds = generate(SyntheticSpec(num_classes=2, samples_per_class=3, seed=4))
         for i in range(6):
@@ -132,6 +182,11 @@ class TestDatasetShape:
     def test_mixed_samples_rejected_in_memory(self, second, match):
         with pytest.raises(ValueError, match=match):
             Dataset(self._table(), [(np.ones((4, 2)), 0), second])
+
+    def test_label_outside_the_table_rejected_with_filled_rows(self):
+        rows = np.ones((3, 4, 2), np.float32)
+        with pytest.raises(ValueError, match="sample 1: label 7 is not in the label table"):
+            Dataset(self._table(), [(rows[0], 0), (rows[1], 7), (rows[2], 9)], rows=rows)
 
     def test_zero_norm_cls_row_rejected_in_memory(self):
         zero_cls = np.ones((4, 2))

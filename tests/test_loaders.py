@@ -278,6 +278,16 @@ class TestEngineSnapshot:
             with pytest.raises(ValueError, match="non-finite"):
                 engine.process(2)
 
+    def test_huge_norm_gain_in_the_block_forward_raises_without_a_warning(self):
+        # On raw storage the next sample reaches the block forward, whose matmuls
+        # overflow quietly before the scorer rejects the non-finite embedding.
+        engine = _trained_engine(dict(SNAPSHOT_CONFIGS[0], compression="none"))
+        engine.params.tensors["ln1_gain"][0] = 1e303
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                engine.process(2)
+
     # Each edit leaves the engine in a state that no stream could reach.
     @pytest.mark.parametrize("edit, match", [
         (lambda e: e.params.tensors["other_logit"].fill(np.nan), "non-finite"),

@@ -175,6 +175,19 @@ class TestFws:
         assert [store.sample(i).batch_count for i in range(3)] == [0, 0, 0]
         assert [store.sample(i).fws_weight for i in range(3)] == [1.0, 1.0, 1.0]
 
+    def test_an_id_list_changed_after_its_check_is_checked_again(self):
+        # The store keeps the last id list it checked; a list edited in place is new.
+        store = _store_with([0, 1, 2])
+        config = SamplerConfig(strategy="fws", decay=0.99)
+        ids = [0, 1]
+        store.record_batched(ids, config)
+        assert store.labels(ids) == [0, 1] and store.tokens(ids).shape[0] == 2
+        ids[1] = -1
+        for read in (store.labels, store.tokens, lambda i: store.record_batched(i, config)):
+            with pytest.raises(ValueError, match="unknown sample id"):
+                read(ids)
+        assert [store.sample(i).batch_count for i in range(3)] == [1, 1, 0]
+
     def test_weight_floor_applies(self):
         store = _store_with([0])
         config = SamplerConfig(strategy="fws", decay=0.5, weight_floor=0.01)

@@ -2,17 +2,19 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/bench_pairs.py --workload NAME [--pairs N] [--seconds S]
+    python3 tools/bench_pairs.py [--workload NAME ...] [--pairs N] [--seconds S]
                                  [--base REF | --base-dir DIR]
 
-Runs ``perfbench/run.py --trace 0`` on seeds 1..N, once in a checkout of the
+For each named workload (default: every workload of ``BENCHMARK.json``), runs
+``perfbench/run.py --trace 0`` on seeds 1..N, once in a checkout of the
 base (``--base``, default ``HEAD``, checked out into a temporary ``git
 worktree`` that is removed afterwards; or ``--base-dir``, an existing
 checkout) and once in the working tree. The two runs of a seed form a pair;
 the base runs first on odd seeds and second on even ones, so a drift in the
-machine's speed falls on both sides alike. It then prints, for every
-end-to-end metric of ``BENCHMARK.json``, the base and working-tree medians,
-their ratio, the base's interquartile range over its median, and in how many
+machine's speed falls on both sides alike. It then prints one table per
+workload: for every end-to-end metric of ``BENCHMARK.json``, the base and
+working-tree medians, their ratio, the smallest and largest new / base ratio of
+a single pair, the base's interquartile range over its median, and in how many
 pairs the working tree was better. It gates nothing: the exit code is 1 only
 when a run failed to produce a result. Standard library only.
 """
@@ -38,8 +40,9 @@ def parse_result(stdout: str) -> dict[str, float]:
 
 def summarize(pairs, better: dict[str, str]) -> list[dict]:
     """One row per metric of ``better`` (its ``"lower"`` or ``"higher"``) from a list of
-    ``(base, new)`` metric dicts: both medians, new over base, the base's IQR over its
-    median, and the pairs in which new is strictly better."""
+    ``(base, new)`` metric dicts: both medians, new over base, the range of the per-pair
+    new over base, the base's IQR over its median, and the pairs in which new is
+    strictly better."""
     rows = []
     for name, direction in better.items():
         got = [(b[name], n[name]) for b, n in pairs
@@ -50,18 +53,22 @@ def summarize(pairs, better: dict[str, str]) -> list[dict]:
         base_med, new_med = statistics.median(base), statistics.median(new)
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
         wins = sum((n < b) if direction == "lower" else (n > b) for b, n in got)
+        ratios = [n / b if b else float("nan") for b, n in got]
         rows.append({"metric": name, "base": base_med, "new": new_med,
                      "ratio": new_med / base_med if base_med else float("nan"),
+                     "ratio_min": min(ratios), "ratio_max": max(ratios),
                      "base_iqr": (q3 - q1) / base_med if base_med else float("nan"),
                      "wins": wins, "pairs": len(got)})
     return rows
 
 
 def format_table(rows: list[dict]) -> str:
-    lines = ["| metric | base median | new median | new / base | base IQR / median | wins |",
-             "| --- | --- | --- | --- | --- | --- |"]
+    lines = ["| metric | base median | new median | new / base | per-pair new / base "
+             "| base IQR / median | wins |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for r in rows:
         lines.append(f"| {r['metric']} | {r['base']:.6g} | {r['new']:.6g} | {r['ratio']:.3f} "
+                     f"| {r['ratio_min']:.3f}–{r['ratio_max']:.3f} "
                      f"| {r['base_iqr']:.3f} | {r['wins']}/{r['pairs']} |")
     return "\n".join(lines)
 
@@ -90,7 +97,8 @@ def run_pairs(base: Path, workload: str, pairs: int, seconds: float) -> list[tup
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+",
+                        help="workloads to run (default: every one of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=55.0)
     where = parser.add_mutually_exclusive_group()
@@ -99,24 +107,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+
+    def run_all(base: Path) -> None:
+        for workload in workloads:
+            results = run_pairs(base, workload, args.pairs, args.seconds)
+            print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+                  f"seeds 1-{args.pairs}")
+            print(format_table(summarize(results, better)), flush=True)
+
     try:
         if args.base_dir is not None:
-            results = run_pairs(args.base_dir.resolve(), args.workload, args.pairs, args.seconds)
+            run_all(args.base_dir.resolve())
         else:
             with tempfile.TemporaryDirectory() as tmp:
                 base = Path(tmp) / "base"
                 subprocess.run(["git", "worktree", "add", "--detach", str(base), args.base],
                                cwd=ROOT, check=True, capture_output=True)
                 try:
-                    results = run_pairs(base, args.workload, args.pairs, args.seconds)
+                    run_all(base)
                 finally:
                     subprocess.run(["git", "worktree", "remove", "--force", str(base)],
                                    cwd=ROOT, capture_output=True)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, seeds 1-{args.pairs}")
-    print(format_table(summarize(results, better)))
     return 0
 
 
