@@ -97,7 +97,7 @@ def _suite_members(entry: dict, key: str, everything: list, fits, what: str) -> 
 def _suites_from_config(raw: dict, dataset: data.Dataset):
     if "suites" not in raw:
         return None
-    suites, n = [], len(dataset.samples)
+    suites, n = [], len(dataset)
     for entry in raw["suites"]:
         if type(entry) is not dict or type(entry.get("name")) is not str:
             raise TypeError(f"a suite must be an object with a string 'name', not {entry!r}")
@@ -124,7 +124,7 @@ def cmd_gen(args) -> int:
     spec = protocols._typed(data.SyntheticSpec, raw)
     dataset = data.generate(spec)
     data.save(dataset, args.out)
-    print(f"wrote {args.out}: {len(dataset.samples)} samples, "
+    print(f"wrote {args.out}: {len(dataset)} samples, "
           f"{len(dataset.labels())} classes (config {config_hash(asdict(spec))})")
     return 0
 

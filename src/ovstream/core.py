@@ -5,11 +5,13 @@ an embedding is a 1-D float vector, a token matrix is T x D with the CLS
 token in row 0 and patch tokens below it. B samples are scored as (B, C)
 probability arrays, one column per candidate in sorted label order.
 
-Inputs are stored as float32; all scoring arithmetic runs in float64.
+Inputs are stored as float32; all scoring arithmetic runs in float64. The
+label table is one (L, D) float64 matrix of float32-valued unit rows and one
+label -> row map; a label's embedding is its row cast to float32.
 Every cosine in the package comes from one kernel, ``label_cosines``:
 embeddings scaled to unit rows by ``unit_rows`` against unit label rows.
 The scorers and the loss use it with the label table, and
-``weighting.nn_loo_confidence`` with the unit exemplars themselves. A row
+``weighting.FrozenNeighbours`` with the unit exemplars themselves. A row
 scores the same bits in any batch, and equal label rows get equal cosines.
 """
 
@@ -53,63 +55,53 @@ def as_token_matrix(values) -> np.ndarray:
 class LabelEmbeddingTable:
     """Immutable map from label id to a unit-norm embedding.
 
-    Embeddings are L2-normalized once at insertion; lookups always return
-    unit vectors, so scoring never has to worry about stale norms.
+    The table is one (L, D) float64 matrix of float32-valued unit rows, in entry
+    order, and one label -> row map, both built once. A vector within 1e-6 of unit
+    norm passes through untouched, so a reloaded table is bit-identical to what was
+    saved; every other vector is scaled to unit norm, then rounded to float32.
     """
 
     def __init__(self, entries: dict[int, np.ndarray] | None = None):
-        self._entries: dict[int, np.ndarray] = {}
-        self._dim: int | None = None
-        if entries:
-            for label, emb in entries.items():
-                self._insert(int(label), emb)
-        # The table never changes after construction, so the float64 matrix
-        # that every scorer indexes is built once.
-        self._rows = {label: i for i, label in enumerate(self._entries)}
-        self._matrix = (np.stack(list(self._entries.values())).astype(np.float64)
-                        if self._entries else np.zeros((0, 0)))
-
-    def _insert(self, label: int, emb) -> None:
-        if label in self._entries:
-            raise ValueError(f"duplicate label id {label}")
-        try:
-            v = as_embedding(emb).astype(np.float64)
-        except ValueError as exc:
-            raise ValueError(f"label {label}: {exc}") from None
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError(f"label {label}: zero-norm embedding")
-        if self._dim is None:
-            self._dim = v.size
-        elif v.size != self._dim:
-            raise ValueError(f"label {label}: dimension {v.size} != table dimension {self._dim}")
-        # Already-unit vectors pass through untouched so reloaded tables are
-        # bit-identical to what was saved.
-        if abs(norm - 1.0) < 1e-6:
-            self._entries[label] = v.astype(np.float32)
-        else:
-            self._entries[label] = (v / norm).astype(np.float32)
+        self._rows: dict[int, int] = {}
+        vectors = []
+        for label, emb in (entries or {}).items():
+            label = int(label)
+            if label in self._rows:
+                raise ValueError(f"duplicate label id {label}")
+            try:
+                v = as_embedding(emb)
+            except ValueError as exc:
+                raise ValueError(f"label {label}: {exc}") from None
+            if vectors and v.size != vectors[0].size:
+                raise ValueError(f"label {label}: dimension {v.size} != table dimension "
+                                 f"{vectors[0].size}")
+            self._rows[label] = len(vectors)
+            vectors.append(v)
+        m = np.array(vectors, np.float64) if vectors else np.zeros((0, 0))
+        if (zero := np.flatnonzero(~m.any(axis=1))).size:
+            raise ValueError(f"label {list(self._rows)[zero[0]]}: zero-norm embedding")
+        unit, norms = unit_rows(m)
+        self._matrix = np.where(abs(norms - 1.0) < 1e-6, m, unit).astype(np.float32).astype(
+            np.float64)
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
+        if not self._rows:
             raise ValueError("empty label table has no dimension")
-        return self._dim
+        return self._matrix.shape[1]
 
     def labels(self) -> list[int]:
-        return sorted(self._entries)
+        return sorted(self._rows)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, label: int) -> bool:
-        return label in self._entries
+        return label in self._rows
 
     def embedding(self, label: int) -> np.ndarray:
-        try:
-            return self._entries[label]
-        except KeyError:
-            raise KeyError(f"unknown label id {label}") from None
+        """The label's unit embedding, float32 (its row holds float32 values exactly)."""
+        return self._matrix[self.row(label)].astype(np.float32)
 
     def row(self, label: int) -> int:
         """The table row of one label."""

@@ -8,13 +8,16 @@ Each sample is a T x D token matrix whose CLS row sits near its class
 center; the patch rows are the CLS plus a low-rank perturbation, so the
 matrix compresses well under per-instance PCA. A dataset, in memory and on
 disk, holds raw token matrices only: compression is a storage mode of the
-engine's replay store, not of the data it reads.
+engine's replay store, not of the data it reads. In memory it is one
+(N, T, D) float32 array of token rows and one (N,) array of labels, given to
+its one constructor by ``generate`` and ``load`` alike.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,41 +56,48 @@ class SyntheticSpec:
 @dataclass
 class Dataset:
     """Labeled raw token matrices of one ``shape`` (T, D), D the label table's dim (None
-    if empty). Construction rejects a compressed sample, a sample of another shape, a
-    label outside the table and a CLS row of zero norm, which no scorer can score.
-
-    ``label_ids`` is the (N,) array of the sample labels and ``token_rows`` one
-    (N, T, D) float32 array of the token matrices, each sample holding its row as a
-    view, so ``tokens`` reads a batch with one gather. ``rows``, when given, is that
-    array already filled (``generate`` writes into it) and holds the samples' matrices,
-    so only their labels are checked, as one set; else each sample is checked and
-    copied into a new one."""
+    if empty): ``token_rows``, one (N, T, D) float32 array, and ``label_ids``, the (N,)
+    int64 array of their labels. Construction rejects rows of another dtype or width, a
+    label outside the table and a CLS row of zero norm, which no scorer can score,
+    naming the first bad sample."""
 
     label_table: LabelEmbeddingTable
-    samples: list            # of (token matrix, label id)
+    token_rows: np.ndarray
+    label_ids: np.ndarray
     task_map: dict[int, list[int]] = field(default_factory=dict)  # task -> sample ids
-    rows: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, rows) -> None:
-        self.shape = (self.samples[0][0].shape[0], self.label_table.dim) if self.samples else None
-        labels = [label for _, label in self.samples]
-        shape = (len(labels), *(self.shape or (0, 0)))
-        if rows is None:
-            rows = np.empty(shape, np.float32)
-            for i, (row, (payload, label)) in enumerate(zip(rows, self.samples)):
-                if problem := _mismatch(payload, label, self.label_table, self.shape):
-                    raise ValueError(f"sample {i}: {problem}")
-                row[...] = payload
-        elif rows.dtype != np.float32 or rows.shape != shape:
-            raise ValueError(f"rows of {rows.dtype} {rows.shape} do not hold the samples")
-        elif not set(labels).issubset(self.label_table.labels()):
-            i = next(i for i, y in enumerate(labels) if y not in self.label_table)
-            raise ValueError(f"sample {i}: label {labels[i]} is not in the label table")
-        self.label_ids = np.array(labels, np.int64)
+    def __post_init__(self) -> None:
+        rows, labels = self.token_rows, np.asarray(self.label_ids)
+        if labels.ndim != 1 or labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"label ids must be one 1-D integer array, not {labels.dtype} "
+                             f"{labels.shape}")
+        self.label_ids = labels.astype(np.int64)
+        if (not isinstance(rows, np.ndarray) or rows.dtype != np.float32 or rows.ndim != 3
+                or len(rows) != len(labels)):
+            raise ValueError(f"token rows of {getattr(rows, 'dtype', type(rows).__name__)} "
+                             f"{getattr(rows, 'shape', '')} are not {len(labels)} float32 "
+                             "(T, D) samples")
+        if (bad := np.flatnonzero(~np.isin(labels, self.label_table.labels()))).size:
+            raise ValueError(f"sample {bad[0]}: label {labels[bad[0]]} is not in the label "
+                             "table")
+        if len(labels) and (rows.shape[1] < 2 or rows.shape[2] != self.label_table.dim):
+            raise ValueError(f"token shape {rows.shape[1:]} is not (T >= 2, "
+                             f"{self.label_table.dim})")
         if (zero := np.flatnonzero(~rows[:, :1].any(axis=(1, 2)))).size:
             raise ValueError(f"sample {zero[0]}: CLS row has zero norm")
-        self.token_rows = rows
-        self.samples = list(zip(rows, self.label_ids.tolist()))
+
+    @property
+    def shape(self) -> tuple[int, int] | None:
+        return self.token_rows.shape[1:] if len(self) else None
+
+    @cached_property
+    def samples(self) -> list:
+        """(token matrix, label id) of each sample, views of the arrays, built on first
+        read."""
+        return list(zip(self.token_rows, self.label_ids.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.label_ids)
 
     def labels(self) -> list[int]:
         return self.label_table.labels()
@@ -96,17 +106,6 @@ class Dataset:
         """The (T, D) token matrix of sample ``ids``, an int, or the (B, T, D) array of a
         sequence of ids, in order."""
         return self.token_rows[ids]
-
-
-def _mismatch(payload, label: int, labels, shape: tuple) -> str:
-    """Why a sample does not fit a dataset of ``labels`` and token ``shape``, or ''."""
-    if isinstance(payload, compression.CompressedFeature):
-        return "a compressed record; a dataset holds raw token matrices"
-    if label not in labels:
-        return f"label {label} is not in the label table"
-    if tuple(payload.shape) != shape:
-        return f"token shape {tuple(payload.shape)} != the dataset's {shape}"
-    return ""
 
 
 # ``generate`` draws at most this many bytes of float64 noise per call, in whole
@@ -162,7 +161,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
         patches += 1e-3 * noise.reshape(patches.shape)
         out = rows[start:start + len(v)]
         out[:, 0], out[:, 1:] = cls, patches  # rounded to float32 on assignment
-    return Dataset(table, list(zip(rows, labels.tolist())), rows=rows)
+    return Dataset(table, rows, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def save(dataset: Dataset, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIIII", _VERSION, dataset.label_table.dim,
                              (dataset.shape or (0,))[0], len(labels),
-                             len(dataset.samples), len(dataset.task_map)))
+                             len(dataset), len(dataset.task_map)))
         for label in labels:
             fh.write(struct.pack("<I", label))
             fh.write(np.ascontiguousarray(
@@ -191,9 +190,22 @@ def save(dataset: Dataset, path) -> None:
         for task in sorted(dataset.task_map):
             ids = dataset.task_map[task]
             fh.write(struct.pack(f"<II{len(ids)}I", task, len(ids), *ids))
-        for payload, label in dataset.samples:
+        for tokens, label in zip(dataset.token_rows, dataset.label_ids.tolist()):
             fh.write(struct.pack("<I", label))
-            fh.write(compression.payload_to_bytes(payload))
+            fh.write(compression.payload_to_bytes(tokens))
+
+
+def _mismatch(payload, label: int, labels, shape: tuple) -> str:
+    """Why a record does not fit a dataset of ``labels`` and token ``shape``, or ''."""
+    if isinstance(payload, compression.CompressedFeature):
+        return "a compressed record; a dataset holds raw token matrices"
+    if label not in labels:
+        return f"label {label} is not in the label table"
+    if tuple(payload.shape) != shape:
+        return f"token shape {tuple(payload.shape)} != the dataset's {shape}"
+    if not payload[0].any():
+        return "CLS row has zero norm"
+    return ""
 
 
 def load(path) -> Dataset:
@@ -227,16 +239,17 @@ def load(path) -> Dataset:
                     raise FormatError(f"task {task} names sample {i} of {n_samples} at offset {off}")
                 off += 4
             task_map[task] = list(ids)
-        samples = []
+        rows, labels = [], []  # grown record by record: the header's counts size nothing
         for i in range(n_samples):
             (label,) = struct.unpack_from("<I", data, off)
             payload, end = compression.payload_from_bytes(data, off + 4)
             if problem := _mismatch(payload, label, entries, (tokens, dim)):
                 raise FormatError(f"bad dataset record {i} at offset {off}: {problem}")
-            if not payload[0].any():
-                raise FormatError(f"bad dataset record {i} at offset {off}: CLS row has zero norm")
-            samples.append((payload, label))
+            rows.append(payload)
+            labels.append(label)
             off = end
-        return Dataset(LabelEmbeddingTable(entries), samples, task_map)
+        return Dataset(LabelEmbeddingTable(entries),
+                       np.stack(rows) if rows else np.empty((0, tokens, dim), np.float32),
+                       np.array(labels, np.int64), task_map)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"bad dataset file at offset {off}: {exc}") from exc

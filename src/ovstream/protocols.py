@@ -98,7 +98,7 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    labels = [label for _, label in dataset.samples]
+    labels = dataset.label_ids.tolist()
     if not labels:
         raise ValueError("dataset has no samples")
     if type(class_groups) is not int or class_groups < 1:
@@ -272,7 +272,7 @@ class Engine:
         The sample is encoded and scored before it is stored, so a sample that raises
         there (a zero-norm CLS row, say) leaves the engine as it was."""
         tokens = self.dataset.tokens(sample_index)
-        label = self.dataset.samples[sample_index][1]
+        label = int(self.dataset.label_ids[sample_index])
         payload = self._payload(tokens)
         candidates = self._candidates(label)
         # The decoded embedding and the CLS row, scored as one two-row batch. argmax takes
@@ -288,8 +288,8 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _chunks(self, items, batches: int = 1):
-        size = batches * self.config.sampler.batch_size  # batch_size bounds a training step
+    def _chunks(self, items):
+        size = self.config.sampler.batch_size  # batch_size bounds a training step
         return [items[i:i + size] for i in range(0, len(items), size)]
 
     def _nn_loo_maps(self) -> np.ndarray:
@@ -381,31 +381,26 @@ class Engine:
         float32 tokens, at least one, so its rows score the bits they would in
         ``batch_size`` chunks; its tokens are one ``Dataset.tokens`` gather. The frozen
         scorer never trains, so a suite's frozen rows are computed on its first
-        evaluation and kept, one entry per suite name, keyed by the sample ids and
-        candidates: a later evaluation of the same suite slices them, and a suite of that
-        name with other ids or candidates replaces them (``tuned-only`` reads none, so
-        computes none). A suite without samples has no accuracy, so it raises
-        ``ValueError``."""
+        evaluation, all its CLS rows in one call, and kept, one entry per suite name,
+        keyed by the sample ids and candidates: each slice reads its part of them, and a
+        suite of that name with other ids or candidates replaces them (``tuned-only``
+        reads none, so computes none). A suite without samples has no accuracy, so it
+        raises ``ValueError``."""
         if not suite.sample_ids:
             raise ValueError(f"suite {suite.name!r} has no samples")
         key = (tuple(suite.sample_ids), tuple(sorted(suite.candidates)))
-        cached_key, cached = self._frozen.get(suite.name, (None, None))
-        hit = cached_key == key
-        mat = None if hit or self.config.weighting == "tuned-only" else (
-            self._mix_setup(key[1]).matrix)
+        frozen = None
+        if self.config.weighting != "tuned-only":
+            cached_key, frozen = self._frozen.get(suite.name, (None, None))
+            if cached_key != key:
+                frozen = candidate_probabilities(self.dataset.token_rows[suite.sample_ids, 0],
+                                                 self._mix_setup(key[1]).matrix)
+                self._frozen[suite.name] = (key, frozen)
         batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
-        slices, rows, frozen, start = [], [], None, 0
-        for ids in self._chunks(suite.sample_ids, max(1, EVAL_SLICE_BYTES // batch_bytes)):
-            x = self.dataset.tokens(ids)
-            if mat is not None:
-                frozen = candidate_probabilities(x[:, 0], mat)
-                rows.append(frozen)
-            elif hit:
-                frozen = cached[start:start + len(ids)]
-            start += len(ids)
-            slices.append(self.predict(x, suite.candidates, frozen=frozen))
-        if rows:
-            self._frozen[suite.name] = (key, np.concatenate(rows))
+        size = max(1, EVAL_SLICE_BYTES // batch_bytes) * self.config.sampler.batch_size
+        slices = [self.predict(self.dataset.tokens(suite.sample_ids[i:i + size]),
+                               suite.candidates, None if frozen is None else frozen[i:i + size])
+                  for i in range(0, len(suite.sample_ids), size)]
         result = SuitePredictions(key[0], list(key[1]), np.concatenate(slices))
         truth = self.dataset.label_ids[suite.sample_ids]
         return float(np.mean(result.winners == truth)), result

@@ -111,12 +111,11 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
     least two exemplars: the fraction of its exemplars whose cosine-nearest
     other exemplar (searched over the whole set; the first one on ties)
     carries the same label. Classes with fewer than two exemplars are omitted.
+    The search is one :class:`FrozenNeighbours` extended by every exemplar.
     """
     items = list(exemplars)
     labels = [label for _, label in items]
-    counts = Counter(labels)
-    queries = [i for i, label in enumerate(labels) if counts[label] >= 2]
-    if not queries:
+    if max(Counter(labels).values(), default=0) < 2:
         return {}
     try:  # validated once, on the stack; a bad exemplar raises as_embedding's error
         embs = np.array([e for e, _ in items], np.float32)
@@ -124,22 +123,21 @@ def nn_loo_confidence(exemplars) -> dict[int, float]:
         embs = None
     if embs is None or embs.ndim != 2 or not embs.shape[1] or not np.isfinite(embs).all():
         embs = np.stack([as_embedding(e) for e, _ in items])
-    sims, _, _ = label_cosines(embs[queries], unit_rows(embs)[0])
-    sims[np.arange(len(queries)), queries] = -np.inf
-    hits = Counter(labels[i] for i, j in zip(queries, sims.argmax(axis=1))
-                   if labels[j] == labels[i])
-    return {label: hits[label] / counts[label]
-            for label in sorted(counts) if counts[label] >= 2}
+    neighbours = FrozenNeighbours(embs.shape[1])
+    neighbours.extend(embs)
+    return neighbours.confidence(labels)
 
 
 class FrozenNeighbours:
-    """Each exemplar's cosine-nearest other exemplar, kept as exemplars are appended.
+    """Each exemplar's cosine-nearest other exemplar, kept as exemplars are appended:
+    the one nearest-neighbour search, which :func:`nn_loo_confidence` runs over all its
+    exemplars at once.
 
-    :func:`nn_loo_confidence`'s search, done once per pair: ``extend`` scores the new
-    rows against every row, and each old row against the new rows only, taking a new
-    neighbour only when it is strictly nearer (the first one wins ties). A cosine is one
-    einsum output, the same bits in any batch and in either order of its pair, so
-    ``confidence`` equals :func:`nn_loo_confidence` over the same exemplars bit for bit.
+    Each pair is scored once: ``extend`` scores the new rows against every row, and
+    each old row against the new rows only, taking a new neighbour only when it is
+    strictly nearer (the first one wins ties). A cosine is one einsum output, the same
+    bits in any batch and in either order of its pair, so ``confidence`` after any
+    sequence of extends equals it after one extend by every row, bit for bit.
     """
 
     def __init__(self, dim: int):

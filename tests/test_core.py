@@ -79,8 +79,20 @@ class TestLabelTable:
         assert np.linalg.norm(table.embedding(0)) == pytest.approx(1.0, abs=1e-5)
 
     def test_duplicate_label_rejected(self):
-        with pytest.raises(ValueError):
-            LabelEmbeddingTable({0: [1, 0]})._insert(0, [0, 1])
+        # Label ids are taken as ints, so two keys can name one label.
+        with pytest.raises(ValueError, match="duplicate label id 0"):
+            LabelEmbeddingTable({0: [1, 0], 0.5: [0, 1]})
+
+    @pytest.mark.parametrize("bad, match", [
+        ([0.0, 0.0], "label 7: zero-norm embedding"),
+        ([1.0, float("nan")], "label 7: embedding contains non-finite entries"),
+        ([1.0, 0.0, 0.0], "label 7: dimension 3 != table dimension 2"),
+        ([[1.0, 0.0]], "label 7: embedding must be a non-empty 1-D vector"),
+        ([], "label 7: embedding must be a non-empty 1-D vector"),
+    ], ids=["zero", "nan", "dimension", "matrix", "empty"])
+    def test_bad_entry_is_named(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            LabelEmbeddingTable({0: [1.0, 0.0], 3: [0.0, 2.0], 7: bad, 9: [1.0, 1.0]})
 
     def test_unknown_label(self, small_table):
         with pytest.raises(KeyError):
@@ -90,6 +102,7 @@ class TestLabelTable:
 
     def test_matrix_equals_stacked_embeddings(self, small_table):
         for candidates in ([3, 0, 2], [1], range(4)):
+            assert all(small_table.embedding(c).dtype == np.float32 for c in candidates)
             want = np.stack([small_table.embedding(c).astype(np.float64)
                              for c in candidates])
             got = small_table.matrix(candidates)

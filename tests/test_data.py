@@ -10,6 +10,7 @@ import pytest
 from ovstream.compression import compress
 from ovstream.core import FormatError, LabelEmbeddingTable, argmax_label, zero_shot_probabilities
 from ovstream.data import GENERATE_CHUNK_BYTES, Dataset, SyntheticSpec, generate, load, save
+from ovstream.protocols import Engine, EngineConfig, build_stream
 
 
 def _zero_shot_accuracy(dataset):
@@ -172,27 +173,34 @@ class TestDatasetShape:
     def test_every_sample_has_the_dataset_shape(self):
         ds = generate(SyntheticSpec(num_classes=2, samples_per_class=3, dim=16, tokens=5))
         assert ds.shape == (5, 16)
-        assert Dataset(self._table(), []).shape is None
+        assert Dataset(self._table(), np.empty((0, 4, 2), np.float32), []).shape is None
 
-    @pytest.mark.parametrize("second, match", [
-        ((np.ones((3, 2)), 1), r"sample 1: token shape \(3, 2\) != the dataset's \(4, 2\)"),
-        ((np.ones((4, 3)), 1), r"sample 1: token shape \(4, 3\) != the dataset's \(4, 2\)"),
-        ((np.ones((4, 2)), 7), "sample 1: label 7 is not in the label table"),
-    ], ids=["short_t", "narrow_d", "label_outside_the_table"])
-    def test_mixed_samples_rejected_in_memory(self, second, match):
+    @pytest.mark.parametrize("rows, labels, match", [
+        (np.ones((2, 1, 2), np.float32), [0, 1], r"token shape \(1, 2\) is not \(T >= 2, 2\)"),
+        (np.ones((2, 4, 3), np.float32), [0, 1], r"token shape \(4, 3\) is not \(T >= 2, 2\)"),
+        (np.ones((2, 4, 2), np.float32), [0, 7], "sample 1: label 7 is not in the label table"),
+        (np.ones((2, 4, 2)), [0, 1], r"token rows of float64 \(2, 4, 2\) are not 2 float32"),
+        (np.ones((4, 2), np.float32), [0, 1], r"token rows of float32 \(4, 2\) are not 2"),
+        (np.ones((3, 4, 2), np.float32), [0, 1], r"\(3, 4, 2\) are not 2 float32"),
+        ([np.ones((4, 2), np.float32)] * 2, [0, 1], "token rows of list"),
+        (np.ones((2, 4, 2), np.float32), [0.0, 1.0], "label ids must be one 1-D integer array"),
+        (np.ones((2, 4, 2), np.float32), [[0, 1]], "label ids must be one 1-D integer array"),
+    ], ids=["short_t", "narrow_d", "label_outside_the_table", "float64", "2-d", "count",
+            "list", "float_labels", "2-d_labels"])
+    def test_mixed_samples_rejected_in_memory(self, rows, labels, match):
         with pytest.raises(ValueError, match=match):
-            Dataset(self._table(), [(np.ones((4, 2)), 0), second])
+            Dataset(self._table(), rows, labels)
 
     def test_label_outside_the_table_rejected_with_filled_rows(self):
         rows = np.ones((3, 4, 2), np.float32)
         with pytest.raises(ValueError, match="sample 1: label 7 is not in the label table"):
-            Dataset(self._table(), [(rows[0], 0), (rows[1], 7), (rows[2], 9)], rows=rows)
+            Dataset(self._table(), rows, np.array([0, 7, 9]))
 
     def test_zero_norm_cls_row_rejected_in_memory(self):
-        zero_cls = np.ones((4, 2))
-        zero_cls[0] = 0.0
+        rows = np.ones((3, 4, 2), np.float32)
+        rows[1, 0] = rows[2, 0] = 0.0
         with pytest.raises(ValueError, match="sample 1: CLS row has zero norm"):
-            Dataset(self._table(), [(np.ones((4, 2)), 0), (zero_cls, 1)])
+            Dataset(self._table(), rows, [0, 1, 1])
 
     def test_zero_norm_cls_row_rejected_at_load(self, edited_dataset):
         # Records start at offset 300 and each raw one is 397 bytes, so record 2
@@ -203,8 +211,8 @@ class TestDatasetShape:
             load(edited_dataset({2: (tokens, 1)}))
 
     def test_token_dimension_is_the_tables(self):
-        with pytest.raises(ValueError, match=r"sample 0: token shape \(4, 3\)"):
-            Dataset(self._table(), [(np.ones((4, 3)), 0)])
+        with pytest.raises(ValueError, match=r"token shape \(4, 3\) is not"):
+            Dataset(self._table(), np.ones((1, 4, 3), np.float32), [0])
 
 
 class TestTokens:
@@ -233,17 +241,35 @@ class TestTokens:
         for kind in ("generated", "loaded"):
             ds = self._dataset(tmp_path, kind)
             assert ds.token_rows.shape == (12, 5, 8) and ds.token_rows.dtype == np.float32
+            assert ds.label_ids.dtype == np.int64 and len(ds) == 12
+            assert "samples" not in vars(ds)
+            want = list(zip(ds.token_rows, ds.label_ids.tolist()))
+            assert [(p.tobytes(), y) for p, y in ds.samples] == [
+                (p.tobytes(), y) for p, y in want]
             assert all(p.base is ds.token_rows for p, _ in ds.samples)
-            assert ds.label_ids.tolist() == [y for _, y in ds.samples]
+            assert ds.samples is ds.samples  # built once, on the first read
+
+    def test_no_command_builds_the_sample_list(self, tmp_path):
+        ds = self._dataset(tmp_path, "generated")
+        stream = build_stream(ds, "data_incremental", fractions=[50, 100])
+        Engine(ds, EngineConfig(weighting="nn-loo")).run(stream)
+        save(ds, tmp_path / "again.bin")
+        assert "samples" not in vars(ds)
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
     def test_compressed_sample_rejected(self, tmp_path, quantized):
         # A dataset holds raw token matrices only; compression is the store's business.
+        # Per-sample payloads with sample 2 compressed, as a list or an object array,
+        # are not one float32 (N, T, D) array, so the constructor refuses them.
         ds = self._dataset(tmp_path, "generated")
-        samples = list(ds.samples)
-        samples[2] = (compress(ds.tokens(2), 2, quantized=quantized), samples[2][1])
-        with pytest.raises(ValueError, match="sample 2: a compressed record"):
-            Dataset(ds.label_table, samples)
+        payloads = list(ds.token_rows)
+        payloads[2] = compress(ds.tokens(2), 2, quantized=quantized)
+        boxed = np.empty(len(payloads), object)
+        boxed[:] = payloads
+        for rows, kind in ((payloads, r"list"), (boxed, r"object \(12,\)")):
+            with pytest.raises(ValueError,
+                               match=rf"token rows of {kind} +are not 12 float32 \(T, D\)"):
+                Dataset(ds.label_table, rows, ds.label_ids)
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["float", "quantized"])
     def test_compressed_record_rejected_at_load(self, edited_dataset, quantized):
@@ -327,10 +353,30 @@ class TestFileFormat:
         assert time.perf_counter() - start < 1.0
 
     def test_empty_dataset_round_trip(self, tmp_path):
-        from ovstream.core import LabelEmbeddingTable
-        ds = Dataset(LabelEmbeddingTable({0: [1.0, 0.0]}), [], {})
+        ds = Dataset(LabelEmbeddingTable({0: [1.0, 0.0]}), np.empty((0, 4, 2), np.float32),
+                     [], {})
         path = tmp_path / "empty.bin"
         save(ds, path)
         back = load(path)
-        assert back.samples == []
+        assert back.samples == [] and len(back) == 0 and back.shape is None
         assert back.labels() == [0]
+
+    @pytest.mark.parametrize("field", [4, 5], ids=["labels", "samples"])
+    def test_header_counts_size_no_allocation(self, tmp_path, field):
+        # A header claiming 2**32 - 1 labels or samples over a file of four samples
+        # (T=10, D=64) fails at the first record it does not hold, without sizing
+        # anything from the claim.
+        path = tmp_path / "data.bin"
+        save(generate(SyntheticSpec(num_classes=2, samples_per_class=2, dim=64, tokens=10,
+                                    seed=5)), path)
+        blob = bytearray(path.read_bytes())
+        blob[4 * field:4 * field + 4] = (2 ** 32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

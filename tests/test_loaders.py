@@ -40,8 +40,8 @@ def _dataset():
     """The token matrices of ``_payloads()``'s three records, labelled 0, 5, 0: a dataset
     holds raw samples, so the compressed ones are reconstructed."""
     table = LabelEmbeddingTable({0: [1.0, 0.0, 0.0], 5: [0.0, 0.6, 0.8]})
-    samples = [(to_tokens(p), 5 * (i % 2)) for i, p in enumerate(_payloads())]
-    return Dataset(table, samples, {0: [0, 1], 1: [2]})
+    rows = np.stack([to_tokens(p) for p in _payloads()])
+    return Dataset(table, rows, [0, 5, 0], {0: [0, 1], 1: [2]})
 
 
 # The storage mode that stores each of ``_payloads()``'s layouts, at 2 components.

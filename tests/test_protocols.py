@@ -10,6 +10,7 @@ from ovstream.core import (
     TEMPERATURE,
     LabelEmbeddingTable,
     argmax_label,
+    candidate_probabilities,
     zero_shot_probabilities,
 )
 from ovstream.data import Dataset, SyntheticSpec, generate
@@ -41,8 +42,8 @@ def _tied_dataset(seed=0):
     ds = _dataset(num_classes=6, samples_per_class=4, seed=seed, noise=0.3)
     rows = {y: ds.label_table.embedding(y) for y in ds.labels()}
     rows[1], rows[3] = rows[0], rows[2]
-    order = np.random.default_rng(seed).permutation(len(ds.samples))
-    return Dataset(LabelEmbeddingTable(rows), [ds.samples[i] for i in order])
+    order = np.random.default_rng(seed).permutation(len(ds))
+    return Dataset(LabelEmbeddingTable(rows), ds.token_rows[order], ds.label_ids[order])
 
 
 def _fast_config(**kw):
@@ -370,10 +371,11 @@ class TestEngineRun:
         # reset with none, and on a restored engine, the frozen map is nn_loo_confidence
         # over the stored CLS rows.
         base = _dataset(num_classes=4, samples_per_class=4, seed=21)
-        samples = (base.samples + [(base.samples[i][0], (base.samples[i][1] + 1) % 4)
-                                   for i in (0, 5, 9)] + [base.samples[i] for i in (2, 7)])
-        ds = Dataset(base.label_table, samples)
-        order = [int(i) for i in np.random.default_rng(21).permutation(len(samples))]
+        picks = [*range(len(base)), 0, 5, 9, 2, 7]
+        labels = base.label_ids[picks]
+        labels[-5:-2] = (labels[-5:-2] + 1) % 4
+        ds = Dataset(base.label_table, base.token_rows[picks], labels)
+        order = [int(i) for i in np.random.default_rng(21).permutation(len(ds))]
 
         def check(engine):
             ids = range(len(engine.store))
@@ -580,21 +582,26 @@ class TestFrozenRowsAndUntrainedSuites:
         return calls
 
     @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
-    def test_frozen_product_runs_once_per_slice_then_never(self, monkeypatch, weighting):
+    def test_frozen_product_runs_once_per_suite_then_never(self, monkeypatch, weighting):
         ds, engine = self._engine(weighting)
         monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", 2 * 4 * 256)  # 8, 8, 8 and 6 rows
         calls = self._count_products(monkeypatch)
         suite = EvalSuite("all", list(range(29, -1, -1)), set(range(6)))
-        cls_rows = [np.stack([ds.tokens(i)[0] for i in suite.sample_ids[k:k + 8]])
-                    for k in range(0, 30, 8)]
-        tuned = weighting != "frozen-only"  # a tuned product per slice as well
-        first = 4 * (weighting != "tuned-only")  # tuned-only reads no frozen rows
+        cls_rows = ds.token_rows[suite.sample_ids, 0]
+        tuned = weighting != "frozen-only"  # a tuned product per slice
+        first = int(weighting != "tuned-only")  # tuned-only reads no frozen rows
         for frozen_products in (first, 0):
             calls.clear()
             engine.evaluate_suite(suite)
             assert len(calls) == frozen_products + 4 * tuned
-            assert sum(any(np.array_equal(e, rows) for rows in cls_rows)
-                       for e in calls) == frozen_products
+            assert sum(np.array_equal(e, cls_rows) for e in calls) == frozen_products
+        if first:  # the kept rows are the bits that per-slice products give
+            mat = engine.table.matrix(range(6))
+            want = np.concatenate([candidate_probabilities(cls_rows[k:k + 8], mat)
+                                   for k in range(0, 30, 8)])
+            assert engine._frozen["all"][1].tobytes() == want.tobytes()
+        else:
+            assert engine._frozen == {}
 
     def test_suite_renamed_or_redefined_is_recomputed(self, monkeypatch):
         ds, engine = self._engine("ocw")
