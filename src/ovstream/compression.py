@@ -426,7 +426,9 @@ def payload_from_bytes(data: bytes, off: int = 0):
     """Decode one payload record; returns (payload, next offset).
 
     Raises only ``FormatError``: a record is returned only once its token
-    matrix has been read back and validated.
+    matrix has been read back and validated. A raw record is a read-only view
+    of ``data``, so a reader that keeps it copies it (the replay store's
+    ``insert`` does, and ``data.load`` copies all its records at once).
     """
     start = off
     try:
@@ -435,7 +437,7 @@ def payload_from_bytes(data: bytes, off: int = 0):
             t, d = struct.unpack_from("<II", data, off + 1)
             off += 9
             arr = np.frombuffer(data, dtype="<f4", count=t * d, offset=off)
-            return as_token_matrix(arr.reshape(t, d).copy()), off + 4 * t * d
+            return as_token_matrix(arr.reshape(t, d)), off + 4 * t * d
         if kind != _KIND_COMPRESSED:
             raise FormatError(f"unknown payload kind {kind} at offset {off}")
         t, d, n = struct.unpack_from("<III", data, off + 1)

@@ -239,7 +239,10 @@ def load(path) -> Dataset:
                     raise FormatError(f"task {task} names sample {i} of {n_samples} at offset {off}")
                 off += 4
             task_map[task] = list(ids)
-        rows, labels = [], []  # grown record by record: the header's counts size nothing
+        # Grown record by record, so the header's counts size nothing. A row is a validated
+        # read-only view of ``data``: the file's bytes and the token rows are the only
+        # copies held, and np.array makes no per-row temporaries as np.stack does.
+        rows, labels = [], []
         for i in range(n_samples):
             (label,) = struct.unpack_from("<I", data, off)
             payload, end = compression.payload_from_bytes(data, off + 4)
@@ -249,7 +252,8 @@ def load(path) -> Dataset:
             labels.append(label)
             off = end
         return Dataset(LabelEmbeddingTable(entries),
-                       np.stack(rows) if rows else np.empty((0, tokens, dim), np.float32),
+                       np.array(rows, np.float32) if rows
+                       else np.empty((0, tokens, dim), np.float32),
                        np.array(labels, np.int64), task_map)
     except (struct.error, ValueError) as exc:
         raise FormatError(f"bad dataset file at offset {off}: {exc}") from exc

@@ -37,7 +37,7 @@ def test_summary_of_canned_pairs():
     assert rows["acc"]["wins"] == 0  # a tie is no win
     table = bench_pairs.format_table(list(rows.values()))
     assert table.splitlines()[2].startswith("| rate | 102.5 | 122.5 | 1.195 |")
-    assert table.splitlines()[2].endswith("| 3/4 |")
+    assert table.splitlines()[2].endswith("| 3/4 |  |")  # no bounds given, no verdict
 
 
 def test_per_pair_ratio_range():
@@ -46,6 +46,50 @@ def test_per_pair_ratio_range():
     (row,) = bench_pairs.summarize(pairs, {"rate": "higher"})
     assert (row["ratio_min"], row["ratio_max"]) == (0.9, 1.3)
     assert "| 0.900–1.300 |" in bench_pairs.format_table([row])
+
+
+def _ten_pairs(base, new):
+    return [({"m": b}, {"m": n}) for b, n in zip(base, new)]
+
+
+_BASE = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]  # IQR 0.8
+
+
+@pytest.mark.parametrize("base, new, want", [
+    # 10/10 wins and a median 10 better, beyond the base's IQR of 0.8
+    (_BASE, [v * 0.9 for v in _BASE], "gain"),
+    # 9/10 wins is enough
+    (_BASE, [v * 0.9 for v in _BASE[:9]] + [200.0], "gain"),
+    # 8/10 wins is not, but the median is better, so within the bound
+    (_BASE, [v * 0.9 for v in _BASE[:8]] + [200.0, 200.0], "within bound"),
+    # 10/10 wins by less than the base's IQR: no gain, and no worse
+    (_BASE, [v - 0.01 for v in _BASE], "within bound"),
+    # 5% worse under a 10% bound
+    (_BASE, [v * 1.05 for v in _BASE], "within bound"),
+    # 20% worse under a 10% bound, with a tight base
+    (_BASE, [v * 1.2 for v in _BASE], "worse"),
+    # the base spreads wider than the bound: no verdict on the median
+    ([60.0, 140.0, 70.0, 130.0, 100.0, 90.0, 110.0, 65.0, 135.0, 100.0], [100.0] * 10,
+     "unresolved"),
+    # ... unless every new run beats every base run (here by less than the IQR of 67.5)
+    ([60.0, 140.0, 70.0, 130.0, 100.0, 90.0, 110.0, 65.0, 135.0, 100.0], [59.0] * 10,
+     "within bound"),
+], ids=["gain", "gain_9_of_10", "wins_8_of_10", "inside_iqr", "worse_in_bound", "worse",
+        "unresolved", "all_better"])
+def test_verdicts(base, new, want):
+    (row,) = bench_pairs.summarize(_ten_pairs(base, new), {"m": "lower"}, {"m": 0.1})
+    assert row["verdict"] == want
+    assert bench_pairs.format_table([row]).endswith(f"| {want} |")
+
+
+def test_verdict_for_higher_is_better():
+    base = [1000.0 / v for v in _BASE]
+    (row,) = bench_pairs.summarize(_ten_pairs(base, [v * 1.2 for v in base]), {"m": "higher"},
+                                   {"m": 0.1})
+    assert row["verdict"] == "gain"
+    (row,) = bench_pairs.summarize(_ten_pairs(base, [v * 0.8 for v in base]), {"m": "higher"},
+                                   {"m": 0.1})
+    assert row["verdict"] == "worse"
 
 
 def test_one_table_per_workload(monkeypatch, capsys, tmp_path):
@@ -66,7 +110,8 @@ def test_one_table_per_workload(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     for name in names:
         assert f"{name}: 3 pairs of 55 s runs, seeds 1-3" in out
-    assert out.count("| setup_s | 2 | 1 | 0.500 | 0.500–0.500 | 0.000 | 3/3 |") == len(names)
+    assert out.count("| setup_s | 2 | 1 | 0.500 | 0.500–0.500 | 0.000 | 3/3 | gain |") \
+        == len(names)
 
     ran.clear()
     assert bench_pairs.main(["--base-dir", str(tmp_path), "--workload", "b", "a",

@@ -352,6 +352,23 @@ class TestFileFormat:
         load(path)
         assert time.perf_counter() - start < 1.0
 
+    def test_load_holds_the_file_and_the_rows_alone(self, tmp_path):
+        # 2000 samples of 10x64 tokens, 5.12 MB: the file's bytes and the stacked rows,
+        # and no per-record copy beside them.
+        ds = generate(SyntheticSpec(num_classes=20, samples_per_class=100, dim=64,
+                                    tokens=10, seed=3))
+        path = tmp_path / "data.bin"
+        save(ds, path)
+        tracemalloc.start()
+        try:
+            back = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.token_rows.tobytes() == ds.token_rows.tobytes()
+        assert back.token_rows.flags.writeable
+        assert peak <= 2.2 * ds.token_rows.nbytes
+
     def test_empty_dataset_round_trip(self, tmp_path):
         ds = Dataset(LabelEmbeddingTable({0: [1.0, 0.0]}), np.empty((0, 4, 2), np.float32),
                      [], {})

@@ -1,3 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -7,6 +14,7 @@ from ovstream.decoder import (
     DecoderParams,
     OptimizerState,
     TrainingBatch,
+    _erf,
     _forward,
     augmented_logits,
     block_params,
@@ -653,3 +661,100 @@ class TestBatchedMatchesPerSampleReference:
         tokens = np.zeros((2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="zero-norm"):
             loss_gradients(TrainingBatch(tokens[None], [0], {0}), params, table, 0.1)
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of want."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def _signed(x):
+    return x * np.random.default_rng(1).choice([-1.0, 1.0], x.shape)
+
+
+# Samples from each of the kernel's branches, with their edges.
+_BRANCHES = {
+    "small": np.r_[np.random.default_rng(2).uniform(0.0, 1.0, 20000), 1.0],
+    "tail": np.r_[np.random.default_rng(3).uniform(1.0, 8.0, 20000), np.nextafter(1.0, 2.0)],
+    "beyond_8": np.r_[np.random.default_rng(4).uniform(8.0, 1e300, 2000),
+                      np.geomspace(8.0, 1.7e308, 200)],
+}
+
+
+class TestErf:
+    @pytest.mark.parametrize("branch", sorted(_BRANCHES))
+    def test_within_3_ulp_of_math_erf(self, branch):
+        x = _signed(_BRANCHES[branch])
+        want = np.array([math.erf(v) for v in x])
+        assert _ulps(_erf(x), want).max() <= 3
+
+    @pytest.mark.parametrize("branch", sorted(_BRANCHES))
+    def test_within_1_ulp_of_scipy(self, branch):
+        special = pytest.importorskip("scipy.special")
+        x = _signed(_BRANCHES[branch])
+        assert _ulps(_erf(x), special.erf(x)).max() <= 1
+
+    def test_zeros_and_subnormals(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300])
+        got = _erf(x)
+        want = np.array([math.erf(v) for v in x])
+        assert _ulps(got, want).max() <= 3
+        assert (np.signbit(got) == np.signbit(x)).all()
+
+    def test_infinities_and_nan(self):
+        got = _erf(np.array([np.inf, -np.inf, np.nan, 0.5]))
+        assert got[:2].tolist() == [1.0, -1.0]
+        assert np.isnan(got[2])
+        assert _ulps(got[3], math.erf(0.5)) <= 3  # the NaN leaves its neighbours alone
+
+    def test_odd_symmetry_bit_for_bit(self):
+        x = np.concatenate([_signed(b) for b in _BRANCHES.values()] + [[0.0, 5e-324, np.inf]])
+        assert _erf(-x).tobytes() == (-_erf(x)).tobytes()
+
+    def test_no_floating_point_warning(self):
+        x = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 1.3e154, 5e-324, -0.0, 0.7, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _erf(x)
+            _erf(x.reshape(2, 5))
+
+    def test_any_layout_and_the_input_untouched(self, rng):
+        z = 3.0 * rng.standard_normal((8, 32))
+        before = z.copy()
+        want = _erf(np.ascontiguousarray(z.T))
+        got = _erf(z.T)  # a transposed view: the tail's flat indices must follow its order
+        assert got.shape == (32, 8) and got.tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes()
+        assert _erf(np.empty((0, 4))).shape == (0, 4)
+
+
+_NO_SCIPY = """
+import sys
+
+import ovstream
+import ovstream.cli
+import ovstream.protocols
+from ovstream.data import SyntheticSpec, generate
+from ovstream.protocols import Engine, EngineConfig, EvalSuite
+from ovstream.replay import SamplerConfig
+
+dataset = generate(SyntheticSpec(num_classes=4, samples_per_class=4, dim=16, tokens=6, seed=1))
+engine = Engine(dataset, EngineConfig(decoder_variant="block", compression="pca-cls-quant",
+                                      sampler=SamplerConfig(strategy="fws")))
+for i in (0, 5, 10, 15, 1, 6):
+    engine.process(i)
+engine.evaluate_suite(EvalSuite("all", list(range(len(dataset))), set(range(4))))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_the_engine_runs_without_scipy():
+    # Its own interpreter, so only what the package itself imports is loaded: a block,
+    # pca-cls-quant, FWS engine trains and evaluates without loading any of scipy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -14,9 +14,10 @@ the base runs first on odd seeds and second on even ones, so a drift in the
 machine's speed falls on both sides alike. It then prints one table per
 workload: for every end-to-end metric of ``BENCHMARK.json``, the base and
 working-tree medians, their ratio, the smallest and largest new / base ratio of
-a single pair, the base's interquartile range over its median, and in how many
-pairs the working tree was better. It gates nothing: the exit code is 1 only
-when a run failed to produce a result. Standard library only.
+a single pair, the base's interquartile range over its median, in how many
+pairs the working tree was better, and a verdict against the metric's bound
+(see ``verdict``). It gates nothing: the exit code is 1 only when a run failed
+to produce a result. Standard library only.
 """
 
 from __future__ import annotations
@@ -38,11 +39,45 @@ def parse_result(stdout: str) -> dict[str, float]:
     return {name: m["value"] for name, m in last["metrics"].items()}
 
 
-def summarize(pairs, better: dict[str, str]) -> list[dict]:
+def _iqr(values: list[float]) -> float:
+    """The distance between the quartiles of ``values`` (0 for a single value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
+
+
+def verdict(base: list[float], new: list[float], wins: int, lower: bool, bound: float) -> str:
+    """How the new runs of one metric compare with its base runs. ``wins`` counts the
+    pairs new won, and ``bound`` is the worsening the metric allows, as a fraction of
+    the base median. The first that holds of:
+
+    * ``gain``: new wins at least 9/10 of the pairs, and its median is better than the
+      base's by more than the base's interquartile range;
+    * ``unresolved``: the base's interquartile range is wider than the bound, so the runs
+      cannot show that the bound held, unless every new run is better than every base
+      run;
+    * ``within bound``: new's median is no worse than the base's by more than the bound;
+    * ``worse``: anything else.
+    """
+    sign = 1.0 if lower else -1.0
+    base_med = statistics.median(base)
+    gained = sign * (base_med - statistics.median(new))  # > 0 when new's median is better
+    spread = _iqr(base)
+    if 10 * wins >= 9 * len(base) and gained > spread:
+        return "gain"
+    all_better = max(new) < min(base) if lower else min(new) > max(base)
+    if spread > bound * abs(base_med) and not all_better:
+        return "unresolved"
+    return "within bound" if gained >= -bound * abs(base_med) else "worse"
+
+
+def summarize(pairs, better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric of ``better`` (its ``"lower"`` or ``"higher"``) from a list of
     ``(base, new)`` metric dicts: both medians, new over base, the range of the per-pair
-    new over base, the base's IQR over its median, and the pairs in which new is
-    strictly better."""
+    new over base, the base's IQR over its median, the pairs in which new is strictly
+    better, and, for a metric with a bound in ``bounds``, its ``verdict``."""
     rows = []
     for name, direction in better.items():
         got = [(b[name], n[name]) for b, n in pairs
@@ -51,25 +86,27 @@ def summarize(pairs, better: dict[str, str]) -> list[dict]:
             continue
         base, new = [b for b, _ in got], [n for _, n in got]
         base_med, new_med = statistics.median(base), statistics.median(new)
-        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0],) * 3
         wins = sum((n < b) if direction == "lower" else (n > b) for b, n in got)
         ratios = [n / b if b else float("nan") for b, n in got]
+        bound = (bounds or {}).get(name)
         rows.append({"metric": name, "base": base_med, "new": new_med,
                      "ratio": new_med / base_med if base_med else float("nan"),
                      "ratio_min": min(ratios), "ratio_max": max(ratios),
-                     "base_iqr": (q3 - q1) / base_med if base_med else float("nan"),
-                     "wins": wins, "pairs": len(got)})
+                     "base_iqr": _iqr(base) / base_med if base_med else float("nan"),
+                     "wins": wins, "pairs": len(got),
+                     "verdict": "" if bound is None
+                     else verdict(base, new, wins, direction == "lower", bound)})
     return rows
 
 
 def format_table(rows: list[dict]) -> str:
     lines = ["| metric | base median | new median | new / base | per-pair new / base "
-             "| base IQR / median | wins |",
-             "| --- | --- | --- | --- | --- | --- | --- |"]
+             "| base IQR / median | wins | verdict |",
+             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
     for r in rows:
         lines.append(f"| {r['metric']} | {r['base']:.6g} | {r['new']:.6g} | {r['ratio']:.3f} "
                      f"| {r['ratio_min']:.3f}–{r['ratio_max']:.3f} "
-                     f"| {r['base_iqr']:.3f} | {r['wins']}/{r['pairs']} |")
+                     f"| {r['base_iqr']:.3f} | {r['wins']}/{r['pairs']} | {r['verdict']} |")
     return "\n".join(lines)
 
 
@@ -107,6 +144,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     def run_all(base: Path) -> None:
@@ -114,7 +152,7 @@ def main(argv=None) -> int:
             results = run_pairs(base, workload, args.pairs, args.seconds)
             print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
                   f"seeds 1-{args.pairs}")
-            print(format_table(summarize(results, better)), flush=True)
+            print(format_table(summarize(results, better, bounds)), flush=True)
 
     try:
         if args.base_dir is not None:
