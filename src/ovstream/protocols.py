@@ -185,7 +185,8 @@ class EngineConfig:
 # batch count) then its payload record per ovstream.compression; per stored
 # label in ascending order, the tracker's (f64 c_t, f64 c_o). Little-endian.
 # The store implies the rest: each FWS weight is SamplerConfig.fws_weight of its
-# batch count, and each label's n_seen is its number of stored samples.
+# batch count, and each label's n_seen is its number of stored samples. A step
+# batches at most batch_size ids, so batch counts sum to at most step x batch_size.
 
 _SNAPSHOT_MAGIC = b"OVSN"
 _SNAPSHOT_VERSION = 3
@@ -308,9 +309,9 @@ class Engine:
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._neighbours.extend(tokens[len(self._neighbours):, 0])
             confidence = np.zeros((len(self.table), 2))
-            for col, pairs in enumerate((nn_loo_confidence(list(zip(decoded, labels))),
-                                         self._neighbours.confidence(labels))):
-                confidence[self.table.rows(pairs), col] = list(pairs.values())
+            tuned = nn_loo_confidence(list(zip(decoded, labels)))
+            for col, (classes, acc) in enumerate((tuned, self._neighbours.confidence(labels))):
+                confidence[self.table.rows(classes), col] = acc
             self._nn_cache = (key, confidence)
         return self._nn_cache[1]
 
@@ -453,11 +454,11 @@ class Engine:
         """The engine a ``snapshot`` file holds, on ``dataset``. Raises only
         ``FormatError``: for malformed bytes, and for a state no engine on ``dataset``
         holds (a config ``validate`` rejects, non-finite parameters or moments,
-        ``v < 0``, labels outside the table, batch counts < 0, tracker accuracies
-        outside [0, 1], another token shape, a record that the config's compression
-        and component count do not store). Stored samples go back in through
-        ``ReplayStore.insert`` and its checks; FWS weights and ``n_seen`` are derived
-        from them, as a stream derives them."""
+        ``v < 0``, labels outside the table, batch counts < 0 or summing past step x
+        ``batch_size``, tracker accuracies outside [0, 1], another token shape, a record
+        that the config's compression and component count do not store). Stored samples
+        go back in through ``ReplayStore.insert`` and its checks; FWS weights and
+        ``n_seen`` are derived from them, as a stream derives them."""
         data = Path(path).read_bytes()
         if data[:4] != _SNAPSHOT_MAGIC:
             raise FormatError("bad snapshot magic at offset 0")
@@ -488,6 +489,7 @@ class Engine:
         except (struct.error, ValueError, TypeError, KeyError, OverflowError) as exc:
             raise FormatError(f"bad snapshot at offset {off}: {exc}") from exc
         sampler = engine.config.sampler
+        budget = engine.opt.step * sampler.batch_size  # a step batches at most batch_size ids
         for sid in range(count):
             start = off
             try:
@@ -495,6 +497,9 @@ class Engine:
                 payload, off = compression.payload_from_bytes(data, off + _SAMPLE.size)
                 if label not in engine.table or batch_count < 0:
                     raise ValueError(f"label {label}, batch count {batch_count}")
+                budget -= batch_count
+                if budget < 0:
+                    raise ValueError(f"batch counts sum past step {engine.opt.step} x batch_size")
                 if tuple(payload.shape) != dataset.shape:
                     raise ValueError(f"token shape {tuple(payload.shape)} != the dataset's "
                                      f"{dataset.shape}")

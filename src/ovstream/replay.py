@@ -5,18 +5,19 @@ matrices or compressed records), kept columnar: their arrays are stacked on a
 leading sample axis, and a sample's id is its row. Labels, batch counts and
 FWS weights stay in Python lists, with one id list per class and the stored
 labels kept sorted. The first insert fixes the token shape (T, D) and the
-payload layout (raw, or the record's
-component count and block kinds), as an engine's storage mode does; an insert
-of another shape or layout, or of a record whose blocks do not fit it, raises.
+payload layout (raw, or the record's component count and block kinds), as an
+engine's storage mode does; an insert of another shape or layout, or of a
+record whose blocks do not fit it, raises.
 ``tokens(ids)`` gathers the rows with one index array and reads them back
 with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``), so a
 training step decodes its batch at once. Decoded matrices are never cached.
 
 Four sampling strategies are supported: FIFO, Uniform, ClassBalanced, and
-frequency-weighted sampling (FWS) whose per-sample weight decays by a
-multiplier each time the sample lands in a batch. A ClassBalanced batch makes
-two Generator calls with the same draws as one ``rng.choice`` per chosen
-class, so its ids and the generator's state after it match those calls.
+frequency-weighted sampling (FWS), whose per-sample weight decays by a multiplier
+per batch the sample lands in: ``SamplerConfig.fws_weight`` of its batch count,
+computed per update with no table sized by a count. A ClassBalanced batch makes
+two Generator calls with the same draws as one ``rng.choice`` per chosen class,
+so its ids and the generator's state after it match those calls.
 """
 
 from __future__ import annotations
@@ -178,7 +179,6 @@ class ReplayStore:
         self._weights: list[float] = []
         self._classes: list[int] = []          # the stored labels, ascending
         self._by_class: dict[int, list[int]] = {}
-        self._fws = (None, [])                 # (decay, floor), FWS weight of each count
         self._layout = None                    # payload layout key, fixed by the first insert
         self._columns: list[_Column] = []      # payload arrays, row = sample id
         self._checked = (None, None)           # (the id list last checked, its array)
@@ -316,17 +316,13 @@ class ReplayStore:
                           else islice(draws, count))]
 
     def record_batched(self, ids, config: SamplerConfig) -> None:
-        """Bump batch counts (twice for an id batched twice) and set each FWS weight
-        from its count, free of accumulation error. Every id is checked before the
-        first write, so a rejected batch leaves the store as it was."""
-        ids = self._ids(ids).tolist()
-        if self._fws[0] != (config.decay, config.weight_floor):
-            self._fws = ((config.decay, config.weight_floor), [])
-        counts, weights, table = self._counts, self._weights, self._fws[1]
-        for sid in ids:
+        """Bump batch counts (twice for an id batched twice) and set each FWS weight to
+        ``config.fws_weight`` of its count, free of accumulation error. Every id is
+        checked before the first write, so a rejected batch leaves the store as it was."""
+        counts, weights = self._counts, self._weights
+        decay, floor = config.decay, config.weight_floor
+        for sid in self._ids(ids).tolist():
             counts[sid] += 1
-            # ``config.fws_weight`` of each count, once: Python's ``pow`` (numpy's
-            # ``power`` rounds some of them otherwise).
-            while len(table) <= counts[sid]:
-                table.append(config.fws_weight(len(table)))
-            weights[sid] = table[counts[sid]]
+            # ``fws_weight`` in Python floats (numpy's ``power`` rounds some); ``max`` is 2x slower
+            w = decay ** counts[sid]
+            weights[sid] = w if w > floor else floor

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -96,7 +97,8 @@ def test_one_table_per_workload(monkeypatch, capsys, tmp_path):
     # Without --workload every workload of BENCHMARK.json runs, each with its table.
     ran = []
 
-    def fake_run_pairs(base, workload, pairs, seconds):
+    def fake_run_pairs(base, workload, pairs, seconds, trace=0):
+        assert trace == 0
         ran.append((base, workload, pairs, seconds))
         return [(bench_pairs.parse_result(_stdout(setup_s=2.0)),
                  bench_pairs.parse_result(_stdout(setup_s=1.0)))] * pairs
@@ -117,3 +119,29 @@ def test_one_table_per_workload(monkeypatch, capsys, tmp_path):
     assert bench_pairs.main(["--base-dir", str(tmp_path), "--workload", "b", "a",
                              "--pairs", "1", "--seconds", "2"]) == 0
     assert [(w, s) for _, w, _, s in ran] == [("b", 2.0), ("a", 2.0)]
+
+
+def test_trace_runs_traced_pairs_and_prints_per_layer_tables(monkeypatch, capsys, tmp_path):
+    # With --trace each run is a ``--trace 1`` one, and the table holds the per-layer
+    # metrics those runs print, with no verdict: a per-layer metric has no bound.
+    commands = []
+
+    def fake_subprocess_run(cmd, **kwargs):
+        commands.append(cmd)
+        new = Path(kwargs["cwd"]) == bench_pairs.ROOT
+        stdout = _stdout(**{"replay.record_batched.ms": 1.0 if new else 2.0,
+                            "replay.store_size": 40, "trace.overhead_pct": 3.0})
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+    assert bench_pairs.main(["--base-dir", str(tmp_path), "--workload", "w",
+                             "--pairs", "2", "--trace"]) == 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--trace") + 1] == "1" for cmd in commands)
+    out = capsys.readouterr().out
+    assert "w: 2 pairs of 55 s runs, seeds 1-2, per-layer" in out
+    rows = [line for line in out.splitlines() if line.startswith("| ") and "---" not in line]
+    assert [row.split(" | ")[0] for row in rows[1:]] == [
+        "| replay.record_batched.ms", "| replay.store_size", "| trace.overhead_pct"]
+    assert rows[1] == "| replay.record_batched.ms | 2 | 1 | 0.500 | 0.500–0.500 | 0.000 | 2/2 |  |"
+    assert rows[2].endswith("| 0/2 |  |") and "setup_s" not in out

@@ -294,6 +294,8 @@ class TestEngineSnapshot:
         (lambda e: e.opt.m.__setitem__(0, np.inf), "non-finite"),
         (lambda e: e.opt.v.__setitem__(0, -1e-9), "v < 0"),
         (lambda e: setattr(e.store.sample(1), "batch_count", -1), "record 1.*batch count -1"),
+        # Two steps of at most two ids each: batch counts sum to at most 4.
+        (lambda e: setattr(e.store.sample(1), "batch_count", 10**6), "record 1.*sum past step 2"),
         (lambda e: e.tracker.acc.__setitem__((e.table.rows([0])[0], 0), 1.5),
          "tracker entry for label 0"),
         (lambda e: setattr(e.config, "lr", float("inf")), "lr must be finite"),

@@ -3,7 +3,7 @@
 Usage, from the root of a source checkout:
 
     python3 tools/bench_pairs.py [--workload NAME ...] [--pairs N] [--seconds S]
-                                 [--base REF | --base-dir DIR]
+                                 [--base REF | --base-dir DIR] [--trace]
 
 For each named workload (default: every workload of ``BENCHMARK.json``), runs
 ``perfbench/run.py --trace 0`` on seeds 1..N, once in a checkout of the
@@ -16,8 +16,10 @@ workload: for every end-to-end metric of ``BENCHMARK.json``, the base and
 working-tree medians, their ratio, the smallest and largest new / base ratio of
 a single pair, the base's interquartile range over its median, in how many
 pairs the working tree was better, and a verdict against the metric's bound
-(see ``verdict``). It gates nothing: the exit code is 1 only when a run failed
-to produce a result. Standard library only.
+(see ``verdict``). With ``--trace`` the runs are ``--trace 1`` ones instead, and
+the tables hold the per-layer metrics of ``BENCHMARK.json`` with no verdict, as
+per-layer metrics have no bound. It gates nothing: the exit code is 1 only when
+a run failed to produce a result. Standard library only.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def format_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict[str, float]:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise RuntimeError(f"no result from {checkout} seed {seed}: {proc.stderr[-500:]}")
@@ -121,11 +124,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     return parse_result(proc.stdout)
 
 
-def run_pairs(base: Path, workload: str, pairs: int, seconds: float) -> list[tuple]:
+def run_pairs(base: Path, workload: str, pairs: int, seconds: float,
+              trace: int = 0) -> list[tuple]:
     results = []
     for seed in range(1, pairs + 1):
         order = [base, ROOT] if seed % 2 else [ROOT, base]
-        got = {checkout: run_once(checkout, workload, seed, seconds) for checkout in order}
+        got = {checkout: run_once(checkout, workload, seed, seconds, trace)
+               for checkout in order}
         results.append((got[base], got[ROOT]))
         print(f"seed {seed}: base {json.dumps(got[base])}", file=sys.stderr)
         print(f"seed {seed}: new  {json.dumps(got[ROOT])}", file=sys.stderr)
@@ -141,17 +146,20 @@ def main(argv=None) -> int:
     where = parser.add_mutually_exclusive_group()
     where.add_argument("--base", default="HEAD", help="git ref to compare against")
     where.add_argument("--base-dir", type=Path, help="an existing checkout of the base")
+    parser.add_argument("--trace", action="store_true",
+                        help="compare the per-layer metrics of traced runs instead")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics if "bound" in m}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
     def run_all(base: Path) -> None:
         for workload in workloads:
-            results = run_pairs(base, workload, args.pairs, args.seconds)
+            results = run_pairs(base, workload, args.pairs, args.seconds, int(args.trace))
             print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-                  f"seeds 1-{args.pairs}")
+                  f"seeds 1-{args.pairs}" + (", per-layer" if args.trace else ""))
             print(format_table(summarize(results, better, bounds)), flush=True)
 
     try:
