@@ -309,9 +309,9 @@ class Engine:
             decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._neighbours.extend(tokens[len(self._neighbours):, 0])
             confidence = np.zeros((len(self.table), 2))
-            tuned = nn_loo_confidence(list(zip(decoded, labels)))
-            for col, (classes, acc) in enumerate((tuned, self._neighbours.confidence(labels))):
-                confidence[self.table.rows(classes), col] = acc
+            for col, pairs in enumerate((nn_loo_confidence(list(zip(decoded, labels))),
+                                         self._neighbours.confidence(labels))):
+                confidence[self.table.rows(pairs), col] = list(pairs.values())
             self._nn_cache = (key, confidence)
         return self._nn_cache[1]
 

@@ -320,9 +320,6 @@ class ReplayStore:
         ``config.fws_weight`` of its count, free of accumulation error. Every id is
         checked before the first write, so a rejected batch leaves the store as it was."""
         counts, weights = self._counts, self._weights
-        decay, floor = config.decay, config.weight_floor
         for sid in self._ids(ids).tolist():
             counts[sid] += 1
-            # ``fws_weight`` in Python floats (numpy's ``power`` rounds some); ``max`` is 2x slower
-            w = decay ** counts[sid]
-            weights[sid] = w if w > floor else floor
+            weights[sid] = config.fws_weight(counts[sid])

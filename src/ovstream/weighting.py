@@ -16,6 +16,7 @@ the batch it sits in.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -103,19 +104,19 @@ def aim_alpha(p_frozen: np.ndarray, labels, seen_set) -> np.ndarray:
     return np.where([y in seen_set for y in labels], p_frozen, 0.0).sum(axis=-1, keepdims=True)
 
 
-def nn_loo_confidence(exemplars) -> tuple[np.ndarray, np.ndarray]:
+def nn_loo_confidence(exemplars) -> dict[int, float]:
     """Leave-one-out nearest-neighbor accuracy per class.
 
-    ``exemplars`` is a list of (embedding, label). Returns ``(classes, accuracies)``:
-    the ascending labels with at least two exemplars, and for each the float64
-    fraction of its exemplars whose cosine-nearest other exemplar (searched over the
-    whole set; the first one on ties) carries the same label. The search is one
-    :class:`FrozenNeighbours` extended by every exemplar.
+    ``exemplars`` is a list of (embedding, label). For each class with at
+    least two exemplars: the fraction of its exemplars whose cosine-nearest
+    other exemplar (searched over the whole set; the first one on ties)
+    carries the same label. Classes with fewer than two exemplars are omitted.
+    The search is one :class:`FrozenNeighbours` extended by every exemplar.
     """
     items = list(exemplars)
     labels = [label for _, label in items]
-    if len(set(labels)) == len(labels):  # no class has two exemplars: nothing to compare
-        return np.empty(0, np.int64), np.empty(0)
+    if max(Counter(labels).values(), default=0) < 2:
+        return {}
     try:  # validated once, on the stack; a bad exemplar raises as_embedding's error
         embs = np.array([e for e, _ in items], np.float32)
     except ValueError:  # ragged
@@ -165,10 +166,10 @@ class FrozenNeighbours:
         self.nearest = np.concatenate([self.nearest, best])
         self.cosines = np.concatenate([self.cosines, sims[np.arange(k), best]])
 
-    def confidence(self, labels) -> tuple[np.ndarray, np.ndarray]:
+    def confidence(self, labels) -> dict[int, float]:
         """:func:`nn_loo_confidence` of the exemplars with these ``labels``, in order."""
-        labels = np.asarray(labels, np.int64)
-        classes, inverse, counts = np.unique(labels, return_inverse=True, return_counts=True)
-        hits = np.bincount(inverse[labels[self.nearest] == labels], minlength=len(classes))
-        kept = counts >= 2
-        return classes[kept], hits[kept] / counts[kept]
+        labels = np.asarray(labels)
+        counts = Counter(labels.tolist())
+        hits = Counter(labels[labels[self.nearest] == labels].tolist())
+        return {label: hits[label] / counts[label]
+                for label in sorted(counts) if counts[label] >= 2}

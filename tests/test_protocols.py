@@ -380,9 +380,9 @@ class TestEngineRun:
         def check(engine):
             ids = range(len(engine.store))
             tokens, labels = engine.store.tokens(ids), engine.store.labels(ids)
-            classes, accuracies = nn_loo_confidence([(t[0], y) for t, y in zip(tokens, labels)])
+            reference = nn_loo_confidence([(t[0], y) for t, y in zip(tokens, labels)])
             want = np.zeros(len(engine.table))  # a label stored less than twice holds 0
-            want[engine.table.rows(classes)] = accuracies
+            want[engine.table.rows(reference)] = list(reference.values())
             maps = engine._nn_loo_maps()
             assert maps.shape == (len(engine.table), 2)
             assert maps[:, 1].tolist() == want.tolist()

@@ -319,12 +319,6 @@ def _nn_loo_loop(exemplars) -> dict[int, float]:
     }
 
 
-def _as_dict(confidence) -> dict[int, float]:
-    """``{label: accuracy}`` of a ``(classes, accuracies)`` pair, as the loop returns."""
-    classes, accuracies = confidence
-    return dict(zip(classes.tolist(), accuracies.tolist()))
-
-
 def _exemplar_set(gen: np.random.Generator):
     """Random exemplars with singleton classes and exact duplicates, some relabelled."""
     n = int(gen.integers(2, 25))
@@ -343,7 +337,7 @@ class TestNnLooConfidence:
     def test_matches_brute_force(self, rng):
         items = [(rng.standard_normal(6), int(rng.integers(0, 3)))
                  for _ in range(24)]
-        got = _as_dict(nn_loo_confidence(items))
+        got = nn_loo_confidence(items)
 
         # Quadratic re-implementation with explicit normalization.
         embs = np.array([e / np.linalg.norm(e) for e, _ in items])
@@ -364,27 +358,16 @@ class TestNnLooConfidence:
         gen = np.random.default_rng(20)
         for _ in range(220):
             items = _exemplar_set(gen)
-            assert _as_dict(nn_loo_confidence(items)) == _nn_loo_loop(items)
-
-    def test_returns_ascending_classes_and_their_accuracies(self):
-        # Labels 7 and 2 have two exemplars each, label 4 one: it is left out.
-        items = [(np.array([1.0, 0.0]), 7), (np.array([0.0, 1.0]), 2),
-                 (np.array([0.9, 0.1]), 7), (np.array([-1.0, 0.1]), 4),
-                 (np.array([0.1, 0.9]), 2)]
-        classes, accuracies = nn_loo_confidence(items)
-        assert classes.dtype == np.int64 and classes.tolist() == [2, 7]
-        assert accuracies.dtype == np.float64 and accuracies.tolist() == [1.0, 1.0]
-        classes, accuracies = nn_loo_confidence(items[:2])  # no label has two exemplars
-        assert classes.dtype == np.int64 and classes.size == accuracies.size == 0
+            assert nn_loo_confidence(items) == _nn_loo_loop(items)
 
     def test_ties_go_to_the_first_neighbour(self):
         # Items 1 and 2 are both exactly item 0; the first decides.
         v = np.array([0.3, -0.7, 0.2], dtype=np.float32)
         w = np.array([-1.0, 0.5, 0.0], dtype=np.float32)
         items = [(v, 0), (v, 0), (v, 1), (w, 1)]
-        assert _as_dict(nn_loo_confidence(items)) == _nn_loo_loop(items) == {0: 1.0, 1: 0.0}
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {0: 1.0, 1: 0.0}
         items = [(v, 0), (v, 1), (v, 0), (w, 1)]
-        assert _as_dict(nn_loo_confidence(items)) == _nn_loo_loop(items) == {0: 0.5, 1: 0.0}
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {0: 0.5, 1: 0.0}
 
     def test_bad_input_raises_value_error(self):
         good = [(np.array([1.0, 0.0]), 0), (np.array([0.0, 1.0]), 0)]
@@ -412,7 +395,7 @@ class TestNnLooConfidence:
     def test_all_singletons_are_not_compared(self):
         # No class has two exemplars, so no cosine is taken, as in the loop.
         items = [(np.array([0.0, 0.0]), 0), (np.array([1.0, 0.0]), 1)]
-        assert _as_dict(nn_loo_confidence(items)) == _nn_loo_loop(items) == {}
+        assert nn_loo_confidence(items) == _nn_loo_loop(items) == {}
 
     def test_tight_clusters_score_one(self):
         items = []
@@ -421,7 +404,7 @@ class TestNnLooConfidence:
                 v = np.array(center, dtype=float)
                 v[0] += eps
                 items.append((v, label))
-        assert _as_dict(nn_loo_confidence(items)) == {0: 1.0, 1: 1.0}
+        assert nn_loo_confidence(items) == {0: 1.0, 1: 1.0}
 
     def test_interleaved_classes_score_zero(self):
         # Each point's nearest neighbor belongs to the other class.
@@ -431,18 +414,18 @@ class TestNnLooConfidence:
             (np.array([0.0, 1.0]), 0),
             (np.array([0.0316, 0.9995]), 1),
         ]
-        got = _as_dict(nn_loo_confidence(items))
+        got = nn_loo_confidence(items)
         assert got == {0: 0.0, 1: 0.0}
 
     def test_singleton_class_omitted(self):
         items = [(np.array([1.0, 0.0]), 0), (np.array([0.9, 0.1]), 0),
                  (np.array([0.0, 1.0]), 5)]
-        got = _as_dict(nn_loo_confidence(items))
+        got = nn_loo_confidence(items)
         assert 5 not in got
         assert 0 in got
 
     def test_fewer_than_two_items(self):
-        assert _as_dict(nn_loo_confidence([(np.array([1.0, 0.0]), 0)])) == {}
+        assert nn_loo_confidence([(np.array([1.0, 0.0]), 0)]) == {}
 
 
 class TestFrozenNeighbours:
@@ -457,8 +440,7 @@ class TestFrozenNeighbours:
         np.fill_diagonal(sims, -np.inf)
         assert index.nearest.tolist() == sims.argmax(axis=1).tolist()
         assert index.cosines.tobytes() == sims.max(axis=1).tobytes()
-        got, want = index.confidence([y for _, y in items]), nn_loo_confidence(items)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert index.confidence([y for _, y in items]) == nn_loo_confidence(items)
 
     @pytest.mark.parametrize("most", [1, 4, 30], ids=["one", "several", "many"])
     def test_extended_index_is_the_reference_after_each_extend(self, most):
@@ -484,7 +466,7 @@ class TestFrozenNeighbours:
             index.extend(e[None])
         self._check(index, items)
         assert index.nearest.tolist() == [1, 0, 0, 0]
-        assert _as_dict(index.confidence([y for _, y in items])) == {0: 1.0, 1: 0.0}
+        assert index.confidence([y for _, y in items]) == {0: 1.0, 1: 0.0}
 
 
 def test_zero_shot_scale_invariance_through_pipeline(rng):
