@@ -7,9 +7,15 @@ components. Each block is independently raw float32 or integer-quantized
 with min/max envelopes (components and mean at 8 bits with per-row
 envelopes, coefficients at 16 bits with one envelope for the matrix).
 
-``storage_bytes`` counts the payload: block data plus quantization
-envelopes. The on-disk record adds a small fixed descriptor header on top;
-see ``payload_to_bytes`` for the layout.
+``split`` is the one definition of a storable payload: a raw token matrix
+(float32, T x D), or a record whose blocks have the shapes its ``n`` and
+``shape`` give, float blocks and envelopes in float32, codes in uint8 at
+8 bits or uint16 at 16, and one envelope per row or one for the matrix. It
+returns the payload's layout key and arrays; ``join`` rebuilds the payload.
+The replay store keeps those arrays, ``storage_bytes`` counts their bytes,
+and ``payload_from_bytes`` accepts only what ``split`` accepts. The on-disk
+record adds a small fixed descriptor header on top; see
+``payload_to_bytes`` for the layout.
 """
 
 from __future__ import annotations
@@ -227,12 +233,8 @@ def fits_mode(payload, mode: str, n: int) -> bool:
     """Whether ``encode(tokens, mode, n)`` stores records of ``payload``'s layout: a raw
     matrix under ``"none"``; else ``n`` components, in float32 blocks or, under
     ``"pca-cls-quant"``, in blocks quantized as ``quantize_feature`` quantizes them."""
-    if not isinstance(payload, CompressedFeature):
-        return mode == "none"
-    kinds = [(b.bit_width, b.per_row) if isinstance(b, QuantizedBlock) else None
-             for b in (payload.mean, payload.coefficients, payload.components)]
-    want = list(QUANTIZED_BLOCKS) if mode == "pca-cls-quant" else [None] * 3
-    return mode != "none" and payload.n == n and kinds == want
+    kinds = QUANTIZED_BLOCKS if mode == "pca-cls-quant" else (None,) * 3
+    return split(payload)[0] == (("raw",) if mode == "none" else (n, *kinds))
 
 
 def to_tokens(payload) -> np.ndarray:
@@ -243,49 +245,63 @@ def to_tokens(payload) -> np.ndarray:
     return payload
 
 
-def checked_payload(payload):
-    """A payload fit to store: a compressed record whose blocks fit its ``n`` and
-    ``shape`` (one envelope per row, or one for the matrix), as it is; anything
-    else validated as a token matrix."""
-    if not isinstance(payload, CompressedFeature):
-        return as_token_matrix(payload)
-    t, d = payload.shape
-    blocks = (payload.mean, payload.coefficients, payload.components)
-    for block, shape in zip(blocks, ((1, d), (t, payload.n), (payload.n, d))):
-        codes = block.codes if isinstance(block, QuantizedBlock) else block
-        fits = np.shape(codes) == shape
-        if isinstance(block, QuantizedBlock):
-            envelopes = (shape[0] if block.per_row else 1,)
-            fits = fits and np.shape(block.mins) == np.shape(block.maxs) == envelopes
-        if not fits:
-            raise ValueError(f"block of shape {np.shape(codes)} does not fit a "
-                             f"{payload.shape} record of {payload.n} components")
-    return payload
-
-
 # ---------------------------------------------------------------------------
-# Storage accounting
+# The stored form of a payload
+
+_CODES = {8: np.uint8, 16: np.uint16}
 
 
-def _block_bytes(block) -> int:
-    if isinstance(block, QuantizedBlock):
-        code_bytes = block.codes.size * (1 if block.bit_width == 8 else 2)
-        envelope_bytes = 2 * 4 * block.mins.size
-        return code_bytes + envelope_bytes
-    return np.asarray(block).size * 4
+def split(payload):
+    """``(key, shape, arrays)`` of a payload fit to store, or ``ValueError``.
+
+    A raw payload is validated as a token matrix: key ``("raw",)``, one array. A
+    compressed record must hold blocks of the shapes its ``n`` and ``shape`` give:
+    float32 float blocks, uint8 codes at 8 bits or uint16 at 16, float32 envelopes,
+    one per row or one for the matrix. Its key is ``n`` and each block's
+    ``(bit_width, per_row)``, or ``None`` for a float block; its arrays are the
+    blocks' in order, codes then mins then maxs for a quantized one. Payloads of
+    one key stack on a leading sample axis.
+    """
+    if not isinstance(payload, CompressedFeature):
+        tokens = as_token_matrix(payload)
+        return ("raw",), tokens.shape, [tokens]
+    t, d = shape = tuple(payload.shape)
+    key, arrays = [payload.n], []
+    blocks = (payload.mean, payload.coefficients, payload.components)
+    for block, rows_cols in zip(blocks, ((1, d), (t, payload.n), (payload.n, d))):
+        if isinstance(block, QuantizedBlock):
+            key.append((block.bit_width, block.per_row))
+            envelopes = (rows_cols[0] if block.per_row else 1,)
+            parts = ((block.codes, rows_cols, _CODES.get(block.bit_width)),
+                     (block.mins, envelopes, np.float32), (block.maxs, envelopes, np.float32))
+        else:
+            key.append(None)
+            parts = ((block, rows_cols, np.float32),)
+        for a, want, dtype in parts:
+            if not (isinstance(a, np.ndarray) and a.shape == want and a.dtype.type is dtype):
+                raise ValueError(f"block of shape {np.shape(a)} and dtype "
+                                 f"{getattr(a, 'dtype', None)} does not fit a {shape} "
+                                 f"record of {payload.n} components")
+            arrays.append(a)
+    return tuple(key), shape, arrays
+
+
+def join(key, shape, arrays):
+    """The payload of ``split``'s key, shape and arrays, with any leading sample axis kept."""
+    if key[0] == "raw":
+        return arrays[0]
+    rest = iter(arrays)
+    blocks = [next(rest) if kind is None
+              else QuantizedBlock(next(rest), next(rest), next(rest), *kind) for kind in key[1:]]
+    return CompressedFeature(shape, key[0], *blocks)
 
 
 def storage_bytes(payload) -> int:
-    """Payload bytes of a stored sample: block data plus quantization envelopes.
-
-    Raw token matrices count as T*D float32 bytes. The fixed per-record
-    descriptor header of the on-disk format is not included.
+    """Bytes a stored sample holds: those of ``split``'s arrays, so raw tokens count
+    T*D float32 bytes and a record its blocks' data plus quantization envelopes.
+    The fixed per-record descriptor header of the on-disk format is not included.
     """
-    if isinstance(payload, CompressedFeature):
-        return (_block_bytes(payload.mean)
-                + _block_bytes(payload.coefficients)
-                + _block_bytes(payload.components))
-    return np.asarray(payload).size * 4
+    return sum(a.nbytes for a in split(payload)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +442,10 @@ def payload_from_bytes(data: bytes, off: int = 0):
     """Decode one payload record; returns (payload, next offset).
 
     Raises only ``FormatError``: a record is returned only once its token
-    matrix has been read back and validated. A raw record is a read-only view
-    of ``data``, so a reader that keeps it copies it (the replay store's
-    ``insert`` does, and ``data.load`` copies all its records at once).
+    matrix has been read back and validated, and ``split`` accepts it. A raw
+    record is a read-only view of ``data``, so a reader that keeps it copies it
+    (the replay store's ``insert`` does, and ``data.load`` copies all its
+    records at once).
     """
     start = off
     try:
@@ -447,6 +464,7 @@ def payload_from_bytes(data: bytes, off: int = 0):
         comp, off = _block_from_bytes(data, off)
         cf = CompressedFeature((t, d), n, mean, coeff, comp)
         as_token_matrix(reconstruct(cf))
+        split(cf)
         return cf, off
     except (struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"bad payload record at offset {start}: {exc}") from exc

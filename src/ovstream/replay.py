@@ -1,13 +1,16 @@
 """Replay store: holds training samples and composes batches for online updates.
 
 Payloads are whatever :func:`ovstream.compression.encode` stored (raw token
-matrices or compressed records), kept columnar: their arrays are stacked on a
-leading sample axis, and a sample's id is its row. Labels, batch counts and
-FWS weights stay in Python lists, with one id list per class and the stored
-labels kept sorted. The first insert fixes the token shape (T, D) and the
-payload layout (raw, or the record's component count and block kinds), as an
-engine's storage mode does; an insert of another shape or layout, or of a
-record whose blocks do not fit it, raises.
+matrices or compressed records), kept columnar: the arrays
+:func:`ovstream.compression.split` gives are stacked on a leading sample axis,
+and a sample's id is its row. ``split`` is the one definition of a storable
+record: float32 blocks and envelopes, uint8 codes at 8 bits or uint16 at 16,
+one envelope per row or one for the matrix, in the shapes its ``n`` and token
+shape give; anything else raises. Labels, batch counts and FWS weights stay in
+Python lists, with one id list per class and the stored labels kept sorted.
+The first insert fixes the token shape (T, D) and the payload layout key (raw,
+or the record's component count and block kinds), as an engine's storage mode
+does; an insert of another shape or layout raises.
 ``tokens(ids)`` gathers the rows with one index array and reads them back
 with one :func:`ovstream.compression.to_tokens` (one ``reconstruct``), so a
 training step decodes its batch at once. Decoded matrices are never cached.
@@ -72,32 +75,6 @@ class _Column:
     @property
     def values(self) -> np.ndarray:
         return self._data[:self.size]
-
-
-def _split(payload):
-    """Layout key and arrays of a payload: payloads of one key stack on a sample axis."""
-    if not isinstance(payload, compression.CompressedFeature):
-        return ("raw", payload.dtype.str), [payload]
-    layout, arrays = [payload.n], []
-    for block in (payload.mean, payload.coefficients, payload.components):
-        if isinstance(block, compression.QuantizedBlock):
-            layout.append((block.bit_width, block.per_row))
-            arrays += [block.codes, block.mins, block.maxs]
-        else:
-            layout.append(None)
-            arrays.append(block)
-    return tuple(layout) + tuple(a.dtype.str for a in arrays), arrays
-
-
-def _join(key, shape, arrays):
-    """The payload of ``_split``'s key and arrays, with any leading sample axis kept."""
-    if key[0] == "raw":
-        return arrays[0]
-    rest = iter(arrays)
-    blocks = [next(rest) if layout is None
-              else compression.QuantizedBlock(next(rest), next(rest), next(rest), *layout)
-              for layout in key[1:4]]
-    return compression.CompressedFeature(shape, key[0], *blocks)
 
 
 def _entry(column: str) -> property:
@@ -190,11 +167,9 @@ class ReplayStore:
         # Every check runs before the first append: a rejected insert leaves the
         # store as it was.
         label = int(label)
-        payload = compression.checked_payload(payload)
-        shape = tuple(payload.shape)
+        key, shape, arrays = compression.split(payload)
         if self._shape is not None and shape != self._shape:
             raise ValueError(f"token shape {shape} != the store's {self._shape}")
-        key, arrays = _split(payload)
         if self._layout is None:
             self._shape, self._layout = shape, key
             self._columns = [_Column(a) for a in arrays]
@@ -239,7 +214,8 @@ class ReplayStore:
 
     def _payloads(self, rows):
         """The payload of one sample id, or the stacked payloads of an id array."""
-        return _join(self._layout, self._shape, [column.values[rows] for column in self._columns])
+        return compression.join(self._layout, self._shape,
+                                [column.values[rows] for column in self._columns])
 
     def tokens(self, ids) -> np.ndarray:
         """(B, T, D) float32 token matrices of ``ids``, in order: one gather and one

@@ -114,6 +114,17 @@ class TestPayloadRecord:
             with pytest.raises(FormatError, match="non-finite"):
                 payload_from_bytes(blob)
 
+    def test_per_row_block_with_one_envelope(self):
+        # Components of 2 rows quantized with one envelope, but flagged per-row:
+        # they reconstruct, yet no store could hold them.
+        pca = _payloads()[1]
+        comp = quantize(pca.components, 8, per_row=False)
+        comp.per_row = True
+        blob = payload_to_bytes(CompressedFeature(pca.shape, pca.n, pca.mean,
+                                                  pca.coefficients, comp))
+        with pytest.raises(FormatError, match="does not fit"):
+            payload_from_bytes(blob)
+
     def test_blocks_that_do_not_fit_the_record(self):
         blob = bytearray(payload_to_bytes(_payloads()[1]))
         blob[9:13] = struct.pack("<I", 3)  # n: 2 -> 3

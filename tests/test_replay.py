@@ -7,7 +7,10 @@ import pytest
 
 from ovstream.compression import (
     CompressedFeature,
+    QuantizedBlock,
     compress,
+    encode,
+    payload_to_bytes,
     per_instance_pca,
     storage_bytes,
     to_tokens,
@@ -431,10 +434,26 @@ class TestColumnarLayout:
     def test_record_whose_blocks_do_not_fit_rejected(self):
         _, pca, quant = self._payloads()
         wrong_n = CompressedFeature(pca.shape, 4, pca.mean, pca.coefficients, pca.components)
-        quant.components.mins = quant.components.mins[:1]  # per-row, one envelope
-        for bad in (wrong_n, quant):
+        one_envelope = self._payloads()[2]
+        one_envelope.components.mins = one_envelope.components.mins[:1]  # per-row, one envelope
+        blocks = ("mean", "coefficients", "components")
+        float64 = [CompressedFeature(pca.shape, pca.n, **{
+            name: getattr(pca, name).astype(np.float64) if name == wide else getattr(pca, name)
+            for name in blocks}) for wide in blocks]
+        int64 = CompressedFeature(quant.shape, quant.n, *(
+            QuantizedBlock(b.codes.astype(np.int64), b.mins, b.maxs, b.bit_width, b.per_row)
+            for b in (quant.mean, quant.coefficients, quant.components)))
+        c = quant.coefficients  # uint16 codes, but at 12 bits
+        twelve_bit = CompressedFeature(quant.shape, quant.n, quant.mean,
+                                       QuantizedBlock(c.codes >> 4, c.mins, c.maxs, 12, False),
+                                       quant.components)
+        for bad in (wrong_n, one_envelope, *float64, int64, twelve_bit):
+            store = ReplayStore()
             with pytest.raises(ValueError, match="does not fit"):
-                ReplayStore().insert(0, bad)
+                store.insert(0, bad)
+            assert len(store) == 0
+            with pytest.raises(ValueError, match="does not fit"):
+                storage_bytes(bad)
 
     def test_rejected_insert_leaves_the_store_as_it_was(self):
         raw, pca, _ = self._payloads()
@@ -471,14 +490,24 @@ class TestColumnarLayout:
         store.insert(1, self._payloads(seed=1)[first])
         assert store.labels([0, 1]) == [0, 1]
 
-    @pytest.mark.parametrize("layout, size", [(0, 2560), (1, 1736), (2, 540)])
-    def test_stored_bytes_are_the_inserted_records(self, layout, size):
+    # The file adds a fixed descriptor to the stored bytes: kind and (T, D) for raw
+    # tokens, then n and three block headers, each quantized one with a per-row flag
+    # and an envelope count.
+    @pytest.mark.parametrize("mode, size, descriptor", [
+        ("none", 2560, 9), ("pca", 1736, 40), ("pca-cls", 1736, 40),
+        ("pca-cls-quant", 540, 55), ("quantized", 540, 55)])
+    def test_stored_bytes_are_the_inserted_records(self, mode, size, descriptor):
         store = ReplayStore()
-        payloads = [self._payloads(seed=s)[layout] for s in range(3)]
+        tokens = [self._payloads(seed=s)[0] for s in range(3)]
+        payloads = [compress(t, 5, quantized=True) if mode == "quantized"
+                    else encode(t, mode, 5) for t in tokens]
         for i, payload in enumerate(payloads):
             store.insert(i % 2, payload)
         for sid, payload in enumerate(payloads):
-            assert storage_bytes(store.sample(sid).payload) == storage_bytes(payload) == size
+            stored = store.sample(sid).payload
+            assert storage_bytes(stored) == storage_bytes(payload) == size
+            assert len(payload_to_bytes(payload)) - storage_bytes(payload) == descriptor
+            assert payload_to_bytes(stored) == payload_to_bytes(payload)
 
     @pytest.mark.parametrize("layout", [0, 1, 2])
     def test_tokens_gather_in_order_with_repeats(self, layout):
