@@ -12,10 +12,11 @@ envelopes, coefficients at 16 bits with one envelope for the matrix).
 ``shape`` give, float blocks and envelopes in float32, codes in uint8 at
 8 bits or uint16 at 16, and one envelope per row or one for the matrix. It
 returns the payload's layout key and arrays; ``join`` rebuilds the payload.
-The replay store keeps those arrays, ``storage_bytes`` counts their bytes,
-and ``payload_from_bytes`` accepts only what ``split`` accepts. The on-disk
-record adds a small fixed descriptor header on top; see
-``payload_to_bytes`` for the layout.
+The replay store keeps those arrays and ``storage_bytes`` counts their bytes.
+The on-disk record is those arrays under a small fixed descriptor header (see
+the layout above ``payload_to_bytes``): ``payload_to_bytes`` raises ``split``'s
+``ValueError`` on a payload ``split`` rejects, and ``payload_from_bytes`` hands
+what it reads to ``join`` and accepts only what ``split`` accepts.
 """
 
 from __future__ import annotations
@@ -374,97 +375,81 @@ class DatasetPcaCodec:
 #               u32 rows, u32 cols; float32 data for encoding 0; otherwise
 #               u8 per-row flag, envelope count u32, (min, max) float32
 #               pairs, then the integer codes.
+#
+# A record holds ``split``'s arrays: a block's encoding is its bit width / 8.
 
 _KIND_RAW = 0
 _KIND_COMPRESSED = 1
+_ENCODINGS = ("<f4", "<u1", "<u2")  # the dtype of each block encoding's data
 
 
-def _block_to_bytes(block) -> bytes:
-    if isinstance(block, QuantizedBlock):
-        encoding = 1 if block.bit_width == 8 else 2
-        rows, cols = block.codes.shape
-        out = [struct.pack("<BIIBI", encoding, rows, cols, int(block.per_row),
-                           block.mins.size)]
-        envelopes = np.empty((block.mins.size, 2), dtype="<f4")
-        envelopes[:, 0] = block.mins
-        envelopes[:, 1] = block.maxs
-        out.append(envelopes.tobytes())
-        dtype = "<u1" if block.bit_width == 8 else "<u2"
-        out.append(np.ascontiguousarray(block.codes, dtype=dtype).tobytes())
-        return b"".join(out)
-    arr = np.ascontiguousarray(block, dtype="<f4")
-    return struct.pack("<BII", 0, arr.shape[0], arr.shape[1]) + arr.tobytes()
-
-
-def _block_from_bytes(data: bytes, off: int):
-    start = off
-    try:
-        encoding, rows, cols = struct.unpack_from("<BII", data, off)
-        off += 9
-        if encoding == 0:
-            arr = np.frombuffer(data, dtype="<f4", count=rows * cols, offset=off)
-            return arr.reshape(rows, cols).copy(), off + 4 * rows * cols
-        if encoding not in (1, 2):
-            raise FormatError(f"unknown block encoding {encoding} at offset {start}")
-        per_row, n_env = struct.unpack_from("<BI", data, off)
-        off += 5
-        envelopes = np.frombuffer(data, dtype="<f4", count=2 * n_env, offset=off)
-        envelopes = envelopes.reshape(n_env, 2)
-        off += 8 * n_env
-        dtype, width = ("<u1", 1) if encoding == 1 else ("<u2", 2)
-        codes = np.frombuffer(data, dtype=dtype, count=rows * cols, offset=off)
-        off += width * rows * cols
-        block = QuantizedBlock(
-            codes=codes.reshape(rows, cols).copy(),
-            mins=envelopes[:, 0].copy(),
-            maxs=envelopes[:, 1].copy(),
-            bit_width=8 if encoding == 1 else 16,
-            per_row=bool(per_row),
-        )
-        return block, off
-    except (struct.error, ValueError, OverflowError) as exc:
-        # OverflowError: rows * cols too large for numpy to count
-        raise FormatError(f"bad payload block at offset {start}: {exc}") from exc
+def _array(data: bytes, off: int, dtype: str, shape: tuple):
+    """The read-only ``shape`` array of ``data`` at ``off``, and the offset after it. The
+    count is a Python int: numpy's int64 product of two u32s can wrap."""
+    arr = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=off)
+    return arr.reshape(shape), off + arr.nbytes
 
 
 def payload_to_bytes(payload) -> bytes:
-    if isinstance(payload, CompressedFeature):
-        t, d = payload.shape
-        return (struct.pack("<BIII", _KIND_COMPRESSED, t, d, payload.n)
-                + _block_to_bytes(payload.mean)
-                + _block_to_bytes(payload.coefficients)
-                + _block_to_bytes(payload.components))
-    arr = np.ascontiguousarray(payload, dtype="<f4")
-    return struct.pack("<BII", _KIND_RAW, arr.shape[0], arr.shape[1]) + arr.tobytes()
+    """The record of a payload: ``split``'s arrays under their descriptors. Raises
+    ``split``'s ``ValueError`` for a payload unfit to store."""
+    key, (t, d), arrays = split(payload)
+    if key[0] == "raw":
+        return struct.pack("<BII", _KIND_RAW, t, d) + arrays[0].astype("<f4", copy=False).tobytes()
+    out, rest = [struct.pack("<BIII", _KIND_COMPRESSED, t, d, key[0])], iter(arrays)
+    for kind in key[1:]:
+        block = next(rest)
+        encoding = 0 if kind is None else kind[0] // 8
+        out.append(struct.pack("<BII", encoding, *block.shape))
+        if kind is not None:
+            envelopes = np.stack([next(rest), next(rest)], axis=1)  # (min, max) pairs
+            out += [struct.pack("<BI", kind[1], len(envelopes)), envelopes.astype("<f4").tobytes()]
+        out.append(block.astype(_ENCODINGS[encoding], copy=False).tobytes())
+    return b"".join(out)
 
 
 def payload_from_bytes(data: bytes, off: int = 0):
     """Decode one payload record; returns (payload, next offset).
 
-    Raises only ``FormatError``: a record is returned only once its token
-    matrix has been read back and validated, and ``split`` accepts it. A raw
-    record is a read-only view of ``data``, so a reader that keeps it copies it
-    (the replay store's ``insert`` does, and ``data.load`` copies all its
-    records at once).
+    Raises only ``FormatError``, naming the offset of the bad record or block: a
+    record is returned only once its token matrix has been read back and validated,
+    and ``split`` accepts it. A raw record is a read-only view of ``data``, so a reader
+    that keeps it copies it (the replay store's ``insert`` does, and ``data.load``
+    copies all its records at once).
     """
-    start = off
+    start, where = off, f"record at offset {off}"
     try:
         (kind,) = struct.unpack_from("<B", data, off)
         if kind == _KIND_RAW:
             t, d = struct.unpack_from("<II", data, off + 1)
-            off += 9
-            arr = np.frombuffer(data, dtype="<f4", count=t * d, offset=off)
-            return as_token_matrix(arr.reshape(t, d)), off + 4 * t * d
+            tokens, off = _array(data, off + 9, "<f4", (t, d))
+            return as_token_matrix(tokens), off
         if kind != _KIND_COMPRESSED:
             raise FormatError(f"unknown payload kind {kind} at offset {off}")
         t, d, n = struct.unpack_from("<III", data, off + 1)
         off += 13
-        mean, off = _block_from_bytes(data, off)
-        coeff, off = _block_from_bytes(data, off)
-        comp, off = _block_from_bytes(data, off)
-        cf = CompressedFeature((t, d), n, mean, coeff, comp)
+        key, arrays = [n], []
+        for _ in range(3):
+            where = f"block at offset {off}"
+            encoding, rows, cols = struct.unpack_from("<BII", data, off)
+            off += 9
+            if encoding == 0:
+                key.append(None)
+            elif encoding in (1, 2):
+                per_row, count = struct.unpack_from("<BI", data, off)
+                envelopes, off = _array(data, off + 5, "<f4", (count, 2))
+                key.append((8 * encoding, bool(per_row)))
+            else:
+                raise FormatError(f"bad payload {where}: unknown encoding {encoding}")
+            block, off = _array(data, off, _ENCODINGS[encoding], (rows, cols))
+            arrays.append(block.copy())
+            if encoding:
+                arrays += [envelopes[:, 0].copy(), envelopes[:, 1].copy()]
+        where = f"record at offset {start}"
+        cf = join(tuple(key), (t, d), arrays)
         as_token_matrix(reconstruct(cf))
         split(cf)
         return cf, off
     except (struct.error, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad payload record at offset {start}: {exc}") from exc
+        # OverflowError: an element count too large for numpy
+        raise FormatError(f"bad payload {where}: {exc}") from exc

@@ -58,8 +58,8 @@ class Dataset:
     """Labeled raw token matrices of one ``shape`` (T, D), D the label table's dim (None
     if empty): ``token_rows``, one (N, T, D) float32 array, and ``label_ids``, the (N,)
     int64 array of their labels. Construction rejects rows of another dtype or width, a
-    label outside the table and a CLS row of zero norm, which no scorer can score,
-    naming the first bad sample."""
+    label outside the table, non-finite rows, which no file can store, and a CLS row of
+    zero norm, which no scorer can score, naming the first bad sample."""
 
     label_table: LabelEmbeddingTable
     token_rows: np.ndarray
@@ -83,6 +83,10 @@ class Dataset:
         if len(labels) and (rows.shape[1] < 2 or rows.shape[2] != self.label_table.dim):
             raise ValueError(f"token shape {rows.shape[1:]} is not (T >= 2, "
                              f"{self.label_table.dim})")
+        # A float64 sum of float32 entries is finite exactly when they all are, and
+        # it holds one value per sample where np.isfinite(rows) would hold a bool each.
+        if (bad := np.flatnonzero(~np.isfinite(rows.sum(axis=(1, 2), dtype=np.float64)))).size:
+            raise ValueError(f"sample {bad[0]}: token matrix contains non-finite entries")
         if (zero := np.flatnonzero(~rows[:, :1].any(axis=(1, 2)))).size:
             raise ValueError(f"sample {zero[0]}: CLS row has zero norm")
 

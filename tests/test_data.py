@@ -185,8 +185,12 @@ class TestDatasetShape:
         ([np.ones((4, 2), np.float32)] * 2, [0, 1], "token rows of list"),
         (np.ones((2, 4, 2), np.float32), [0.0, 1.0], "label ids must be one 1-D integer array"),
         (np.ones((2, 4, 2), np.float32), [[0, 1]], "label ids must be one 1-D integer array"),
+        (np.array([[[1, 1]] * 4, [[1, 1]] * 3 + [[np.nan, 1]]], np.float32), [0, 1],
+         "sample 1: token matrix contains non-finite entries"),
+        (np.array([[[1, 1]] * 4, [[1, 1], [1, -np.inf]] * 2], np.float32), [0, 1],
+         "sample 1: token matrix contains non-finite entries"),
     ], ids=["short_t", "narrow_d", "label_outside_the_table", "float64", "2-d", "count",
-            "list", "float_labels", "2-d_labels"])
+            "list", "float_labels", "2-d_labels", "nan", "inf"])
     def test_mixed_samples_rejected_in_memory(self, rows, labels, match):
         with pytest.raises(ValueError, match=match):
             Dataset(self._table(), rows, labels)

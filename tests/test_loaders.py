@@ -116,12 +116,13 @@ class TestPayloadRecord:
 
     def test_per_row_block_with_one_envelope(self):
         # Components of 2 rows quantized with one envelope, but flagged per-row:
-        # they reconstruct, yet no store could hold them.
+        # they reconstruct, yet no store could hold them. The writer refuses such a
+        # record, so the block is packed here, after the float record's first two.
         pca = _payloads()[1]
         comp = quantize(pca.components, 8, per_row=False)
-        comp.per_row = True
-        blob = payload_to_bytes(CompressedFeature(pca.shape, pca.n, pca.mean,
-                                                  pca.coefficients, comp))
+        head = payload_to_bytes(pca)[:-(9 + pca.components.nbytes)]
+        blob = (head + struct.pack("<BIIBI2f", 1, 2, 3, 1, 1, comp.mins[0], comp.maxs[0])
+                + comp.codes.tobytes())
         with pytest.raises(FormatError, match="does not fit"):
             payload_from_bytes(blob)
 

@@ -10,8 +10,10 @@ from ovstream.compression import (
     QuantizedBlock,
     compress,
     encode,
+    payload_from_bytes,
     payload_to_bytes,
     per_instance_pca,
+    split,
     storage_bytes,
     to_tokens,
 )
@@ -447,13 +449,20 @@ class TestColumnarLayout:
         twelve_bit = CompressedFeature(quant.shape, quant.n, quant.mean,
                                        QuantizedBlock(c.codes >> 4, c.mins, c.maxs, 12, False),
                                        quant.components)
-        for bad in (wrong_n, one_envelope, *float64, int64, twelve_bit):
+        raw = self._payloads()[0]
+        non_finite, one_token = raw.copy(), raw[:1]
+        non_finite[3, 7] = np.nan
+        unfit = [(bad, "does not fit") for bad in (wrong_n, one_envelope, *float64, int64,
+                                                   twelve_bit)]
+        for bad, match in unfit + [(non_finite, "non-finite"), (one_token, "T >= 2")]:
             store = ReplayStore()
-            with pytest.raises(ValueError, match="does not fit"):
+            with pytest.raises(ValueError, match=match):
                 store.insert(0, bad)
             assert len(store) == 0
-            with pytest.raises(ValueError, match="does not fit"):
+            with pytest.raises(ValueError, match=match):
                 storage_bytes(bad)
+            with pytest.raises(ValueError, match=match):
+                payload_to_bytes(bad)
 
     def test_rejected_insert_leaves_the_store_as_it_was(self):
         raw, pca, _ = self._payloads()
@@ -508,6 +517,9 @@ class TestColumnarLayout:
             assert storage_bytes(stored) == storage_bytes(payload) == size
             assert len(payload_to_bytes(payload)) - storage_bytes(payload) == descriptor
             assert payload_to_bytes(stored) == payload_to_bytes(payload)
+            back = payload_from_bytes(payload_to_bytes(payload))[0]
+            assert [(a.dtype, a.shape, a.tobytes()) for a in split(back)[2]] == [
+                (a.dtype, a.shape, a.tobytes()) for a in split(payload)[2]]
 
     @pytest.mark.parametrize("layout", [0, 1, 2])
     def test_tokens_gather_in_order_with_repeats(self, layout):
