@@ -23,7 +23,7 @@ import numpy as np
 
 from . import compression, data, protocols
 from .core import FormatError
-from .decoder import TrainingBatch, loss_gradients
+from .decoder import TrainingBatch, linear_params, loss_gradients
 
 
 def canonical_json(obj) -> str:
@@ -129,12 +129,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    out = Path(args.out)
-    # The output directory is made after the stream, so a path that cannot become one
-    # is rejected before any work.
+def _out_dir(path) -> Path:
+    """``--out``, checked before any work: a path that cannot become a directory raises
+    ``ValueError``. A command makes it only once its work succeeds."""
+    out = Path(path)
     if bad := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
         raise ValueError(f"--out {out}: {bad} exists and is not a directory")
+    return out
+
+
+def cmd_run(args) -> int:
+    out = _out_dir(args.out)
     raw = _load_json(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
@@ -156,7 +161,6 @@ def cmd_run(args) -> int:
         "final": {name: acc for stage, name, acc in record.rows
                   if stage == stream[-1].index},
     }
-    # Only a finished stream makes the output directory, so a rejected run leaves none.
     out.mkdir(parents=True, exist_ok=True)
     _write_metrics_csv(record, out / "metrics.csv", chash, config.seed)
     (out / "summary.json").write_text(canonical_json(summary) + "\n")
@@ -172,9 +176,10 @@ def _write_metrics_csv(record, path, chash, seed) -> None:
 
 
 def cmd_compress(args) -> int:
+    out = _out_dir(args.out)
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions must be >= 1, not {args.repetitions}")
     dataset = data.load(args.dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     n = args.components
     tokens = dataset.token_rows
 
@@ -200,13 +205,13 @@ def cmd_compress(args) -> int:
     dataset_digest = hashlib.sha256(Path(args.dataset).read_bytes()).hexdigest()[:16]
     meta = {"mode": args.mode, "components": n, "dataset": dataset_digest}
     chash = config_hash(meta)
+    ms = _time_batch(dataset, payloads, decode, repetitions=args.repetitions)
+    out.mkdir(parents=True, exist_ok=True)
     report = out / "compression.csv"
     report.write_text(
         f"# config_hash={chash}\n"
         "mode,kb_per_sample,bytes_per_sample,reconstruction_rel_error\n"
         f"{args.mode},{kb!r},{float(np.mean(sizes))!r},{err!r}\n")
-
-    ms = _time_batch(dataset, payloads, decode, repetitions=args.repetitions)
     (out / "timing.json").write_text(canonical_json(
         {"mode": args.mode, "ms_per_batch": ms, "repetitions": args.repetitions}) + "\n")
     print(f"{args.mode}: {kb:.2f} KB/sample, recon rel err {err:.5f}, "
@@ -227,8 +232,6 @@ def _time_batch(dataset, payloads, decode, repetitions=100, batch_size=32) -> fl
     ``decode(sample_index, payload)`` turns a stored payload back into its
     token matrix.
     """
-    from .decoder import linear_params
-
     table = dataset.label_table
     params = linear_params(table.dim)
     ids = list(range(min(batch_size, len(payloads))))

@@ -111,6 +111,17 @@ class Dataset:
         sequence of ids, in order."""
         return self.token_rows[ids]
 
+    def check_task_map(self) -> None:
+        """Raise ``ValueError`` unless ``task_map`` partitions sample ids: each id in [0, N)
+        and named once, by one task. ``save`` and the task-incremental stream check it."""
+        named = set()
+        for task in sorted(self.task_map):
+            for i in self.task_map[task]:
+                if not 0 <= i < len(self) or i in named:
+                    why = "named before" if i in named else f"of {len(self)}"
+                    raise ValueError(f"task {task} names sample {i} {why}")
+                named.add(i)
+
 
 # ``generate`` draws at most this many bytes of float64 noise per call, in whole
 # samples and at least one.
@@ -171,7 +182,8 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 # Dataset file: magic "OVDS", u32 version, u32 D, u32 T, u32 label count,
 # u32 sample count, u32 task count; label block (u32 id + D float32 each);
-# task block (u32 task id, u32 size, u32 sample indices); sample records
+# task block (u32 task id, u32 size, u32 sample indices; no task id or sample index
+# twice in the block, as the task map partitions the samples); sample records
 # (u32 label id + payload record per ovstream.compression), each a raw record of
 # token shape (T, D), with a label of the label block and a nonzero CLS row; ``load``
 # rejects a compressed record. Little-endian.
@@ -181,6 +193,7 @@ _VERSION = 1
 
 
 def save(dataset: Dataset, path) -> None:
+    dataset.check_task_map()
     labels = dataset.label_table.labels()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -233,14 +246,18 @@ def load(path) -> Dataset:
             emb = np.frombuffer(data, dtype="<f4", count=dim, offset=off)
             off += 4 * dim
             entries[label] = emb.copy()
-        task_map = {}
+        task_map, named = {}, set()
         for _ in range(n_tasks):
             task, size = struct.unpack_from("<II", data, off)
+            if task in task_map:
+                raise FormatError(f"task {task} listed twice, at offset {off}")
             off += 8
             ids = struct.unpack_from(f"<{size}I", data, off)
             for i in ids:
-                if i >= n_samples:
-                    raise FormatError(f"task {task} names sample {i} of {n_samples} at offset {off}")
+                if i >= n_samples or i in named:
+                    why = "named before" if i in named else f"of {n_samples}"
+                    raise FormatError(f"task {task} names sample {i} {why} at offset {off}")
+                named.add(i)
                 off += 4
             task_map[task] = list(ids)
         # Grown record by record, so the header's counts size nothing. A row is a validated

@@ -387,17 +387,17 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float | None:
 # Optimizer (decoupled weight decay, adaptive moments)
 
 
+OPT_BETA1, OPT_BETA2, OPT_EPS = 0.9, 0.999, 1e-8  # moment decays, denominator epsilon
+
+
 @dataclass
 class OptimizerState:
     lr: float = 9.375e-6
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None  # moments over DecoderParams.flat
     v: np.ndarray | None = None
-    scratch: list | None = field(default=None, repr=False)  # reused work buffers
+    scratch: np.ndarray | None = field(default=None, repr=False)  # two reused work rows
     grads: DecoderParams | None = field(default=None, repr=False)
 
 
@@ -406,19 +406,21 @@ def optimizer_step(params: DecoderParams, grads: DecoderParams, state: Optimizer
     theta, g = params.flat, grads.flat
     if grads.layout != params.layout:
         raise ValueError("gradient tensors do not match the parameter tensors")
-    if state.m is None:  # rows: m, v and two scratch rows
-        state.m, state.v, *state.scratch = np.zeros((4,) + theta.shape)
+    if state.m is None:
+        state.m, state.v = np.zeros((2,) + theta.shape)
+    if state.scratch is None:
+        state.scratch = np.zeros((2,) + theta.shape)
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - OPT_BETA1 ** state.step
+    bc2 = 1.0 - OPT_BETA2 ** state.step
     m, v, (s, update), k = state.m, state.v, state.scratch, params.n_decay
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, g, out=s)
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=s)
+    m *= OPT_BETA1
+    m += np.multiply(1.0 - OPT_BETA1, g, out=s)
+    v *= OPT_BETA2
+    np.multiply(1.0 - OPT_BETA2, g, out=s)
     v += np.multiply(s, g, out=s)
     np.sqrt(np.divide(v, bc2, out=s), out=s)
-    s += state.eps
+    s += OPT_EPS
     np.divide(m, bc1, out=update)
     update /= s
     update[:k] += np.multiply(state.weight_decay, theta[:k], out=s[:k])

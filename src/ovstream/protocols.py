@@ -113,29 +113,23 @@ def build_stream(dataset: Dataset, protocol: str, seed: int = 0,
         fr = list(fractions)
         if fr != sorted(set(fr)) or fr[-1:] != [100] or fr[0] <= 0:
             raise ValueError(f"fractions must be strictly increasing and end at 100: {fr}")
-        order = list(rng.permutation(len(labels)))
-        cuts = [int(round(f / 100 * len(order))) for f in fr]
-        stages = []
-        prev = 0
-        for i, cut in enumerate(cuts):
-            stages.append(StreamStage(i + 1, [int(j) for j in order[prev:cut]], suites))
-            prev = cut
-        return stages
+        order = rng.permutation(len(labels)).tolist()
+        cuts = [0] + [int(round(f / 100 * len(order))) for f in fr]
+        return [StreamStage(i + 1, order[a:b], suites)
+                for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
 
     if protocol == "class_incremental":
-        classes = sorted(set(labels))
-        groups = [list(g) for g in np.array_split(classes, class_groups) if len(g)]
         stages = []
-        for i, group in enumerate(groups):
-            members = {int(g) for g in group}
-            ids = [j for j, label in enumerate(labels) if label in members]
-            ids = [int(j) for j in rng.permutation(ids)]
-            stages.append(StreamStage(i + 1, ids, suites))
+        for group in np.array_split(sorted(set(labels)), class_groups):
+            if members := set(group.tolist()):
+                ids = [j for j, label in enumerate(labels) if label in members]
+                stages.append(StreamStage(len(stages) + 1, rng.permutation(ids).tolist(), suites))
         return stages
 
     # task_incremental
     if not dataset.task_map:
         raise ValueError("task_incremental requires a dataset task partition")
+    dataset.check_task_map()
     return [StreamStage(i + 1, list(dataset.task_map[task]), suites)
             for i, task in enumerate(sorted(dataset.task_map))]
 
@@ -245,7 +239,7 @@ class Engine:
         self._stored = None  # CandidateSet of the stored labels, as of the last insert
         self._nn_cache = (None, None)  # (store size, optimizer step), nn-loo maps
         self._neighbours = FrozenNeighbours(dim)  # of the stored CLS rows, for nn-loo
-        self._mix = (None, None)  # (sorted candidates, store size, optimizer step), _Mix
+        self._mix = (None, None)  # (sorted candidates, store size, optimizer step), set-up
         self._frozen = {}  # suite name -> ((sample ids, sorted candidates), (N, C) rows)
 
     # -- training -----------------------------------------------------------
@@ -289,9 +283,12 @@ class Engine:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _chunks(self, items):
-        size = self.config.sampler.batch_size  # batch_size bounds a training step
-        return [items[i:i + size] for i in range(0, len(items), size)]
+    def _decode(self, x: np.ndarray) -> np.ndarray:
+        """The (B, D) decodings of a B x T x D array, decoded in ``batch_size`` row groups
+        as a training step decodes its batch (an empty array is one empty group)."""
+        size = self.config.sampler.batch_size
+        return np.concatenate([decode(x[i:i + size], self.params)
+                               for i in range(0, max(len(x), 1), size)])
 
     def _nn_loo_maps(self) -> np.ndarray:
         """The nn-loo (c_t, c_o) confidences of the stored samples, an (L, 2) array over
@@ -306,74 +303,65 @@ class Engine:
         if self._nn_cache[0] != key:
             ids = range(len(self.store))
             tokens, labels = self.store.tokens(ids), self.store.labels(ids)
-            decoded = [e for chunk in self._chunks(tokens) for e in decode(chunk, self.params)]
             self._neighbours.extend(tokens[len(self._neighbours):, 0])
             confidence = np.zeros((len(self.table), 2))
-            for col, pairs in enumerate((nn_loo_confidence(list(zip(decoded, labels))),
+            for col, pairs in enumerate((nn_loo_confidence(list(zip(self._decode(tokens), labels))),
                                          self._neighbours.confidence(labels))):
                 confidence[self.table.rows(pairs), col] = list(pairs.values())
             self._nn_cache = (key, confidence)
         return self._nn_cache[1]
 
-    def _mix_setup(self, candidates) -> _Mix:
-        """The sorted ``candidates``' mix set-up, worked out once per candidate set and
+    def _mix_setup(self, candidates) -> tuple[CandidateSet, set[int], bool, np.ndarray]:
+        """The whole mix set-up of ``candidates``, built once per sorted candidate set and
         store and decoder state (the state ``_nn_loo_maps`` is keyed by: the tracker
-        changes only where the store does); its alphas are filled in by ``predict``."""
+        changes only where the store does) and never written after: their
+        ``CandidateSet``; the stored labels, those the decoder has trained on; whether
+        none of the candidates is stored; and the (C,) alphas of the ``ocw``,
+        ``ocw-binary`` and ``nn-loo`` weightings, which the others do not read."""
         key = (tuple(sorted(candidates)), len(self.store), self.opt.step)
         if self._mix[0] != key:
-            self._mix = (key, _Mix(self.table, key[0], set(self.store.seen_labels())))
+            labels, seen, strategy = key[0], set(self.store.seen_labels()), self.config.weighting
+            rows, untrained = self.table.rows(labels), seen.isdisjoint(labels)
+            # Only a stored label has a tracker or nn-loo row other than (0, 0).
+            if strategy == "ocw":
+                confidence = self.tracker.acc[rows]
+            elif strategy == "nn-loo" and not untrained:
+                confidence = self._nn_loo_maps()[rows]
+            else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
+                confidence = np.zeros((len(rows), 2))
+            alphas = alpha(confidence, all_candidates_seen=seen.issuperset(labels))
+            self._mix = (key, (CandidateSet(self.table, labels), seen, untrained, alphas))
         return self._mix[1]
-
-    def _alphas(self, mix: _Mix) -> np.ndarray:
-        """The (C,) alphas of the ``ocw``, ``ocw-binary`` and ``nn-loo`` weightings."""
-        strategy, rows = self.config.weighting, self.table.rows(mix.labels)
-        # Only a stored label has a tracker or nn-loo row other than (0, 0).
-        if strategy == "ocw":
-            confidence = self.tracker.acc[rows]
-        elif strategy == "nn-loo" and not mix.untrained:
-            confidence = self._nn_loo_maps()[rows]
-        else:  # ocw-binary (the tuned model once every candidate is trained), or untrained
-            confidence = np.zeros((len(rows), 2))
-        return alpha(confidence, all_candidates_seen=mix.seen.issuperset(mix.labels))
-
-    def _tuned(self, x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        """The tuned scorer's (B, C) output for a B x T x D array over the rows of ``mat``."""
-        groups = self._chunks(x) or [x]  # an empty array is one empty group
-        return candidate_probabilities(
-            np.concatenate([decode(g, self.params) for g in groups]), mat)
 
     def predict(self, tokens, candidates, frozen=None) -> np.ndarray:
         """Combined distribution of a T x D token matrix under the configured weighting:
         a (C,) float64 array over ``sorted(candidates)``, or (B, C) for a B x T x D array.
         ``frozen``, when given, is the frozen scorer's output for ``tokens`` (same shape
         as the result), used in place of computing it; ``tuned-only`` never reads it.
-        ``decode`` runs over ``batch_size`` row groups, as a training step does; the
-        frozen and tuned cosine products and the mix run once for the whole array. Each
-        of those works one row or one label at a time, so a row gets the same bits in any
-        array whose groups are whole batches. The labels, label matrix, trained set and
-        alphas are worked out once per candidate set and store state (``_mix_setup``) and
-        shared by every array scored in it. When the decoder has trained on no
-        candidate, every alpha is 0 and the mix returns the frozen rows bit for bit, so
-        (except under ``tuned-only``) nothing is decoded and the frozen rows stand in
-        for the tuned ones."""
+        ``_decode`` runs over ``batch_size`` row groups, as a training step does; the frozen
+        and tuned cosine products and the mix run once for the whole array. Each of those
+        works one row or one label at a time, so a row gets the same bits in any array
+        whose groups are whole batches. ``predict`` only reads the mix set-up
+        (``_mix_setup``) that every array scored over one candidate set in one state
+        shares. When the decoder has trained on no candidate, every alpha is 0 and the mix
+        returns the frozen rows bit for bit, so (except under ``tuned-only``) nothing is
+        decoded and the frozen rows stand in for the tuned ones."""
         x = np.asarray(tokens)
         if x.ndim == 2:
             return self.predict(x[None], candidates,
                                 None if frozen is None else np.asarray(frozen)[None])[0]
-        mix = self._mix_setup(candidates)
+        cands, seen, untrained, alphas = self._mix_setup(candidates)
         strategy = self.config.weighting
         if strategy == "tuned-only":
-            return self._tuned(x, mix.matrix)
-        p_o = candidate_probabilities(x[:, 0], mix.matrix) if frozen is None else frozen
+            return candidate_probabilities(self._decode(x), cands.matrix)
+        p_o = candidate_probabilities(x[:, 0], cands.matrix) if frozen is None else frozen
         if strategy == "frozen-only":
             return p_o
         # Untrained, every alpha is 0, so the mix returns p_o whatever p_t is.
-        p_t = p_o if mix.untrained else self._tuned(x, mix.matrix)
+        p_t = p_o if untrained else candidate_probabilities(self._decode(x), cands.matrix)
         if strategy == "aim":
-            return mix_predictions(p_t, p_o, aim_alpha(p_o, mix.labels, mix.seen))
-        if mix.alphas is None:
-            mix.alphas = self._alphas(mix)
-        mixed = combined_prediction(p_t, p_o, mix.alphas, mix.labels)
+            return mix_predictions(p_t, p_o, aim_alpha(p_o, cands.labels, seen))
+        mixed = combined_prediction(p_t, p_o, alphas, cands.labels)
         return np.array(list(mixed.values())).T
 
     def evaluate_suite(self, suite: EvalSuite) -> tuple[float, SuitePredictions]:
@@ -395,7 +383,7 @@ class Engine:
             cached_key, frozen = self._frozen.get(suite.name, (None, None))
             if cached_key != key:
                 frozen = candidate_probabilities(self.dataset.token_rows[suite.sample_ids, 0],
-                                                 self._mix_setup(key[1]).matrix)
+                                                 self._mix_setup(key[1])[0].matrix)
                 self._frozen[suite.name] = (key, frozen)
         batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
         size = max(1, EVAL_SLICE_BYTES // batch_bytes) * self.config.sampler.batch_size
@@ -478,11 +466,10 @@ class Engine:
                 raise FormatError(f"{n} parameters at offset {off}, the decoder has {theta.size}")
             theta[:] = np.frombuffer(data, "<f8", n, off + 4)
             (engine.opt.step,) = struct.unpack_from("<Q", data, off + 4 + 8 * n)
-            state = np.zeros((4, n))  # m, v and the optimizer's two scratch rows
-            state[:2] = np.frombuffer(data, "<f8", 2 * n, off + 12 + 8 * n).reshape(2, n)
-            if not (np.isfinite(theta).all() and np.isfinite(state).all() and state[1].min() >= 0):
+            mv = np.frombuffer(data, "<f8", 2 * n, off + 12 + 8 * n).reshape(2, n)  # m and v
+            if not (np.isfinite(theta).all() and np.isfinite(mv).all() and mv[1].min() >= 0):
                 raise FormatError(f"non-finite parameters or moments, or v < 0, at offset {off}")
-            engine.opt.m, engine.opt.v, *engine.opt.scratch = state
+            engine.opt.m, engine.opt.v = mv.astype(float)  # writable copies
             off += 12 + 24 * n
             (count,) = struct.unpack_from("<I", data, off)
             off += 4
@@ -527,17 +514,6 @@ class Engine:
         if off != len(data):
             raise FormatError(f"{len(data) - off} bytes after the last record at offset {off}")
         return engine
-
-
-class _Mix(CandidateSet):
-    """An ``Engine``'s mix set-up for one candidate set in one store state: the set, the
-    ``seen`` labels (those the decoder has trained on), whether it is ``untrained`` on
-    every candidate, and the (C,) ``alphas``, once ``predict`` needs them."""
-
-    def __init__(self, table, candidates, seen: set[int]):
-        super().__init__(table, candidates)
-        self.seen, self.untrained = seen, seen.isdisjoint(self.labels)
-        self.alphas = None
 
 
 class SuitePredictions(Mapping):

@@ -408,6 +408,20 @@ class TestCompress:
         assert main(["compress", "--dataset", str(tmp_path / "none.bin"),
                      "--mode", "pca", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv, word", [
+        (["--components", "2", "--repetitions", "0"], "--repetitions must be >= 1, not 0"),
+        (["--components", "2", "--repetitions", "-3"], "--repetitions must be >= 1, not -3"),
+        (["--components", "0"], "component count 0"),
+    ], ids=["zero-repetitions", "negative-repetitions", "zero-components"])
+    def test_rejected_arguments_exit_2_and_leave_no_output(self, tmp_path, capsys,
+                                                          dataset_path, argv, word):
+        out = tmp_path / "c"
+        assert main(["compress", "--dataset", str(dataset_path), "--mode", "pca", *argv,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err
+        assert not out.exists()
+
 
 class TestReport:
     def _run_once(self, tmp_path, name, seed):

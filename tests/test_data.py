@@ -1,6 +1,7 @@
 """Synthetic dataset generation and the dataset file format."""
 
 import hashlib
+import struct
 import time
 import tracemalloc
 
@@ -304,6 +305,45 @@ class TestFileFormat:
         for y in ds.labels():
             np.testing.assert_array_equal(back.label_table.embedding(y),
                                           ds.label_table.embedding(y))
+
+    @staticmethod
+    def _tasks_file(tmp_path):
+        """A saved dataset of four samples with the task map {0: [0, 1], 1: [2, 3]}, and
+        the offset of its second task entry: tasks start at offset 68, after two label
+        entries of D=4, and each entry here is 16 bytes (u32 task id, u32 size, two ids)."""
+        ds = generate(SyntheticSpec(num_classes=2, samples_per_class=2, dim=4, tokens=2))
+        ds.task_map = {0: [0, 1], 1: [2, 3]}
+        path = tmp_path / "data.bin"
+        save(ds, path)
+        return path, 68 + 16
+
+    @pytest.mark.parametrize("edit, match", [
+        ((0, [2, 3]), "task 0 listed twice, at offset 84"),
+        ((1, [1, 3]), "task 1 names sample 1 named before at offset 92"),
+        ((1, [2, 2]), "task 1 names sample 2 named before at offset 96"),
+    ], ids=["task-id-twice", "sample-in-two-tasks", "sample-twice-in-a-task"])
+    def test_task_map_that_is_no_partition_is_rejected_on_load(self, tmp_path, edit, match):
+        path, second = self._tasks_file(tmp_path)
+        assert load(path).task_map == {0: [0, 1], 1: [2, 3]}
+        blob = bytearray(path.read_bytes())
+        task, ids = edit
+        blob[second:second + 16] = struct.pack("<4I", task, len(ids), *ids)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=match):
+            load(path)
+
+    @pytest.mark.parametrize("task_map, match", [
+        ({0: [0, 1], 1: [2, 99]}, "task 1 names sample 99 of 4"),
+        ({0: [0, 1], 1: [1, 2]}, "task 1 names sample 1 named before"),
+        ({0: [0, 0]}, "task 0 names sample 0 named before"),
+        ({0: [-1]}, "task 0 names sample -1 of 4"),
+    ], ids=["out-of-range", "in-two-tasks", "twice-in-a-task", "negative"])
+    def test_task_map_that_is_no_partition_is_not_saved(self, tmp_path, task_map, match):
+        ds = generate(SyntheticSpec(num_classes=2, samples_per_class=2, dim=4, tokens=2))
+        ds.task_map = task_map
+        with pytest.raises(ValueError, match=match):
+            save(ds, tmp_path / "data.bin")
+        assert not (tmp_path / "data.bin").exists()
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         ds = generate(SyntheticSpec(num_classes=2, samples_per_class=3, seed=21))

@@ -11,6 +11,9 @@ from scipy.special import erf
 
 from ovstream.core import TEMPERATURE, CandidateSet, LabelEmbeddingTable, label_cosines
 from ovstream.decoder import (
+    OPT_BETA1,
+    OPT_BETA2,
+    OPT_EPS,
     DecoderParams,
     OptimizerState,
     TrainingBatch,
@@ -221,7 +224,7 @@ class TestOptimizer:
         grads = zeros_like_params(params)
         grads.tensors["weight"][0, 0] = 1.0
         optimizer_step(params, grads, state)
-        expected = 1.0 - 0.1 * (1.0 / (1.0 + state.eps))
+        expected = 1.0 - 0.1 * (1.0 / (1.0 + OPT_EPS))
         assert params.tensors["weight"][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_quadratic_descent(self):
@@ -299,8 +302,8 @@ def _ref_optimizer_step(params, grads, state):
     """The per-tensor update the flat ``optimizer_step`` replaced, on name -> array
     dicts; ``state.m`` and ``state.v`` are dicts too."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - OPT_BETA1 ** state.step
+    bc2 = 1.0 - OPT_BETA2 ** state.step
     for name, theta in params.items():
         g = grads[name]
         if name not in state.m:
@@ -308,11 +311,11 @@ def _ref_optimizer_step(params, grads, state):
             state.v[name] = np.zeros_like(theta)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= OPT_BETA1
+        m += (1.0 - OPT_BETA1) * g
+        v *= OPT_BETA2
+        v += (1.0 - OPT_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + OPT_EPS)
         if name != "other_logit":
             update = update + state.weight_decay * theta
         theta -= state.lr * update

@@ -91,6 +91,17 @@ class TestBuildStream:
         stream = build_stream(ds, "task_incremental")
         assert [s.sample_ids for s in stream] == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
+    @pytest.mark.parametrize("task_map, match", [
+        ({0: [0, 1, 2, 3], 1: [4, 5, 6, 9]}, "task 1 names sample 9 of 8"),
+        ({0: [0, 1, 2, 3], 1: [3, 4, 5]}, "task 1 names sample 3 named before"),
+        ({0: [0, 1, 1]}, "task 0 names sample 1 named before"),
+    ], ids=["out-of-range", "in-two-tasks", "twice-in-a-task"])
+    def test_task_incremental_rejects_a_task_map_that_is_no_partition(self, task_map, match):
+        ds = _dataset(num_classes=4, samples_per_class=2)
+        ds.task_map = task_map
+        with pytest.raises(ValueError, match=match):
+            build_stream(ds, "task_incremental")
+
     def test_task_incremental_requires_partition(self):
         with pytest.raises(ValueError):
             build_stream(_dataset(), "task_incremental")
@@ -311,11 +322,10 @@ class TestEngineRun:
         suite = EvalSuite("all", list(range(24, -1, -1)), set(range(5)))
         engine.evaluate_suite(suite)
         assert calls == predicts
-        # The first predict decodes its own batches, then the ten stored samples for
-        # the nn-loo maps; every later decode is one batch of the suite, in suite order.
-        first = -(-predicts[0] // 4)
-        stored = decoded[first:first + 3]
-        groups = decoded[:first] + decoded[first + 3:]
+        # The ten stored samples are decoded first, for the nn-loo maps of the mix set-up;
+        # every later decode is one batch of the suite, in suite order.
+        stored = decoded[:3]
+        groups = decoded[3:]
         assert [len(t) for t in stored] == [4, 4, 2]
         assert np.array_equal(np.concatenate(stored), engine.store.tokens(range(10)))
         assert [len(t) for t in groups] == [4, 4, 4, 4, 4, 4, 1]
@@ -352,6 +362,35 @@ class TestEngineRun:
                 monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", slice_bytes)
                 _, result = engine.evaluate_suite(EvalSuite("s", ids, candidates))
                 assert result.probs.tobytes() == expected
+
+    @pytest.mark.parametrize("weighting", ["ocw", "nn-loo"])
+    def test_mix_setup_built_once_per_candidate_set_and_state(self, monkeypatch, weighting):
+        # A suite scored in four slices shares one set-up: one alpha array and (nn-loo)
+        # one nn-loo map. Other candidates in the same state take new alphas over the
+        # same map; a training step makes both anew.
+        ds = _dataset(num_classes=5, samples_per_class=5, seed=19)  # T=4, D=16: 256 bytes a row
+        engine = Engine(ds, _fast_config(weighting=weighting, seed=19))  # batch_size 4
+        for idx in range(10):  # labels 0 and 1
+            engine.process(idx)
+        monkeypatch.setattr(protocols, "EVAL_SLICE_BYTES", 2 * 4 * 256)  # 8, 8, 8 and 1 rows
+        calls = {"alpha": 0, "nn_loo_confidence": 0}
+
+        def count(name):
+            original = getattr(protocols, name)
+            monkeypatch.setattr(protocols, name, lambda *a, **kw: calls.update(
+                {name: calls[name] + 1}) or original(*a, **kw))
+
+        count("alpha")
+        count("nn_loo_confidence")
+        nn = int(weighting == "nn-loo")
+        everything = EvalSuite("all", list(range(25)), set(range(5)))
+        engine.evaluate_suite(everything)
+        assert calls == {"alpha": 1, "nn_loo_confidence": nn}
+        engine.evaluate_suite(EvalSuite("some", list(range(25)), {0, 1, 3}))
+        assert calls == {"alpha": 2, "nn_loo_confidence": nn}
+        engine.process(10)
+        engine.evaluate_suite(everything)
+        assert calls == {"alpha": 3, "nn_loo_confidence": 2 * nn}
 
     def test_nn_loo_maps_rebuilt_when_store_or_decoder_changes(self):
         ds = _dataset(num_classes=5, samples_per_class=4, seed=20)
