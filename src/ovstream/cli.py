@@ -246,6 +246,7 @@ def _time_batch(dataset, payloads, decode, repetitions=100, batch_size=32) -> fl
 
 
 def cmd_report(args) -> int:
+    out = _out_dir(args.out)
     metrics_dir = Path(args.metrics_dir)
     files = sorted(metrics_dir.rglob("metrics.csv"))
     if not files:
@@ -257,7 +258,6 @@ def cmd_report(args) -> int:
             raise FormatError(f"empty metrics file {path}")
         runs[str(path.parent.relative_to(metrics_dir)) or "."] = rows
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     suites = sorted({suite for rows in runs.values() for _, suite, _ in rows})
     for suite in suites:

@@ -8,11 +8,14 @@ probability arrays, one column per candidate in sorted label order.
 Inputs are stored as float32; all scoring arithmetic runs in float64. The
 label table is one (L, D) float64 matrix of float32-valued unit rows and one
 label -> row map; a label's embedding is its row cast to float32.
-Every cosine in the package comes from one kernel, ``label_cosines``:
-embeddings scaled to unit rows by ``unit_rows`` against unit label rows.
-The scorers and the loss use it with the label table, and
-``weighting.FrozenNeighbours`` with the unit exemplars themselves. A row
-scores the same bits in any batch, and equal label rows get equal cosines.
+Every cosine in the package comes from ``label_cosines``: embeddings scaled
+to unit rows by ``unit_rows`` against unit label rows, by one of two products
+that each call site names. ``stable=True`` is an einsum, under which a row
+scores the same bits in any batch and equal label rows get equal cosines: the
+frozen scorer and ``weighting.FrozenNeighbours`` (with the unit exemplars
+themselves) use it. ``stable=False`` is one BLAS product, a few times faster,
+whose rounding may depend on the batch: the tuned scorer and the loss use it,
+as their embeddings come out of BLAS products in ``decode`` already.
 """
 
 from __future__ import annotations
@@ -174,31 +177,32 @@ def unit_rows(embeddings):
     return e / norms, norms
 
 
-def label_cosines(embeddings, label_matrix: np.ndarray):
+def label_cosines(embeddings, label_matrix: np.ndarray, *, stable: bool):
     """Cosines of a D vector or B x D matrix against C x D unit rows, in [-1, 1].
 
-    The one cosine kernel: frozen and tuned scorers, loss, nn-loo confidence.
     Returns the (C,) or (B, C) cosines, the unit embeddings and their norms.
-    einsum's own loop, unlike BLAS, sums each row in one order in any batch.
+    ``stable=True``: einsum's own loop, unlike BLAS, sums each row in one order in any
+    batch, so a row gets the bits it gets alone. ``stable=False``: one BLAS product,
+    equal to those up to its rounding.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     if e.shape[-1] != label_matrix.shape[1]:
         raise ValueError(f"dimension mismatch: {e.shape[-1]} vs table {label_matrix.shape[1]}")
     unit, norms = unit_rows(e)
-    cos = np.einsum("...d,cd->...c", unit, label_matrix)
+    cos = np.einsum("...d,cd->...c", unit, label_matrix) if stable else unit @ label_matrix.T
     # np.clip's values, in place, without its Python-level argument handling.
     return np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos), unit, norms
 
 
-def candidate_probabilities(embeddings, label_matrix: np.ndarray):
+def candidate_probabilities(embeddings, label_matrix: np.ndarray, *, stable: bool):
     """Softmax over temperature-scaled cosines with the rows of ``label_matrix``: a (C,)
-    array for a D vector, (B, C) for a B x D matrix."""
+    array for a D vector, (B, C) for a B x D matrix; ``stable`` as ``label_cosines``."""
     e = np.asarray(embeddings, dtype=np.float32)
     if e.ndim != 2:
         e = as_embedding(e)
     elif not np.isfinite(e).all():
         raise NumericError("embeddings contain non-finite entries")
-    cos, _, _ = label_cosines(e, label_matrix)
+    cos, _, _ = label_cosines(e, label_matrix, stable=stable)
     cos *= TEMPERATURE
     return softmax(cos)
 
@@ -206,9 +210,9 @@ def candidate_probabilities(embeddings, label_matrix: np.ndarray):
 def zero_shot_probabilities(e_x, table: LabelEmbeddingTable, candidates):
     """Softmax over temperature-scaled cosine similarities for each candidate:
     ``{label: float}`` for a D vector, the (B, C) array over the sorted candidates for
-    a B x D matrix."""
+    a B x D matrix. A row gets the bits it gets alone."""
     candidates = CandidateSet.of(table, candidates)
-    probs = candidate_probabilities(e_x, candidates.matrix)
+    probs = candidate_probabilities(e_x, candidates.matrix, stable=True)
     return dict(zip(candidates.labels, probs.tolist())) if probs.ndim == 1 else probs
 
 

@@ -358,7 +358,7 @@ def _loss_and_grads(batch, params, table, beta, grads=None) -> float | None:
 
     mat = candidates.matrix
     n = len(candidates)
-    cos, e_hat, norms = label_cosines(e, mat)
+    cos, e_hat, norms = label_cosines(e, mat, stable=False)
     logits = augmented_logits(cos, params.other_logit)  # column n = OTHER
     p1 = softmax(logits)
     if n > 1:  # the logits are spent once p1 is out, so they take the true label's -inf

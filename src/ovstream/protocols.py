@@ -339,9 +339,11 @@ class Engine:
         ``frozen``, when given, is the frozen scorer's output for ``tokens`` (same shape
         as the result), used in place of computing it; ``tuned-only`` never reads it.
         ``_decode`` runs over ``batch_size`` row groups, as a training step does; the frozen
-        and tuned cosine products and the mix run once for the whole array. Each of those
-        works one row or one label at a time, so a row gets the same bits in any array
-        whose groups are whole batches. ``predict`` only reads the mix set-up
+        and tuned cosine products and the mix run once for the whole array. The frozen
+        product (``stable=True``) and the mix work one row or one label at a time, so a
+        row's frozen scores and mix get the same bits in any array; the tuned product is
+        one BLAS product (``stable=False``), a row's own up to rounding, as its decoding
+        already is. ``predict`` only reads the mix set-up
         (``_mix_setup``) that every array scored over one candidate set in one state
         shares. When the decoder has trained on no candidate, every alpha is 0 and the mix
         returns the frozen rows bit for bit, so (except under ``tuned-only``) nothing is
@@ -353,12 +355,14 @@ class Engine:
         cands, seen, untrained, alphas = self._mix_setup(candidates)
         strategy = self.config.weighting
         if strategy == "tuned-only":
-            return candidate_probabilities(self._decode(x), cands.matrix)
-        p_o = candidate_probabilities(x[:, 0], cands.matrix) if frozen is None else frozen
+            return candidate_probabilities(self._decode(x), cands.matrix, stable=False)
+        p_o = (candidate_probabilities(x[:, 0], cands.matrix, stable=True) if frozen is None
+               else frozen)
         if strategy == "frozen-only":
             return p_o
         # Untrained, every alpha is 0, so the mix returns p_o whatever p_t is.
-        p_t = p_o if untrained else candidate_probabilities(self._decode(x), cands.matrix)
+        p_t = p_o if untrained else candidate_probabilities(self._decode(x), cands.matrix,
+                                                            stable=False)
         if strategy == "aim":
             return mix_predictions(p_t, p_o, aim_alpha(p_o, cands.labels, seen))
         mixed = combined_prediction(p_t, p_o, alphas, cands.labels)
@@ -383,7 +387,7 @@ class Engine:
             cached_key, frozen = self._frozen.get(suite.name, (None, None))
             if cached_key != key:
                 frozen = candidate_probabilities(self.dataset.token_rows[suite.sample_ids, 0],
-                                                 self._mix_setup(key[1])[0].matrix)
+                                                 self._mix_setup(key[1])[0].matrix, stable=True)
                 self._frozen[suite.name] = (key, frozen)
         batch_bytes = 4 * math.prod(self.dataset.shape) * self.config.sampler.batch_size
         size = max(1, EVAL_SLICE_BYTES // batch_bytes) * self.config.sampler.batch_size

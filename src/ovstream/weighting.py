@@ -155,7 +155,7 @@ class FrozenNeighbours:
         if not k:
             return
         self.units = np.concatenate([self.units, unit_rows(embs)[0]])
-        sims, _, _ = label_cosines(embs, self.units)  # (K, N + K)
+        sims, _, _ = label_cosines(embs, self.units, stable=True)  # (K, N + K)
         sims[np.arange(k), n + np.arange(k)] = -np.inf
         old = sims[:, :n].T  # the old rows against the new ones
         best = old.argmax(axis=1)

@@ -453,6 +453,16 @@ class TestReport:
         assert (r1 / "all.svg").read_bytes() == (r2 / "all.svg").read_bytes()
         assert (r1 / "matrix.csv").read_bytes() == (r2 / "matrix.csv").read_bytes()
 
+    @pytest.mark.parametrize("target", ["taken", "taken/out"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, target):
+        self._run_once(tmp_path, "a", 1)
+        (tmp_path / "taken").write_text("kept\n")
+        assert main(["report", "--metrics-dir", str(tmp_path / "runs"),
+                     "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "taken exists and is not a directory" in err
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_no_metrics_exits_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

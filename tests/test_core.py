@@ -15,9 +15,9 @@ from ovstream.core import (
 
 
 def _cosine(a, b) -> float:
-    """Cosine of two vectors through the one kernel: ``b`` as a one-row label matrix."""
+    """Cosine of two vectors through the stable kernel: ``b`` as a one-row label matrix."""
     unit_b, _ = unit_rows(np.asarray(b, dtype=np.float64)[None, :])
-    cos, _, _ = label_cosines(a, unit_b)
+    cos, _, _ = label_cosines(a, unit_b, stable=True)
     return float(cos[0])
 
 
@@ -55,8 +55,8 @@ class TestCosineSimilarity:
             np.testing.assert_array_equal(unit, row / np.linalg.norm(row))
 
     def test_rows_score_the_same_in_any_batch(self):
-        # A row of a batch gets the bits it gets alone, as a vector and as a
-        # batch of one, and equal label rows get equal cosines.
+        # Under the stable kernel a row of a batch gets the bits it gets alone, as a
+        # vector and as a batch of one, and equal label rows get equal cosines.
         gen = np.random.default_rng(31)
         for _ in range(300):
             b, d, c = (int(gen.integers(1, 200)), int(gen.integers(3, 97)),
@@ -65,12 +65,31 @@ class TestCosineSimilarity:
             j, k = gen.choice(c, size=2, replace=False)
             labels[j] = labels[k]
             batch = gen.standard_normal((b, d)).astype(np.float32)
-            cos, _, _ = label_cosines(batch, labels)
+            cos, _, _ = label_cosines(batch, labels, stable=True)
             np.testing.assert_array_equal(cos[:, j], cos[:, k])
             for i in gen.choice(b, size=min(b, 3), replace=False):
-                np.testing.assert_array_equal(label_cosines(batch[i], labels)[0], cos[i])
-                np.testing.assert_array_equal(label_cosines(batch[i:i + 1], labels)[0][0],
+                np.testing.assert_array_equal(label_cosines(batch[i], labels, stable=True)[0],
                                               cos[i])
+                np.testing.assert_array_equal(
+                    label_cosines(batch[i:i + 1], labels, stable=True)[0][0], cos[i])
+
+    def test_blas_product_is_the_stable_one_up_to_rounding(self):
+        # stable=False is one BLAS product: its cosines, unit rows and norms are the
+        # stable kernel's within 1e-15, for single rows, single labels and a D vector.
+        gen = np.random.default_rng(37)
+        shapes = [(1, 64, 1), (1, 64, 100), (96, 64, 1), (96, 64, 100), (32, 3, 2)]
+        shapes += [tuple(int(n) for n in gen.integers(1, 130, 3)) for _ in range(200)]
+        for b, d, c in shapes:
+            labels, _ = unit_rows(gen.standard_normal((c, d)))
+            batch = gen.standard_normal((b, d)).astype(np.float32)
+            for e in (batch, batch[0]):
+                fast = label_cosines(e, labels, stable=False)
+                exact = label_cosines(e, labels, stable=True)
+                assert fast[0].shape == exact[0].shape == e.shape[:-1] + (c,)
+                np.testing.assert_allclose(fast[0], exact[0], rtol=0, atol=1e-15)
+                assert np.abs(fast[0]).max() <= 1.0
+                for got, want in zip(fast[1:], exact[1:]):
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestLabelTable:
@@ -176,12 +195,13 @@ class TestZeroShotProbabilities:
         assert all(np.isfinite(p) for p in probs.values())
         assert sum(probs.values()) == pytest.approx(1.0)
 
-    def test_non_finite_embeddings_are_a_numeric_error(self, small_table):
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_non_finite_embeddings_are_a_numeric_error(self, small_table, stable):
         # A NumericError is both: a ValueError of bad input, and the CLI's exit 3.
         batch = np.ones((2, small_table.dim), dtype=np.float32)
         batch[1, 3] = np.inf
         with pytest.raises(NumericError, match="non-finite") as info:
-            candidate_probabilities(batch, small_table.matrix([0, 1]))
+            candidate_probabilities(batch, small_table.matrix([0, 1]), stable=stable)
         assert isinstance(info.value, ValueError) and isinstance(info.value, FloatingPointError)
 
     def test_empty_candidates(self, small_table):

@@ -75,13 +75,13 @@ class TestDecode:
 class TestAugmentedLogits:
     def test_orthogonal_all_zero(self):
         table = LabelEmbeddingTable({0: [1, 0, 0], 1: [0, 1, 0]})
-        cos, _, _ = label_cosines([0, 0, 1.0], table.matrix([0, 1]))
+        cos, _, _ = label_cosines([0, 0, 1.0], table.matrix([0, 1]), stable=False)
         logits = augmented_logits(cos, other_logit=0.0)
         np.testing.assert_array_equal(logits, [0.0, 0.0, 0.0])
 
     def test_large_other_logit_dominates(self):
         table = LabelEmbeddingTable({0: [1, 0], 1: [0, 1]})
-        cos, _, _ = label_cosines([-1.0, -1.0], table.matrix([0, 1]))
+        cos, _, _ = label_cosines([-1.0, -1.0], table.matrix([0, 1]), stable=False)
         logits = augmented_logits(cos, other_logit=50.0)
         exps = np.exp(logits - logits.max())
         p_other = exps[-1] / exps.sum()
@@ -92,7 +92,7 @@ class TestAugmentedLogits:
         # softmax of (50, -50, 0).
         s = np.sqrt(0.75)
         table = LabelEmbeddingTable({0: [0.5, s], 1: [-0.5, s]})
-        cos, _, _ = label_cosines([1.0, 0.0], table.matrix([0, 1]))
+        cos, _, _ = label_cosines([1.0, 0.0], table.matrix([0, 1]), stable=False)
         logits = augmented_logits(cos, other_logit=0.0)
         exps = np.exp(np.array([50.0, -50.0, 0.0]))
         expected = exps / exps.sum()

@@ -213,8 +213,9 @@ class TestEngineRun:
         assert engine.store.seen_labels() == [0, 1, 2]
         tokens = ds.tokens(1)
         got = engine.predict(tokens, {0, 1, 2})
-        tuned = zero_shot_probabilities(decode(tokens, engine.params), engine.table, {0, 1, 2})
-        assert np.array_equal(got, list(tuned.values()))
+        tuned = candidate_probabilities(decode(tokens, engine.params),
+                                        engine.table.matrix([0, 1, 2]), stable=False)
+        assert np.array_equal(got, tuned)
 
     def test_ocw_mix_matches_reference(self, monkeypatch):
         # Trained labels 1 and 2 mix by c_t / (c_t + c_o + eps); untrained 3 and 4 take 0.
@@ -267,9 +268,9 @@ class TestEngineRun:
             engine.process(idx)
         for idx in range(len(ds.samples)):
             tokens = ds.tokens(idx)
-            tuned = zero_shot_probabilities(decode(tokens, engine.params), engine.table,
-                                            {0, 1, 2})
-            assert np.array_equal(engine.predict(tokens, {0, 1, 2}), list(tuned.values()))
+            tuned = candidate_probabilities(decode(tokens, engine.params),
+                                            engine.table.matrix([0, 1, 2]), stable=False)
+            assert np.array_equal(engine.predict(tokens, {0, 1, 2}), tuned)
 
     @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
     def test_suite_scores_as_per_sample_predict(self, weighting):
@@ -614,10 +615,12 @@ class TestFrozenRowsAndUntrainedSuites:
 
     @staticmethod
     def _count_products(monkeypatch):
+        # Each product's embeddings and whether it ran the stable kernel.
         calls = []
         original = protocols.candidate_probabilities
         monkeypatch.setattr(protocols, "candidate_probabilities",
-                            lambda e, mat: calls.append(np.array(e)) or original(e, mat))
+                            lambda e, mat, *, stable: calls.append((np.array(e), stable))
+                            or original(e, mat, stable=stable))
         return calls
 
     @pytest.mark.parametrize("weighting", protocols.WEIGHTINGS)
@@ -633,10 +636,12 @@ class TestFrozenRowsAndUntrainedSuites:
             calls.clear()
             engine.evaluate_suite(suite)
             assert len(calls) == frozen_products + 4 * tuned
-            assert sum(np.array_equal(e, cls_rows) for e in calls) == frozen_products
+            assert sum(np.array_equal(e, cls_rows) for e, _ in calls) == frozen_products
+            # Frozen rows by the stable kernel, first; tuned rows by the BLAS product.
+            assert [s for _, s in calls] == [True] * frozen_products + [False] * 4 * tuned
         if first:  # the kept rows are the bits that per-slice products give
             mat = engine.table.matrix(range(6))
-            want = np.concatenate([candidate_probabilities(cls_rows[k:k + 8], mat)
+            want = np.concatenate([candidate_probabilities(cls_rows[k:k + 8], mat, stable=True)
                                    for k in range(0, 30, 8)])
             assert engine._frozen["all"][1].tobytes() == want.tobytes()
         else:
@@ -650,7 +655,8 @@ class TestFrozenRowsAndUntrainedSuites:
         for suite in suites:
             calls.clear()
             _, result = engine.evaluate_suite(suite)
-            assert len(calls) == 2  # one frozen and one tuned product: nothing reused
+            # One frozen and one tuned product: nothing reused.
+            assert [s for _, s in calls] == [True, False]
             fresh = self._engine("ocw")[1].evaluate_suite(suite)[1]
             assert result.probs.tobytes() == fresh.probs.tobytes()
         assert sorted(engine._frozen) == ["s", "t"]

@@ -436,7 +436,7 @@ class TestFrozenNeighbours:
         # Each row's neighbour and cosine are those of the whole-set search, byte for
         # byte, and so is the confidence map.
         embs = np.array([e for e, _ in items], np.float32)
-        sims, _, _ = label_cosines(embs, unit_rows(embs)[0])
+        sims, _, _ = label_cosines(embs, unit_rows(embs)[0], stable=True)
         np.fill_diagonal(sims, -np.inf)
         assert index.nearest.tolist() == sims.argmax(axis=1).tolist()
         assert index.cosines.tobytes() == sims.max(axis=1).tobytes()
